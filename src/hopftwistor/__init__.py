@@ -27,22 +27,15 @@ from .fibration import (
 )
 from .generator import (
     GeneratorForm,
-    OneParamGenerator,
     commutator_residual,
     extra_curvature,
     form_value,
     is_horosphere_data,
     maurer_cartan_residual,
-    one_param_group,
-    one_param_omega,
-    orbit_patch,
     orbit_patch_from_form,
-    orbit_patch_from_omega,
     parse_constants,
-    pick_extra_eigenvalue,
     product_group_map,
     two_path_residual,
-    verify_hopf_two,
 )
 from .hypersurface import (
     HypersurfacePatch,
@@ -55,6 +48,7 @@ from .hypersurface import (
     pairing_residual,
     parallel_patch_residual,
     phi_project,
+    pick_extra_eigenvalue,
     shape_operator,
     structure_lift,
     tube_complex,

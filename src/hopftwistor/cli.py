@@ -6,8 +6,7 @@ a geometric error surfaced mid-run, 2 for configuration problems (bad flags,
 malformed constants files, invalid parameter combinations).
 
 Reports go to stdout or --out; wall time goes to stderr only, keeping the
-payload byte-reproducible.  HOPF_TWISTOR_THREADS bounds grid parallelism and
-never changes the output bytes.
+payload byte-reproducible.
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,20 +25,17 @@ from .errors import ConfigError, DegenerateCurveError, GeometryError
 from .fibration import curve_curvature
 from .generator import (
     GeneratorForm,
-    OneParamGenerator,
     commutator_residual,
     extra_curvature,
     form_value,
     is_horosphere_data,
     maurer_cartan_residual,
-    one_param_omega,
-    orbit_patch,
     orbit_patch_from_form,
     parse_constants,
     two_path_residual,
-    verify_hopf_two,
 )
 from .hypersurface import (
+    DEFAULT_TOLERANCES,
     HypersurfacePatch,
     ShapeReport,
     grid_key,
@@ -55,31 +50,16 @@ from .report import envelope_to_csv, envelope_to_json, make_check, make_envelope
 from .sampling import random_one_param, random_stiefel
 from .twistor import SIGNS, StiefelPoint, model_curve, parallel_shift_residual
 
-DEFAULT_TOLERANCES: Dict[str, float] = {
-    "structure": 1e-10,
-    "curvature": 1e-4,
-    "circle": 1e-4,
-    "parallel": 1e-10,
-    "hopf": 1e-4,
-    "mu": 1e-4,
-    "mu-constancy": 1e-4,
-    "eigenvalue": 1e-4,
-    "pairing": 1e-4,
-    "symmetry": 1e-5,
-    "lsq": 1e-4,
-    "defining": 1e-12,
-    "mc": 1e-12,
-    "witness": 1e-6,
-    "rho": 1e-4,
-    "unit": 1e-3,
-    "rank": 1e-6,
-}
-
 DEFAULT_RADII = (-1.0, -0.5, 0.2, 0.5, 1.0)
 PARALLEL_SHIFTS = (-0.7, -0.3, 0.0, 0.4, 0.8)
 RHO_HEIGHTS = (0.5, 1.0, 2.0)
 
-__all__ = ["main", "RunConfig", "DEFAULT_TOLERANCES"]
+# Verifier rows that the orbit commands print; the one-parameter battery adds
+# the symmetry and least-squares rows.  "mu" is the median over the grid.
+ORBIT_ROWS = ("mu", "hopf-residual", "unit-multiplicity")
+ONE_PARAM_ROWS = ORBIT_ROWS + ("symmetry-residual", "lsq-residual")
+
+__all__ = ["main", "RunConfig"]
 
 
 @dataclass
@@ -96,7 +76,6 @@ class RunConfig:
     output_path: Optional[str] = None
     format: str = "json"
     constants_path: Optional[str] = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.n < 2:
@@ -141,19 +120,6 @@ class RunConfig:
 
 def _g(x: float) -> str:
     return format(float(x), "g")
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("HOPF_TWISTOR_THREADS")
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        t = int(raw)
-    except ValueError:
-        raise ConfigError(f"HOPF_TWISTOR_THREADS must be an integer, got {raw!r}")
-    if t < 1:
-        raise ConfigError("HOPF_TWISTOR_THREADS must be >= 1")
-    return t
 
 
 def _parse_tols(pairs: Optional[Sequence[str]]) -> Dict[str, float]:
@@ -223,35 +189,27 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         output_path=args.out,
         format=args.format,
         constants_path=args.constants,
-        threads=_threads_from_env(),
     )
 
 
-def _constants_doc(data) -> dict:
-    if isinstance(data, OneParamGenerator):
-        a0, a1, x, y0, y1, w = data.constants()
-        return {
-            "kind": "one-param",
-            "alpha0": a0,
-            "alpha1": a1,
-            "x": x,
-            "y0": y0,
-            "y1": y1,
-            "w": w,
-        }
+def _constants_doc(kind: str, form: GeneratorForm) -> dict:
+    if kind == "one-param":
+        keys = ("alpha0", "alpha1", "x", "y0", "y1", "w")
+        return {"kind": kind, **dict(zip(keys, form.scalars()))}
     return {
-        "kind": "block-form",
-        "alpha0": data.alpha0.tolist(),
-        "alpha1": data.alpha1.tolist(),
-        "x_form": data.x_form.tolist(),
-        "y0": data.y0.tolist(),
-        "y1": data.y1.tolist(),
-        "w1": data.w1.tolist(),
-        "w2": data.w2.tolist(),
+        "kind": kind,
+        "alpha0": form.alpha0.tolist(),
+        "alpha1": form.alpha1.tolist(),
+        "x_form": form.x_form.tolist(),
+        "y0": form.y0.tolist(),
+        "y1": form.y1.tolist(),
+        "w1": form.w1.tolist(),
+        "w2": form.w2.tolist(),
     }
 
 
-def _load_constants(cfg: RunConfig):
+def _load_constants(cfg: RunConfig) -> Optional[Tuple[str, GeneratorForm]]:
+    """The document kind and its form; the kind, not dim_g, picks the battery."""
     if cfg.constants_path is None:
         return None
     try:
@@ -261,7 +219,8 @@ def _load_constants(cfg: RunConfig):
         raise ConfigError(f"cannot read constants file: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"constants file is not valid JSON: {exc}")
-    return parse_constants(data)
+    form = parse_constants(data)
+    return data["kind"], form
 
 
 # ---------------------------------------------------------------- commands
@@ -360,34 +319,6 @@ def _build_classical(cfg: RunConfig) -> HypersurfacePatch:
         raise ConfigError(f"cannot build the requested example: {exc}")
 
 
-def _hopf_checks(cfg: RunConfig, rep: ShapeReport, expected_mu: Optional[float]) -> List[dict]:
-    checks = [
-        make_check("hopf-residual", rep.hopf_residual, 0.0, cfg.tol("hopf")),
-        make_check("mu-constancy", rep.mu_deviation, 0.0, cfg.tol("mu-constancy")),
-        make_check("symmetry-residual", rep.symmetry_residual, 0.0, cfg.tol("symmetry")),
-        make_check("lsq-residual", rep.lsq_residual, 0.0, cfg.tol("lsq")),
-    ]
-    if expected_mu is not None:
-        checks.append(make_check("mu", rep.mu, expected_mu, cfg.tol("mu")))
-    if rep.pairing_residuals:
-        checks.append(
-            make_check(
-                "pairing-max", max(rep.pairing_residuals), 0.0, cfg.tol("pairing")
-            )
-        )
-    consistent = not any("multiplicity pattern" in f for f in rep.failures)
-    checks.append(
-        make_check(
-            "multiplicity-pattern",
-            0.0 if consistent else 1.0,
-            0.0,
-            0.0,
-            passed=consistent,
-        )
-    )
-    return checks
-
-
 def _spectrum_checks(cfg: RunConfig, patch: HypersurfacePatch, rep: ShapeReport) -> List[dict]:
     checks: List[dict] = []
     expected = patch.expected_spectrum
@@ -481,10 +412,8 @@ def _cmd_build_example(cfg: RunConfig) -> dict:
     patch = _build_classical(cfg)
     grid = patch.grid(cfg.grid_density)
     checks = _construction_checks(cfg, patch, grid)
-    rep = verify_hopf(
-        patch, grid, step=cfg.fd_step, tolerances=cfg.tolerances, threads=cfg.threads
-    )
-    checks += _hopf_checks(cfg, rep, patch.expected_mu)
+    rep = verify_hopf(patch, grid, step=cfg.fd_step, tolerances=cfg.tolerances)
+    checks += rep.checks
     checks += _spectrum_checks(cfg, patch, rep)
     return make_envelope(cfg.command, cfg.echo(), checks)
 
@@ -492,11 +421,9 @@ def _cmd_build_example(cfg: RunConfig) -> dict:
 def _cmd_verify_hopf(cfg: RunConfig) -> dict:
     patch = _build_classical(cfg)
     grid = patch.grid(cfg.grid_density)
-    rep = verify_hopf(
-        patch, grid, step=cfg.fd_step, tolerances=cfg.tolerances, threads=cfg.threads
-    )
+    rep = verify_hopf(patch, grid, step=cfg.fd_step, tolerances=cfg.tolerances)
     checks = _construction_checks(cfg, patch, grid)
-    checks += _hopf_checks(cfg, rep, patch.expected_mu)
+    checks += rep.checks
     mu_abs = abs(rep.mu)
     if cfg.s == "plus":
         checks.append(
@@ -517,42 +444,42 @@ def _cmd_verify_hopf(cfg: RunConfig) -> dict:
     return make_envelope(cfg.command, cfg.echo(), checks)
 
 
-def _one_param_checks(cfg: RunConfig, gen: OneParamGenerator) -> List[dict]:
-    checks: List[dict] = []
+def _orbit_checks(
+    cfg: RunConfig, form: GeneratorForm, grid, rows: Sequence[str]
+) -> Tuple[List[dict], Optional[ShapeReport]]:
+    """The immersion row and the named verifier rows of the form's orbit
+    patch; no report when the construction or a measurement degenerates.
+    """
+    try:
+        patch = orbit_patch_from_form(form)
+        rep = verify_hopf(
+            patch,
+            patch.grid(2, cap=4) if grid is None else grid,
+            step=cfg.fd_step,
+            tolerances=cfg.tolerances,
+        )
+    except GeometryError as exc:
+        print(f"non-immersion: {exc}", file=sys.stderr)
+        return [make_check("immersion", 1.0, 0.0, 0.0, passed=False)], None
+    checks = [make_check("immersion", 0.0, 0.0, 0.0, passed=True)]
+    return checks + [c for c in rep.checks if c["name"] in rows], rep
+
+
+def _one_param_checks(cfg: RunConfig, form: GeneratorForm) -> List[dict]:
     offsets = ((0.0, 0.0, 0.0), (0.3, -0.2, 0.25), (-0.25, 0.3, -0.2))
     grid = [
         np.array([th, x, h, lam])
         for lam in RHO_HEIGHTS
         for (th, x, h) in offsets
     ]
+    checks, rep = _orbit_checks(cfg, form, grid, ONE_PARAM_ROWS)
+    if rep is None:
+        return checks
     try:
-        patch = orbit_patch(gen)
-        rep = verify_hopf_two(
-            patch,
-            grid,
-            step=cfg.fd_step,
-            tolerances=cfg.tolerances,
-            threads=cfg.threads,
-        )
-        predicted = {lam: extra_curvature(gen, lam) for lam in RHO_HEIGHTS}
+        predicted = {lam: extra_curvature(form, lam) for lam in RHO_HEIGHTS}
     except GeometryError as exc:
         print(f"non-immersion: {exc}", file=sys.stderr)
-        checks.append(make_check("immersion", 1.0, 0.0, 0.0, passed=False))
-        return checks
-    checks.append(make_check("immersion", 0.0, 0.0, 0.0, passed=True))
-    checks += [
-        make_check("mu", rep.mu, 2.0, cfg.tol("mu")),
-        make_check("hopf-residual", rep.hopf_residual, 0.0, cfg.tol("hopf")),
-        make_check("symmetry-residual", rep.symmetry_residual, 0.0, cfg.tol("symmetry")),
-        make_check("lsq-residual", rep.lsq_residual, 0.0, cfg.tol("lsq")),
-        make_check(
-            "unit-multiplicity",
-            float(rep.unit_multiplicity),
-            float(patch.dim_n - 1),
-            0.0,
-            passed=rep.unit_multiplicity >= patch.dim_n - 1,
-        ),
-    ]
+        return [make_check("immersion", 1.0, 0.0, 0.0, passed=False)]
     by_height: Dict[float, List[float]] = {}
     for at, (lam, rho) in zip(grid, rep.rho_values):
         gp = grid_key(at)
@@ -571,18 +498,11 @@ def _one_param_checks(cfg: RunConfig, gen: OneParamGenerator) -> List[dict]:
                 grid_point=f"lam={_g(lam)}",
             )
         )
-    horo = is_horosphere_data(gen)
+    _, _, _, y0, y1, _ = form.scalars()
     checks.append(
-        make_check(
-            "horosphere-data",
-            abs(gen.y0 - gen.y1),
-            0.0,
-            0.0,
-            passed=True,
-            grid_point="",
-        )
+        make_check("horosphere-data", abs(y0 - y1), 0.0, 0.0, passed=True)
     )
-    if horo:
+    if is_horosphere_data(form):
         for lam in sorted(by_height):
             for rho in by_height[lam]:
                 checks.append(
@@ -598,16 +518,14 @@ def _one_param_checks(cfg: RunConfig, gen: OneParamGenerator) -> List[dict]:
 
 
 def _form_checks(cfg: RunConfig, f: GeneratorForm) -> List[dict]:
-    mc = maurer_cartan_residual(f)
+    """Flatness rows; the first is the mc-residual row."""
     checks = [
-        make_check("mc-residual", mc, 0.0, cfg.tol("mc")),
+        make_check("mc-residual", maurer_cartan_residual(f), 0.0, cfg.tol("mc")),
         make_check("commutator-residual", commutator_residual(f), 0.0, cfg.tol("mc")),
         make_check("two-path-witness", two_path_residual(f), 0.0, cfg.tol("witness")),
     ]
     membership = 0.0
-    for k in range(f.dim_g):
-        e = np.zeros(f.dim_g)
-        e[k] = 1.0
+    for e in np.eye(f.dim_g):
         membership = max(membership, algebra_residual(form_value(f, e).matrix))
     checks.append(
         make_check("algebra-membership", membership, 0.0, cfg.tol("structure"))
@@ -616,63 +534,25 @@ def _form_checks(cfg: RunConfig, f: GeneratorForm) -> List[dict]:
 
 
 def _cmd_cko_run(cfg: RunConfig) -> dict:
-    data = _load_constants(cfg)
-    if data is None:
-        rng = np.random.default_rng(cfg.seed)
-        data = random_one_param(rng)
-    if isinstance(data, OneParamGenerator):
-        checks = _one_param_checks(cfg, data)
+    loaded = _load_constants(cfg)
+    if loaded is None:
+        loaded = ("one-param", random_one_param(np.random.default_rng(cfg.seed)))
+    kind, form = loaded
+    if kind == "one-param":
+        checks = _one_param_checks(cfg, form)
     else:
-        checks = _form_checks(cfg, data)
-        if maurer_cartan_residual(data) <= cfg.tol("mc"):
-            try:
-                patch = orbit_patch_from_form(data)
-                rep = verify_hopf_two(
-                    patch,
-                    patch.grid(2, cap=4),
-                    step=cfg.fd_step,
-                    tolerances=cfg.tolerances,
-                    threads=cfg.threads,
-                )
-            except GeometryError as exc:
-                print(f"non-immersion: {exc}", file=sys.stderr)
-                checks.append(make_check("immersion", 1.0, 0.0, 0.0, passed=False))
-            else:
-                checks += [
-                    make_check("immersion", 0.0, 0.0, 0.0, passed=True),
-                    make_check("mu", rep.mu, 2.0, cfg.tol("mu")),
-                    make_check(
-                        "hopf-residual", rep.hopf_residual, 0.0, cfg.tol("hopf")
-                    ),
-                    make_check(
-                        "unit-multiplicity",
-                        float(rep.unit_multiplicity),
-                        float(patch.dim_n - 1),
-                        0.0,
-                        passed=rep.unit_multiplicity >= patch.dim_n - 1,
-                    ),
-                ]
-    return make_envelope(cfg.command, cfg.echo(_constants_doc(data)), checks)
+        checks = _form_checks(cfg, form)
+        if checks[0]["pass"]:
+            checks += _orbit_checks(cfg, form, None, ORBIT_ROWS)[0]
+    return make_envelope(cfg.command, cfg.echo(_constants_doc(kind, form)), checks)
 
 
 def _cmd_mc_check(cfg: RunConfig) -> dict:
     if cfg.constants_path is None:
         raise ConfigError("mc-check needs --constants")
-    data = _load_constants(cfg)
-    if isinstance(data, OneParamGenerator):
-        checks = [
-            make_check("mc-residual", 0.0, 0.0, cfg.tol("mc")),
-            make_check("two-path-witness", 0.0, 0.0, cfg.tol("witness")),
-            make_check(
-                "algebra-membership",
-                algebra_residual(one_param_omega(data).matrix),
-                0.0,
-                cfg.tol("structure"),
-            ),
-        ]
-    else:
-        checks = _form_checks(cfg, data)
-    return make_envelope(cfg.command, cfg.echo(_constants_doc(data)), checks)
+    kind, form = _load_constants(cfg)
+    checks = _form_checks(cfg, form)
+    return make_envelope(cfg.command, cfg.echo(_constants_doc(kind, form)), checks)
 
 
 _COMMANDS = {

@@ -12,47 +12,37 @@ with a0, a1 scalar, x, y0, y1 valued in R^{n-1}, w1 alternating and w2
 symmetric.  Flatness (all nine constant-coefficient structure equations) is
 equivalent to pairwise commutation of the images of the coordinate basis,
 which serves as an independent cross-check.
+
+The n = 2 one-parameter construction is the dim_g = 1 case: its six scalar
+constants (alpha0, alpha1, x, y0, y1, w) fill the 1 x 1 blocks, with w the
+single entry of the symmetric block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, ImmersionError, InputError, ValidationError
 from .fibration import FD_STEP
-from .hypersurface import (
-    PAIRING_DEGENERATE_TOL,
-    HypersurfacePatch,
-    ShapeReport,
-    _point_report,
-    cluster_eigenvalues,
-    grid_key,
-)
-from .linalg import AlgebraElement, GroupElement, real_form
+from .hypersurface import HypersurfacePatch
+from .linalg import AlgebraElement, GroupElement, matrix_exp, real_form
 
 FORM_TOL = 1e-12
 
 __all__ = [
     "FORM_TOL",
     "GeneratorForm",
-    "OneParamGenerator",
     "form_value",
     "maurer_cartan_residual",
     "commutator_residual",
     "two_path_residual",
     "product_group_map",
-    "one_param_omega",
-    "one_param_group",
-    "orbit_patch",
-    "orbit_patch_from_omega",
     "orbit_patch_from_form",
-    "verify_hopf_two",
     "extra_curvature",
-    "pick_extra_eigenvalue",
     "is_horosphere_data",
     "parse_constants",
 ]
@@ -72,7 +62,7 @@ class GeneratorForm:
     value on the j-th coordinate direction.  w1, w2: (dim_g, n-1, n-1) stacks;
     every w1 slice must be alternating and every w2 slice symmetric, exactly.
     y0 and y1 must satisfy the wedge constraint
-    y0(e_i).y1(e_j) = y0(e_j).y1(e_i).
+    y0(e_i).y1(e_j) = y0(e_j).y1(e_i).  Every entry must be finite.
     """
 
     alpha0: np.ndarray
@@ -85,7 +75,10 @@ class GeneratorForm:
 
     def __post_init__(self):
         for name in ("alpha0", "alpha1", "x_form", "y0", "y1", "w1", "w2"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+            value = _readonly(getattr(self, name))
+            if not np.all(np.isfinite(value)):
+                raise InputError(f"{name} has non-finite entries")
+            object.__setattr__(self, name, value)
         dim_g = self.alpha0.size
         m = self.x_form.shape[0] if self.x_form.ndim == 2 else -1
         if dim_g < 1 or m != dim_g:
@@ -132,6 +125,32 @@ class GeneratorForm:
     @property
     def dim_n(self) -> int:
         return self.x_form.shape[0] + 1
+
+    def scalars(self) -> Tuple[float, float, float, float, float, float]:
+        """(alpha0, alpha1, x, y0, y1, w) of an n = 2 (dim_g = 1) form."""
+        if self.dim_g != 1:
+            raise InputError(f"scalar constants need dim_g = 1, got {self.dim_g}")
+        return (
+            float(self.alpha0[0]),
+            float(self.alpha1[0]),
+            float(self.x_form[0, 0]),
+            float(self.y0[0, 0]),
+            float(self.y1[0, 0]),
+            float(self.w2[0, 0, 0]),
+        )
+
+
+def _scalar_form(alpha0, alpha1, x, y0, y1, w) -> GeneratorForm:
+    """The dim_g = 1 form carrying the six one-parameter constants."""
+    return GeneratorForm(
+        alpha0=[alpha0],
+        alpha1=[alpha1],
+        x_form=[[x]],
+        y0=[[y0]],
+        y1=[[y1]],
+        w1=np.zeros((1, 1, 1)),
+        w2=[[[w]]],
+    )
 
 
 def form_value(f: GeneratorForm, y) -> AlgebraElement:
@@ -226,21 +245,21 @@ def maurer_cartan_residual(f: GeneratorForm) -> float:
     return worst
 
 
+def _basis_values(f: GeneratorForm) -> List[AlgebraElement]:
+    """The form on each coordinate direction, in order."""
+    return [form_value(f, e) for e in np.eye(f.dim_g)]
+
+
 def commutator_residual(f: GeneratorForm) -> float:
     """Max-abs commutator of the coordinate images; an independent route to
     the same flatness condition for constant coefficients.
     """
-    g = f.dim_g
-    if g < 2:
+    if f.dim_g < 2:
         return 0.0
-    mats = []
-    for k in range(g):
-        e = np.zeros(g)
-        e[k] = 1.0
-        mats.append(form_value(f, e).matrix)
+    mats = [x.matrix for x in _basis_values(f)]
     worst = 0.0
-    for i in range(g):
-        for j in range(i + 1, g):
+    for i in range(f.dim_g):
+        for j in range(i + 1, f.dim_g):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
             worst = max(worst, float(np.abs(comm).max()))
     return worst
@@ -250,128 +269,61 @@ def two_path_residual(f: GeneratorForm, delta: float = 0.5) -> float:
     """Path-independence witness: integrate along the two edge paths of the
     coordinate square spanned by the first two directions and compare.
     """
-    from .linalg import matrix_exp
-
     if f.dim_g < 2:
         return 0.0
-    e1 = np.zeros(f.dim_g)
-    e1[0] = 1.0
-    e2 = np.zeros(f.dim_g)
-    e2[1] = 1.0
-    g1 = matrix_exp(form_value(f, e1), delta)
-    g2 = matrix_exp(form_value(f, e2), delta)
+    x1, x2 = _basis_values(f)[:2]
+    g1 = matrix_exp(x1, delta)
+    g2 = matrix_exp(x2, delta)
     a = g1.compose(g2)
     b = g2.compose(g1)
     return float(np.abs(a.matrix - b.matrix).max())
 
 
-def product_group_map(
-    f: GeneratorForm,
-    coords,
-    base: Optional[GroupElement] = None,
-    flat_tol: float = 1e-9,
-) -> GroupElement:
-    """Primitive of a flat form: ordered product of coordinate exponentials.
-
-    Refuses non-flat forms, for which the product depends on the path.
-    """
-    from .linalg import matrix_exp
-
+def _require_flat(f: GeneratorForm, flat_tol: float) -> None:
     res = maurer_cartan_residual(f)
     if res > flat_tol:
         raise InputError(
             f"form is not flat (residual {res:.3e}); the product map is "
             f"path dependent"
         )
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (f.dim_g,):
-        raise InputError(f"coordinates must have length {f.dim_g}")
-    n = f.dim_n
-    group = base if base is not None else GroupElement(np.eye(n + 1, dtype=complex), n)
-    for k in range(f.dim_g):
-        e = np.zeros(f.dim_g)
-        e[k] = 1.0
-        group = group.compose(matrix_exp(form_value(f, e), float(coords[k])))
+
+
+def _ordered_product(values: Sequence[AlgebraElement], coords) -> GroupElement:
+    group = matrix_exp(values[0], float(coords[0]))
+    for x, c in zip(values[1:], coords[1:]):
+        group = group.compose(matrix_exp(x, float(c)))
     return group
 
 
-@dataclass(frozen=True, eq=False)
-class OneParamGenerator:
-    """Scalar generator data for the n = 2 one-parameter construction.
+def product_group_map(f: GeneratorForm, coords, flat_tol: float = 1e-9) -> GroupElement:
+    """Primitive of a flat form: ordered product of coordinate exponentials.
 
-    Six real constants; w is the single entry of the symmetric block (the
-    alternating block is zero for n = 2).  The all-zero tuple generates
-    nothing and is rejected.
+    Refuses non-flat forms, for which the product depends on the path.
     """
-
-    alpha0: float = 0.0
-    alpha1: float = 0.0
-    x: float = 0.0
-    y0: float = 0.0
-    y1: float = 0.0
-    w: float = 0.0
-    base: Optional[GroupElement] = None
-
-    def __post_init__(self):
-        vals = (self.alpha0, self.alpha1, self.x, self.y0, self.y1, self.w)
-        for v in vals:
-            if not math.isfinite(float(v)):
-                raise InputError("constants must be finite")
-        if max(abs(float(v)) for v in vals) == 0.0:
-            raise ValidationError("all six constants vanish")
-        if self.base is not None and self.base.dim_n != 2:
-            raise InputError("base element must act on C^3")
-
-    def constants(self) -> Tuple[float, float, float, float, float, float]:
-        return (
-            float(self.alpha0),
-            float(self.alpha1),
-            float(self.x),
-            float(self.y0),
-            float(self.y1),
-            float(self.w),
-        )
+    _require_flat(f, flat_tol)
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (f.dim_g,):
+        raise InputError(f"coordinates must have length {f.dim_g}")
+    return _ordered_product(_basis_values(f), coords)
 
 
-def one_param_omega(gen: OneParamGenerator) -> AlgebraElement:
-    """The 3x3 generator matrix of the scalar data."""
-    a0, a1, x, y0, y1, w = gen.constants()
-    m = np.array(
-        [
-            [1j * a0, 0.5j * (a0 - a1), x - 1j * y0],
-            [0.5j * (a1 - a0), 1j * a1, -x + 1j * y1],
-            [x + 1j * y0, x + 1j * y1, 1j * w],
-        ],
-        dtype=complex,
-    )
-    return AlgebraElement(m, 2, tol=FORM_TOL)
-
-
-def one_param_group(gen: OneParamGenerator, t: float) -> GroupElement:
-    """base * exp(t Omega); the orbit through the base point."""
-    from .linalg import matrix_exp
-
-    step = matrix_exp(one_param_omega(gen), float(t))
-    if gen.base is None:
-        return step
-    return gen.base.compose(step)
-
-
-def is_horosphere_data(gen: OneParamGenerator) -> bool:
-    """Exact test y0 == y1 on the stored constants; equivalent to the patch
-    being an open piece of a horosphere, and to a constant transverse
-    curvature.
+def is_horosphere_data(f: GeneratorForm) -> bool:
+    """Exact test y0 == y1 on the constants of an n = 2 form; equivalent to
+    the patch being an open piece of a horosphere, and to a constant
+    transverse curvature.
     """
-    return float(gen.y0) == float(gen.y1)
+    _, _, _, y0, y1, _ = f.scalars()
+    return y0 == y1
 
 
-def extra_curvature(gen: OneParamGenerator, lam: float) -> float:
-    """Closed form of the transverse principal curvature at height lam.
+def extra_curvature(f: GeneratorForm, lam: float) -> float:
+    """Closed form of the transverse principal curvature at height lam, for
+    an n = 2 form.
 
     rho = a/b with a = lam(2w - a0 - a1) + 2 y1 + 3 lam^2 (y0 - y1) and
     b = a + 2(y0 - y1); b = 0 means the transverse direction collapses.
     """
-    a0, a1, x, y0, y1, w = gen.constants()
+    a0, a1, _, y0, y1, w = f.scalars()
     lam = float(lam)
     a = lam * (2.0 * w - a0 - a1) + 2.0 * y1 + 3.0 * lam * lam * (y0 - y1)
     b = a + 2.0 * (y0 - y1)
@@ -382,24 +334,11 @@ def extra_curvature(gen: OneParamGenerator, lam: float) -> float:
     return a / b
 
 
-def pick_extra_eigenvalue(values: Sequence[float], mu: float) -> float:
-    """Select the transverse eigenvalue from a measured spectrum.
-
-    Drops the single value closest to the structure eigenvalue, then returns
-    the remaining value farthest from 1 (ties resolved to the smallest), which
-    is the identity map on the intended spectra {mu, 1 x (n-1), rho} and stays
-    stable when rho sits near 1 or near mu.
-    """
-    vals = sorted(float(v) for v in values)
-    if len(vals) < 2:
-        raise InputError("need at least two eigenvalues")
-    drop = min(range(len(vals)), key=lambda i: abs(vals[i] - mu))
-    rest = [v for i, v in enumerate(vals) if i != drop]
-    return max(rest, key=lambda v: (abs(v - 1.0), -v))
-
-
-def _documented_degeneracy(gen: OneParamGenerator) -> bool:
-    a0, a1, _, y0, y1, w = gen.constants()
+def _documented_degeneracy(f: GeneratorForm) -> bool:
+    """The n = 2 non-immersion y0 = y1 = 0 with alpha0 + alpha1 = 2w != 0."""
+    if f.dim_g != 1:
+        return False
+    a0, a1, _, y0, y1, w = f.scalars()
     return (
         abs(y0) <= 1e-12
         and abs(y1) <= 1e-12
@@ -434,60 +373,63 @@ def _center_tangency_residual(patch: HypersurfacePatch, step: float = FD_STEP) -
     return worst
 
 
-def _orbit_patch_common(
-    group_of,
-    n: int,
-    x_names: Tuple[str, ...],
-    x_ranges: Tuple[Tuple[float, float], ...],
-    lam_range: Tuple[float, float],
-    sphere: bool,
-    label: str,
-) -> HypersurfacePatch:
-    names = ("theta",) + x_names + ("h", "lam")
-    ranges = ((-0.8, 0.8),) + x_ranges + ((-0.8, 0.8), lam_range)
-    center = [0.0] * (1 + len(x_names)) + [0.0, 0.5 * (lam_range[0] + lam_range[1])]
-    if sphere:
+_LAM_RANGE = (0.4, 1.6)
+
+
+def orbit_patch_from_form(f: GeneratorForm, label: str = "") -> HypersurfacePatch:
+    """Chart (theta, x_1..x_{dim_g}, h, lam, sphere coords) for flat forms.
+
+    The group map is the ordered product of coordinate exponentials, which is
+    a primitive exactly when the form is flat; flatness is checked and the
+    coordinate images are built once, here.  For n >= 3 the chart adds
+    n - 2 sphere coordinates and the height lam stays in [0.4, 1.6].  At
+    n = 2 the documented non-immersion y0 = y1 = 0 with
+    alpha0 + alpha1 = 2w != 0 is rejected.
+    """
+    if _documented_degeneracy(f):
+        raise ImmersionError(
+            "not an immersion: y0 = y1 = 0 with alpha0 + alpha1 = 2w != 0"
+        )
+    _require_flat(f, 1e-9)
+    values = _basis_values(f)
+    n = f.dim_n
+    nx = f.dim_g
+    names = ("theta",) + tuple(f"x{i}" for i in range(nx)) + ("h", "lam")
+    ranges = ((-0.8, 0.8),) + ((-0.5, 0.5),) * nx + ((-0.8, 0.8), _LAM_RANGE)
+    center = [0.0] * (2 + nx) + [0.5 * (_LAM_RANGE[0] + _LAM_RANGE[1])]
+    if n >= 3:
         names = names + tuple(f"c{i}" for i in range(n - 2))
         ranges = ranges + ((-0.25, 0.25),) * (n - 2)
         center = center + [0.0] * (n - 2)
-    t_index = 1 + len(x_names)
-    nx = len(x_names)
 
-    def split(at: np.ndarray):
-        xs = at[1 : 1 + nx]
+    def chart(at: np.ndarray, profile) -> np.ndarray:
         h = at[1 + nx]
         lam = at[2 + nx]
-        if sphere:
-            c = at[3 + nx :]
-            nc = float(c @ c)
-            if nc >= 1.0:
-                raise InputError("sphere chart leaves the unit ball")
-            p = np.concatenate([[math.sqrt(1.0 - nc)], c])
-        else:
-            p = np.ones(1)
-        return xs, h, lam, p
+        c = at[3 + nx :]
+        nc = float(c @ c)
+        if nc >= 1.0:
+            raise InputError("sphere chart leaves the unit ball")
+        p = np.concatenate([[math.sqrt(1.0 - nc)], c])
+        g = _ordered_product(values, at[1 : 1 + nx])
+        return np.exp(1j * at[0]) * (g.matrix @ profile(h, lam, p))
 
     def eval_func(at: np.ndarray) -> np.ndarray:
-        xs, h, lam, p = split(at)
-        g = group_of(xs)
-        return np.exp(1j * at[0]) * (g.matrix @ _profile_vector(h, lam, p))
+        return chart(at, _profile_vector)
 
     def normal_func(at: np.ndarray) -> np.ndarray:
-        xs, h, lam, p = split(at)
-        g = group_of(xs)
-        return np.exp(1j * at[0]) * (g.matrix @ _profile_normal(h, lam, p))
+        return chart(at, _profile_normal)
 
     patch = HypersurfacePatch(
         sign="orbit",
         r=None,
         dim_n=n,
         param_names=names,
-        ranges=tuple(ranges),
+        ranges=ranges,
         center=np.array(center),
         eval_func=eval_func,
         normal_func=normal_func,
-        t_index=t_index,
-        label=label,
+        t_index=1 + nx,
+        label=label or f"form-orbit(n={n})",
         expected_mu=2.0,
     )
     res = _center_tangency_residual(patch)
@@ -499,203 +441,15 @@ def _orbit_patch_common(
     return patch
 
 
-def orbit_patch(
-    gen: OneParamGenerator,
-    label: str = "",
-    lam_range: Tuple[float, float] = (0.4, 1.6),
-) -> HypersurfacePatch:
-    """Chart (theta, x, h, lam) for the n = 2 one-parameter construction.
-
-    Rejects the documented non-immersion y0 = y1 = 0 with a0 + a1 = 2w != 0.
-    """
-    if _documented_degeneracy(gen):
-        raise ImmersionError(
-            "not an immersion: y0 = y1 = 0 with alpha0 + alpha1 = 2w != 0"
-        )
-
-    def group_of(xs: np.ndarray) -> GroupElement:
-        return one_param_group(gen, float(xs[0]))
-
-    return _orbit_patch_common(
-        group_of,
-        2,
-        ("x",),
-        ((-0.8, 0.8),),
-        lam_range,
-        sphere=False,
-        label=label or "one-param-orbit",
-    )
+_ONE_PARAM_KEYS = ("alpha0", "alpha1", "x", "y0", "y1", "w")
+_FORM_KEYS = ("alpha0", "alpha1", "x_form", "y0", "y1", "w1", "w2")
 
 
-def orbit_patch_from_omega(
-    omega: AlgebraElement,
-    base: Optional[GroupElement] = None,
-    label: str = "",
-    lam_range: Tuple[float, float] = (0.4, 1.6),
-) -> HypersurfacePatch:
-    """Same chart driven by a raw 3x3 algebra element.
-
-    Generators outside the constrained block shape fail the tangency gate and
-    are rejected before any shape analysis.
-    """
-    from .linalg import matrix_exp
-
-    if omega.dim_n != 2:
-        raise InputError("raw generator must be 3x3")
-
-    def group_of(xs: np.ndarray) -> GroupElement:
-        g = matrix_exp(omega, float(xs[0]))
-        return base.compose(g) if base is not None else g
-
-    return _orbit_patch_common(
-        group_of,
-        2,
-        ("x",),
-        ((-0.8, 0.8),),
-        lam_range,
-        sphere=False,
-        label=label or "raw-orbit",
-    )
-
-
-def orbit_patch_from_form(
-    f: GeneratorForm,
-    base: Optional[GroupElement] = None,
-    label: str = "",
-    lam_range: Tuple[float, float] = (0.4, 1.6),
-) -> HypersurfacePatch:
-    """Chart (theta, x_1..x_{n-1}, h, lam, sphere coords) for flat forms.
-
-    The group map is the ordered product of coordinate exponentials, which is
-    a primitive exactly when the form is flat.  For n >= 3 the height lam
-    stays positive, bounded away from 0.
-    """
-    n = f.dim_n
-    sphere = n >= 3
-    if sphere and lam_range[0] < 0.1:
-        raise InputError("lam must stay above 0.1 on the positive-height chart")
-    res = maurer_cartan_residual(f)
-    if res > 1e-9:
-        raise InputError(f"form is not flat: residual {res:.3e}")
-
-    def group_of(xs: np.ndarray) -> GroupElement:
-        return product_group_map(f, xs, base=base)
-
-    return _orbit_patch_common(
-        group_of,
-        n,
-        tuple(f"x{i}" for i in range(f.dim_g)),
-        ((-0.5, 0.5),) * f.dim_g,
-        lam_range,
-        sphere=sphere,
-        label=label or f"form-orbit(n={n})",
-    )
-
-
-def verify_hopf_two(
-    patch: HypersurfacePatch,
-    grid: Optional[Sequence] = None,
-    step: float = FD_STEP,
-    tolerances: Optional[dict] = None,
-    threads: int = 1,
-) -> ShapeReport:
-    """Certify the structure eigenvalue 2 and the unit eigenvalue of
-    multiplicity >= n-1 at every grid point of an orbit patch.
-
-    The report's rho_values carry (lam, measured transverse eigenvalue) per
-    grid point for comparison with the closed form.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    tols = {"hopf": 1e-4, "mu": 1e-4, "symmetry": 1e-5, "lsq": 1e-4, "unit": 1e-3}
-    if tolerances:
-        tols.update(tolerances)
-    if grid is None:
-        grid = patch.grid()
-    grid = [np.asarray(g, dtype=float) for g in grid]
-    lam_slot = patch.param_names.index("lam")
-    need = patch.dim_n - 1
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(
-                pool.map(
-                    lambda g: _point_report(patch, g, step, PAIRING_DEGENERATE_TOL),
-                    grid,
-                )
-            )
-    else:
-        points = [
-            _point_report(patch, g, step, PAIRING_DEGENERATE_TOL) for g in grid
-        ]
-
-    mus = [p["mu"] for p in points]
-    mu = float(np.median(mus))
-    mu_res = max(abs(m - 2.0) for m in mus)
-    hopf = max(p["hopf"] for p in points)
-    symmetry = max(p["symmetry"] for p in points)
-    lsq = max(p["lsq"] for p in points)
-    min_sing = min(p["min_singular"] for p in points)
-    unit_mult = min(
-        sum(1 for v in p["eigvals"] if abs(v - 1.0) <= tols["unit"]) for p in points
-    )
-    rho_values = tuple(
-        (float(p["at"][lam_slot]), pick_extra_eigenvalue(p["eigvals"], 2.0))
-        for p in points
-    )
-
-    failures = []
-    if hopf > tols["hopf"]:
-        failures.append(f"structure-eigenvector residual {hopf:.3e}")
-    if mu_res > tols["mu"]:
-        failures.append(f"structure eigenvalue off 2 by {mu_res:.3e}")
-    if symmetry > tols["symmetry"]:
-        failures.append(f"symmetry residual {symmetry:.3e}")
-    if lsq > tols["lsq"]:
-        failures.append(f"least-squares residual {lsq:.3e}")
-    if unit_mult < need:
-        bad = [
-            grid_key(p["at"])
-            for p in points
-            if sum(1 for v in p["eigvals"] if abs(v - 1.0) <= tols["unit"]) < need
-        ]
-        failures.append(
-            f"unit eigenvalue multiplicity {unit_mult} < {need} at {bad[0]}"
-        )
-
-    clusters = tuple(cluster_eigenvalues(points[0]["eigvals"]))
-    opposite = tuple((-v, m) for v, m in reversed(clusters))
-    samples = tuple((grid_key(p["at"]), tuple(p["eigvals"])) for p in points)
-    return ShapeReport(
-        mu=mu,
-        mu_deviation=max(abs(m - mu) for m in mus),
-        eigenvalues=clusters,
-        eigenvalues_opposite=opposite,
-        eigenvalue_deviation=0.0,
-        hopf_residual=hopf,
-        symmetry_residual=symmetry,
-        lsq_residual=lsq,
-        min_singular=min_sing,
-        pairing_residuals=tuple(r for p in points for r in p["pairings"]),
-        exceptional_pairs=sum(p["exceptional"] for p in points),
-        grid_size=len(grid),
-        expected_mu=2.0,
-        certified=not failures,
-        failures=tuple(failures),
-        samples=samples,
-        unit_multiplicity=int(unit_mult),
-        rho_values=rho_values,
-    )
-
-
-_ONE_PARAM_KEYS = {"kind", "alpha0", "alpha1", "x", "y0", "y1", "w"}
-_FORM_KEYS = {"kind", "alpha0", "alpha1", "x_form", "y0", "y1", "w1", "w2"}
-
-
-def parse_constants(data) -> Union[OneParamGenerator, GeneratorForm]:
+def parse_constants(data) -> GeneratorForm:
     """Build generator data from a decoded JSON document.
 
-    kind "one-param": six scalar entries, missing ones default to 0.
+    kind "one-param": six scalar entries, missing ones default to 0, not all
+    zero; the result is the n = 2 form with dim_g = 1.
     kind "block-form": vector/matrix entries as nested lists.
     Anything malformed raises ConfigError.
     """
@@ -703,25 +457,27 @@ def parse_constants(data) -> Union[OneParamGenerator, GeneratorForm]:
         raise ConfigError("constants document must be a JSON object")
     kind = data.get("kind")
     if kind == "one-param":
-        unknown = set(data) - _ONE_PARAM_KEYS
+        unknown = set(data) - set(_ONE_PARAM_KEYS) - {"kind"}
         if unknown:
             raise ConfigError(f"unknown one-param fields: {sorted(unknown)}")
-        vals = {}
-        for key in ("alpha0", "alpha1", "x", "y0", "y1", "w"):
+        vals = []
+        for key in _ONE_PARAM_KEYS:
             v = data.get(key, 0.0)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"field {key!r} must be a real number")
-            vals[key] = float(v)
+            vals.append(float(v))
+        if max(abs(v) for v in vals) == 0.0:
+            raise ConfigError("invalid one-param constants: all six constants vanish")
         try:
-            return OneParamGenerator(**vals)
+            return _scalar_form(*vals)
         except (ValidationError, InputError) as exc:
             raise ConfigError(f"invalid one-param constants: {exc}") from exc
     if kind == "block-form":
-        unknown = set(data) - _FORM_KEYS
+        unknown = set(data) - set(_FORM_KEYS) - {"kind"}
         if unknown:
             raise ConfigError(f"unknown block-form fields: {sorted(unknown)}")
         arrays = {}
-        for key in ("alpha0", "alpha1", "x_form", "y0", "y1", "w1", "w2"):
+        for key in _FORM_KEYS:
             if key not in data:
                 raise ConfigError(f"block-form needs field {key!r}")
             try:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -33,6 +32,7 @@ from .fibration import (
     tangent_project_ads,
 )
 from .linalg import AlgebraElement, matrix_exp, real_form
+from .report import make_check
 from .twistor import (
     StiefelPoint,
     curve_coefficients,
@@ -47,7 +47,12 @@ RANK_TOL = 1e-6
 CLUSTER_TOL = 5e-4
 PAIRING_DEGENERATE_TOL = 1e-3
 
-DEFAULT_VERIFY_TOLS = {
+# Every tolerance the package judges against, by the name --tol accepts.
+DEFAULT_TOLERANCES = {
+    "structure": 1e-10,
+    "curvature": 1e-4,
+    "circle": 1e-4,
+    "parallel": 1e-10,
     "hopf": 1e-4,
     "mu": 1e-4,
     "mu-constancy": 1e-4,
@@ -55,6 +60,11 @@ DEFAULT_VERIFY_TOLS = {
     "pairing": 1e-4,
     "symmetry": 1e-5,
     "lsq": 1e-4,
+    "defining": 1e-12,
+    "mc": 1e-12,
+    "witness": 1e-6,
+    "rho": 1e-4,
+    "unit": 1e-3,
     "rank": RANK_TOL,
 }
 
@@ -64,7 +74,7 @@ __all__ = [
     "RANK_TOL",
     "CLUSTER_TOL",
     "PAIRING_DEGENERATE_TOL",
-    "DEFAULT_VERIFY_TOLS",
+    "DEFAULT_TOLERANCES",
     "HypersurfacePatch",
     "ShapeResult",
     "ShapeReport",
@@ -75,6 +85,7 @@ __all__ = [
     "verify_hopf",
     "pairing_residual",
     "cluster_eigenvalues",
+    "pick_extra_eigenvalue",
     "grid_key",
     "tube_complex",
     "tube_real",
@@ -141,24 +152,22 @@ class ShapeReport:
 
     eigenvalues holds (value, multiplicity) clusters for the stored normal;
     eigenvalues_opposite is the same table for the negated normal.
-    unit_multiplicity and rho_values are filled only by the flat-generator
-    verifier (minimum unit-cluster size, and the transverse eigenvalue per
-    grid point).
+    unit_multiplicity and rho_values are filled only for orbit patches
+    (minimum unit-cluster size, and (lam, transverse eigenvalue) per grid
+    point).  checks holds one report.make_check record per judged tolerance;
+    certified is all(pass) and failures names the failing records.
     """
 
     mu: float
     mu_deviation: float
     eigenvalues: Tuple[Tuple[float, int], ...]
     eigenvalues_opposite: Tuple[Tuple[float, int], ...]
-    eigenvalue_deviation: float
     hopf_residual: float
     symmetry_residual: float
     lsq_residual: float
-    min_singular: float
     pairing_residuals: Tuple[float, ...]
     exceptional_pairs: int
-    grid_size: int
-    expected_mu: Optional[float]
+    checks: Tuple[dict, ...]
     certified: bool
     failures: Tuple[str, ...]
     samples: Tuple[Tuple[str, Tuple[float, ...]], ...]
@@ -220,6 +229,22 @@ def cluster_eigenvalues(
         else:
             clusters.append([v])
     return [(sum(c) / len(c), len(c)) for c in clusters]
+
+
+def pick_extra_eigenvalue(values: Sequence[float], mu: float) -> float:
+    """Select the transverse eigenvalue from a measured spectrum.
+
+    Drops the single value closest to the structure eigenvalue, then returns
+    the remaining value farthest from 1 (ties resolved to the smallest), which
+    is the identity map on the intended spectra {mu, 1 x (n-1), rho} and stays
+    stable when rho sits near 1 or near mu.
+    """
+    vals = sorted(float(v) for v in values)
+    if len(vals) < 2:
+        raise InputError("need at least two eigenvalues")
+    drop = min(range(len(vals)), key=lambda i: abs(vals[i] - mu))
+    rest = [v for i, v in enumerate(vals) if i != drop]
+    return max(rest, key=lambda v: (abs(v - 1.0), -v))
 
 
 def build_patch(
@@ -396,8 +421,8 @@ def shape_operator(
     return ShapeResult(matrix, frame, lsq_residual, min_singular)
 
 
-def _point_report(patch, at, step, pairing_tol_degenerate):
-    sr = shape_operator(patch, at, step=step)
+def _point_report(patch, at, step, rank_tol):
+    sr = shape_operator(patch, at, step=step, rank_tol=rank_tol)
     a = sr.matrix
     sym = float(np.abs(a - a.T).max())
     sym_a = (a + a.T) / 2.0
@@ -408,7 +433,6 @@ def _point_report(patch, at, step, pairing_tol_degenerate):
     hopf = float(np.linalg.norm(a[:, 0] - mu * unit0))
 
     normal0 = patch.normal(at)
-    psi0 = patch.point(at)
     xi_slot = int(np.argmax(np.abs(eigvecs[0, :])))
     pairings = []
     exceptional = 0
@@ -416,7 +440,7 @@ def _point_report(patch, at, step, pairing_tol_degenerate):
         if idx == xi_slot:
             continue
         lam = float(eigvals[idx])
-        if abs(2.0 * lam - mu) <= pairing_tol_degenerate:
+        if abs(2.0 * lam - mu) <= PAIRING_DEGENERATE_TOL:
             exceptional += 1
             continue
         x_vec = sum(eigvecs[i, idx] * sr.frame[i] for i in range(len(sr.frame)))
@@ -432,7 +456,6 @@ def _point_report(patch, at, step, pairing_tol_degenerate):
         "hopf": hopf,
         "symmetry": sym,
         "lsq": sr.lsq_residual,
-        "min_singular": sr.min_singular,
         "eigvals": [float(v) for v in eigvals],
         "pairings": pairings,
         "exceptional": exceptional,
@@ -444,35 +467,29 @@ def verify_hopf(
     grid: Optional[Sequence] = None,
     step: float = FD_STEP,
     tolerances: Optional[dict] = None,
-    threads: int = 1,
 ) -> ShapeReport:
     """Certify the Hopf condition and curvature structure over a grid.
 
-    Checks, each against its tolerance: structure-eigenvector residual,
-    constancy of the structure eigenvalue across the grid, its closed-form
-    value when the patch carries one, frame symmetry of the operator, least
-    squares quality, consistency of the multiplicity pattern, and the
-    principal-curvature pairing on non-exceptional pairs.
+    Every patch: structure-eigenvector residual, frame symmetry of the
+    operator, least-squares quality, and the median structure eigenvalue
+    against its closed form when the patch carries one.  Classical patches
+    add constancy of the structure eigenvalue across the grid, the
+    principal-curvature pairing on non-exceptional pairs, and the same
+    cluster multiplicities at every grid point.  Orbit patches (sign "orbit")
+    instead require the structure eigenvalue at every grid point
+    ("mu-pointwise") and the unit eigenvalue with multiplicity >= n-1.  Each
+    condition is one make_check record in the report's checks.  Shape
+    operators use the "rank" tolerance as their rank gate.
     """
-    tols = dict(DEFAULT_VERIFY_TOLS)
+    tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tols.update(tolerances)
     if grid is None:
         grid = patch.grid()
-    grid = [np.asarray(g, dtype=float) for g in grid]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(
-                pool.map(
-                    lambda g: _point_report(patch, g, step, PAIRING_DEGENERATE_TOL),
-                    grid,
-                )
-            )
-    else:
-        points = [
-            _point_report(patch, g, step, PAIRING_DEGENERATE_TOL) for g in grid
-        ]
+    points = [
+        _point_report(patch, np.asarray(g, dtype=float), step, tols["rank"])
+        for g in grid
+    ]
 
     mus = [p["mu"] for p in points]
     mu = float(np.median(mus))
@@ -480,60 +497,81 @@ def verify_hopf(
     hopf = max(p["hopf"] for p in points)
     symmetry = max(p["symmetry"] for p in points)
     lsq = max(p["lsq"] for p in points)
-    min_sing = min(p["min_singular"] for p in points)
     pairings = tuple(r for p in points for r in p["pairings"])
-    exceptional = sum(p["exceptional"] for p in points)
 
-    failures = []
     per_point = [cluster_eigenvalues(p["eigvals"]) for p in points]
     pattern = tuple(m for _, m in per_point[0])
-    if any(tuple(m for _, m in c) != pattern for c in per_point):
-        failures.append("inconsistent multiplicity pattern across the grid")
-        clusters = tuple(per_point[0])
-        eig_dev = math.inf
-    else:
-        stacked = np.array([[v for v, _ in c] for c in per_point])
-        means = stacked.mean(axis=0)
-        eig_dev = float(np.abs(stacked - means).max())
+    consistent = all(tuple(m for _, m in c) == pattern for c in per_point)
+    if consistent:
+        means = np.array([[v for v, _ in c] for c in per_point]).mean(axis=0)
         clusters = tuple((float(v), int(m)) for v, m in zip(means, pattern))
+    else:
+        clusters = tuple(per_point[0])
 
-    if hopf > tols["hopf"]:
-        failures.append(f"hopf residual {hopf:.3e} > {tols['hopf']:.1e}")
-    if mu_dev > tols["mu-constancy"]:
-        failures.append(f"mu varies by {mu_dev:.3e} across the grid")
-    if symmetry > tols["symmetry"]:
-        failures.append(f"symmetry residual {symmetry:.3e}")
-    if lsq > tols["lsq"]:
-        failures.append(f"least-squares residual {lsq:.3e}")
-    if patch.expected_mu is not None and abs(mu - patch.expected_mu) > tols["mu"]:
-        failures.append(
-            f"mu = {mu:.8f} vs closed form {patch.expected_mu:.8f}"
+    checks = [
+        make_check("hopf-residual", hopf, 0.0, tols["hopf"]),
+        make_check("symmetry-residual", symmetry, 0.0, tols["symmetry"]),
+        make_check("lsq-residual", lsq, 0.0, tols["lsq"]),
+    ]
+    if patch.expected_mu is not None:
+        checks.append(make_check("mu", mu, patch.expected_mu, tols["mu"]))
+    unit_mult = -1
+    rho_values: Tuple[Tuple[float, float], ...] = ()
+    if patch.sign == "orbit":
+        need = patch.dim_n - 1
+        unit_mult = min(
+            sum(1 for v in p["eigvals"] if abs(v - 1.0) <= tols["unit"])
+            for p in points
         )
-    bad_pairs = [r for r in pairings if r > tols["pairing"]]
-    if bad_pairs:
-        failures.append(f"{len(bad_pairs)} pairing residuals above tolerance")
+        lam_slot = patch.param_names.index("lam")
+        rho_values = tuple(
+            (float(p["at"][lam_slot]), pick_extra_eigenvalue(p["eigvals"], 2.0))
+            for p in points
+        )
+        worst = max(abs(m - patch.expected_mu) for m in mus)
+        checks += [
+            make_check("mu-pointwise", worst, 0.0, tols["mu"]),
+            make_check(
+                "unit-multiplicity",
+                float(unit_mult),
+                float(need),
+                0.0,
+                passed=unit_mult >= need,
+            ),
+        ]
+    else:
+        checks.append(make_check("mu-constancy", mu_dev, 0.0, tols["mu-constancy"]))
+        if pairings:
+            checks.append(
+                make_check("pairing-max", max(pairings), 0.0, tols["pairing"])
+            )
+        checks.append(
+            make_check(
+                "multiplicity-pattern",
+                0.0 if consistent else 1.0,
+                0.0,
+                0.0,
+                passed=consistent,
+            )
+        )
 
-    opposite = tuple((-v, m) for v, m in reversed(clusters))
-    samples = tuple(
-        (grid_key(p["at"]), tuple(p["eigvals"])) for p in points
-    )
+    failures = tuple(c["name"] for c in checks if not c["pass"])
     return ShapeReport(
         mu=mu,
         mu_deviation=mu_dev,
         eigenvalues=clusters,
-        eigenvalues_opposite=opposite,
-        eigenvalue_deviation=eig_dev,
+        eigenvalues_opposite=tuple((-v, m) for v, m in reversed(clusters)),
         hopf_residual=hopf,
         symmetry_residual=symmetry,
         lsq_residual=lsq,
-        min_singular=min_sing,
         pairing_residuals=pairings,
-        exceptional_pairs=exceptional,
-        grid_size=len(grid),
-        expected_mu=patch.expected_mu,
+        exceptional_pairs=sum(p["exceptional"] for p in points),
+        checks=tuple(checks),
         certified=not failures,
-        failures=tuple(failures),
-        samples=samples,
+        failures=failures,
+        samples=tuple((grid_key(p["at"]), tuple(p["eigvals"])) for p in points),
+        unit_multiplicity=unit_mult,
+        rho_values=rho_values,
     )
 
 

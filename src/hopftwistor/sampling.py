@@ -1,6 +1,6 @@
 """Seeded random draws of the structured objects used by the property
 suites: Stiefel pairs, tangent pairs, algebra elements, and one-parameter
-generator constants.
+generator constants (as n = 2 generator forms).
 
 Every function takes an explicit numpy Generator so sweeps are reproducible
 regardless of call order or scheduling.
@@ -11,7 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .generator import OneParamGenerator, extra_curvature, _documented_degeneracy
+from .generator import (
+    GeneratorForm,
+    _documented_degeneracy,
+    _scalar_form,
+    extra_curvature,
+)
 from .linalg import AlgebraElement, herm_form, signature_matrix
 from .twistor import StiefelPoint, TangentPair
 
@@ -77,9 +82,9 @@ def random_algebra(
 
 def random_one_param(
     rng: np.random.Generator, horosphere: bool = False
-) -> OneParamGenerator:
-    """Random one-parameter constants kept away from every degeneracy the
-    measurement pipeline cannot handle.
+) -> GeneratorForm:
+    """Random one-parameter constants, as an n = 2 (dim_g = 1) form, kept away
+    from every degeneracy the measurement pipeline cannot handle.
 
     Guards: overall scale, the documented non-immersion, the collapse b = 0
     of the transverse direction over the sampled heights, and (unless drawing
@@ -91,20 +96,12 @@ def random_one_param(
         vals = rng.uniform(-1.0, 1.0, size=6)
         if horosphere:
             vals[4] = vals[3]
-        gen_try = dict(
-            alpha0=float(vals[0]),
-            alpha1=float(vals[1]),
-            x=float(vals[2]),
-            y0=float(vals[3]),
-            y1=float(vals[4]),
-            w=float(vals[5]),
-        )
-        if max(abs(v) for v in gen_try.values()) < 0.2:
+        if np.abs(vals).max() < 0.2:
             continue
-        gen = OneParamGenerator(**gen_try)
+        gen = _scalar_form(*vals)
         if _documented_degeneracy(gen):
             continue
-        a0, a1, _, y0, y1, w = gen.constants()
+        a0, a1, _, y0, y1, w = gen.scalars()
         ok = True
         for lam in heights:
             a = lam * (2 * w - a0 - a1) + 2 * y1 + 3 * lam * lam * (y0 - y1)

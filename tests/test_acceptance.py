@@ -15,7 +15,6 @@ import numpy as np
 
 from hopftwistor import (
     GeneratorForm,
-    OneParamGenerator,
     ValidationError,
     curve_curvature,
     extra_curvature,
@@ -25,15 +24,15 @@ from hopftwistor import (
     matrix_exp,
     maurer_cartan_residual,
     model_curve,
-    orbit_patch,
+    orbit_patch_from_form,
     pair_form,
+    parse_constants,
     para_apply,
     parallel_shift_residual,
     tube_complex,
     tube_real,
     two_path_residual,
     verify_hopf,
-    verify_hopf_two,
 )
 from hopftwistor.cli import main
 from hopftwistor.sampling import (
@@ -80,7 +79,7 @@ def one_param_battery():
     out = []
     for _ in range(10):
         gen = random_one_param(rng)
-        rep = verify_hopf_two(orbit_patch(gen), grid)
+        rep = verify_hopf(orbit_patch_from_form(gen), grid)
         out.append((gen, rep))
     return out
 
@@ -306,8 +305,8 @@ def test_criterion_09_transverse_curvature_formula():
             if lam not in (0.5, 1.0, 2.0):
                 continue
             worst = max(worst, abs(measured - extra_curvature(gen, lam)))
-    reference = OneParamGenerator(0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
-    rep = verify_hopf_two(orbit_patch(reference), [np.array([0.0, 0.0, 0.0, 1.0])])
+    reference = parse_constants({"kind": "one-param", "x": 1.0, "y0": 1.0})
+    rep = verify_hopf(orbit_patch_from_form(reference), [np.array([0.0, 0.0, 0.0, 1.0])])
     measured_ref = rep.rho_values[0][1]
     ref_dev = abs(measured_ref - 0.6)
     ok = worst <= 1e-4 and ref_dev <= 1e-4
@@ -329,11 +328,11 @@ def test_criterion_10_horosphere_dichotomy():
     worst_const = 0.0
     for _ in range(3):
         gen = random_one_param(rng, horosphere=True)
-        rep = verify_hopf_two(orbit_patch(gen), grid)
+        rep = verify_hopf(orbit_patch_from_form(gen), grid)
         for _, measured in rep.rho_values:
             worst_const = max(worst_const, abs(measured - 1.0))
-    reference = OneParamGenerator(0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
-    rep = verify_hopf_two(orbit_patch(reference), grid)
+    reference = parse_constants({"kind": "one-param", "x": 1.0, "y0": 1.0})
+    rep = verify_hopf(orbit_patch_from_form(reference), grid)
     by_lam = dict(rep.rho_values)
     contrast = abs(by_lam[1.0] - by_lam[2.0])
     ok = worst_const <= 1e-4 and contrast > 0.1

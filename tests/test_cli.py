@@ -95,12 +95,25 @@ def test_tolerance_override_flips_outcome(tmp_path):
     assert doc["config"]["tolerances"]["mu"] == 1e-12
 
 
-def test_threads_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOPF_TWISTOR_THREADS", "bogus")
-    assert main(["verify-curves", "--n", "2"]) == 2
-    monkeypatch.setenv("HOPF_TWISTOR_THREADS", "2")
-    code, out = run_to_file(tmp_path, ["verify-hopf", "--n", "2", "--s", "plus", "--r", "0.5"])
-    assert code == 0
+def test_rank_tolerance_is_used(capsys):
+    args = ["verify-hopf", "--n", "2", "--s", "plus", "--r", "0.5"]
+    assert main(args + ["--tol", "rank=1e9"]) == 1
+    captured = capsys.readouterr()
+    assert "rank deficiency" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["mc-check", "cko-run"])
+@pytest.mark.parametrize("field", ["alpha0", "w1"])
+def test_non_finite_block_form_is_config_error(tmp_path, capsys, command, field):
+    doc = json.loads(json.dumps(FLAT_FORM_DOC))
+    if field == "alpha0":
+        doc["alpha0"][0] = float("nan")
+    else:
+        doc["w1"][0][0][1] = float("nan")
+    path = write_doc(tmp_path, "nan.json", doc)
+    assert main([command, "--constants", path]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cko_run_seeded(tmp_path):

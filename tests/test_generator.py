@@ -6,7 +6,6 @@ from hopftwistor import (
     GeneratorForm,
     ImmersionError,
     InputError,
-    OneParamGenerator,
     ValidationError,
     commutator_residual,
     extra_curvature,
@@ -14,18 +13,15 @@ from hopftwistor import (
     group_residual,
     is_horosphere_data,
     maurer_cartan_residual,
-    one_param_group,
-    one_param_omega,
-    orbit_patch,
     orbit_patch_from_form,
-    orbit_patch_from_omega,
     parse_constants,
     pick_extra_eigenvalue,
     product_group_map,
+    shape_operator,
     two_path_residual,
-    verify_hopf_two,
+    verify_hopf,
 )
-from hopftwistor.sampling import random_algebra
+from hopftwistor.sampling import random_one_param
 
 
 Z2 = np.zeros((2, 2))
@@ -41,7 +37,13 @@ def flat_form(**kw) -> GeneratorForm:
     return GeneratorForm(**base)
 
 
-REFERENCE = OneParamGenerator(0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+def one_param(alpha0=0.0, alpha1=0.0, x=0.0, y0=0.0, y1=0.0, w=0.0) -> GeneratorForm:
+    """The n = 2 (dim_g = 1) form of six one-parameter constants."""
+    doc = dict(kind="one-param", alpha0=alpha0, alpha1=alpha1, x=x, y0=y0, y1=y1, w=w)
+    return parse_constants(doc)
+
+
+REFERENCE = one_param(0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
 
 
 def test_form_validation_rejects_symmetric_w1():
@@ -117,19 +119,22 @@ def test_product_group_map_needs_flat():
 
 
 def test_one_param_validation():
-    with pytest.raises(ValidationError):
-        OneParamGenerator()
+    with pytest.raises(ConfigError):
+        parse_constants({"kind": "one-param", "x": 1.0, "w": float("nan")})
     with pytest.raises(InputError):
-        OneParamGenerator(alpha0=float("nan"), x=1.0)
+        GeneratorForm(
+            alpha0=[float("nan")], alpha1=[0.0], x_form=[[1.0]],
+            y0=[[0.0]], y1=[[0.0]], w1=np.zeros((1, 1, 1)), w2=np.zeros((1, 1, 1)),
+        )
 
 
-def test_one_param_group_law():
+def test_product_group_map_dim_one_group_law():
     gen = REFERENCE
-    a = one_param_group(gen, 0.4).matrix
-    b = one_param_group(gen, 0.9).matrix
-    c = one_param_group(gen, 1.3).matrix
+    a = product_group_map(gen, [0.4]).matrix
+    b = product_group_map(gen, [0.9]).matrix
+    c = product_group_map(gen, [1.3]).matrix
     assert np.abs(a @ b - c).max() <= 1e-11
-    omega = one_param_omega(gen).matrix
+    omega = form_value(gen, [1.0]).matrix
     assert omega.shape == (3, 3)
 
 
@@ -140,14 +145,14 @@ def test_extra_curvature_reference_values():
 
 
 def test_extra_curvature_horosphere_constant():
-    gen = OneParamGenerator(0.2, -0.1, 0.4, 0.7, 0.7, 0.5)
+    gen = one_param(0.2, -0.1, 0.4, 0.7, 0.7, 0.5)
     assert is_horosphere_data(gen)
     for lam in (0.5, 1.0, 2.0):
         assert extra_curvature(gen, lam) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_extra_curvature_degenerate_transverse():
-    pure_x = OneParamGenerator(x=1.0)
+    pure_x = one_param(x=1.0)
     with pytest.raises(ImmersionError):
         extra_curvature(pure_x, 1.0)
 
@@ -159,19 +164,19 @@ def test_pick_extra_eigenvalue():
 
 
 def test_orbit_patch_documented_degeneracy():
-    gen = OneParamGenerator(0.5, 0.5, 1.0, 0.0, 0.0, 0.5)
+    gen = one_param(0.5, 0.5, 1.0, 0.0, 0.0, 0.5)
     with pytest.raises(ImmersionError):
-        orbit_patch(gen)
+        orbit_patch_from_form(gen)
 
 
 def test_orbit_patch_certifies_reference():
-    patch = orbit_patch(REFERENCE)
+    patch = orbit_patch_from_form(REFERENCE)
     grid = [
         np.array([0.0, 0.0, 0.0, 0.5]),
         np.array([0.0, 0.0, 0.0, 1.0]),
         np.array([0.1, -0.2, 0.15, 1.0]),
     ]
-    rep = verify_hopf_two(patch, grid)
+    rep = verify_hopf(patch, grid)
     assert rep.certified, rep.failures
     assert rep.mu == pytest.approx(2.0, abs=1e-4)
     assert rep.unit_multiplicity >= patch.dim_n - 1
@@ -179,19 +184,27 @@ def test_orbit_patch_certifies_reference():
         assert rho == pytest.approx(extra_curvature(REFERENCE, lam), abs=1e-4)
 
 
-def test_orbit_patch_from_omega_rejects_generic_algebra(rng):
-    for _ in range(4):
-        x = random_algebra(rng, 2, scale=1.0)
-        try:
-            orbit_patch_from_omega(x)
-        except InputError:
-            continue
-        pytest.fail("generic algebra element accepted as orbit generator")
-
-
-def test_orbit_patch_from_omega_accepts_generator():
-    patch = orbit_patch_from_omega(one_param_omega(REFERENCE))
-    assert patch.dim_n == 2
+def test_orbit_certification_is_pointwise():
+    gen = random_one_param(np.random.default_rng(814))
+    patch = orbit_patch_from_form(gen)
+    grid = [
+        np.array([0.0, 0.0, 0.0, 0.5]),
+        np.array([0.0, 0.0, 0.0, 1.0]),
+        np.array([0.0, 0.0, 0.0, 2.0]),
+        np.array([0.1, -0.2, 0.15, 1.0]),
+        np.array([-0.05, 0.1, -0.1, 0.8]),
+    ]
+    mus = [shape_operator(patch, at).matrix[0, 0] for at in grid]
+    median_dev = abs(float(np.median(mus)) - 2.0)
+    worst_dev = max(abs(m - 2.0) for m in mus)
+    assert median_dev < worst_dev
+    tol = 0.5 * (median_dev + worst_dev)
+    rep = verify_hopf(patch, grid, tolerances={"mu": tol})
+    assert not rep.certified
+    assert rep.failures == ("mu-pointwise",)
+    (mu_row,) = [c for c in rep.checks if c["name"] == "mu"]
+    assert mu_row["pass"]
+    assert mu_row["value"] == rep.mu
 
 
 def test_orbit_patch_from_form_flat_only():
@@ -204,8 +217,9 @@ def test_orbit_patch_from_form_flat_only():
 
 def test_parse_constants_one_param():
     gen = parse_constants({"kind": "one-param", "x": 1.0, "y0": 1.0})
-    assert isinstance(gen, OneParamGenerator)
-    assert gen.constants() == (0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+    assert isinstance(gen, GeneratorForm)
+    assert (gen.dim_g, gen.dim_n) == (1, 2)
+    assert gen.scalars() == (0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
 
 
 def test_parse_constants_rejections():

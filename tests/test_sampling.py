@@ -48,6 +48,6 @@ def test_random_one_param_horosphere_flag(rng):
 
 
 def test_random_draws_are_seed_deterministic():
-    a = random_one_param(np.random.default_rng(11)).constants()
-    b = random_one_param(np.random.default_rng(11)).constants()
+    a = random_one_param(np.random.default_rng(11)).scalars()
+    b = random_one_param(np.random.default_rng(11)).scalars()
     assert a == b
