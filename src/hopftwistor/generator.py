@@ -376,7 +376,7 @@ def _center_tangency_residual(patch: HypersurfacePatch, step: float = FD_STEP) -
 _LAM_RANGE = (0.4, 1.6)
 
 
-def orbit_patch_from_form(f: GeneratorForm, label: str = "") -> HypersurfacePatch:
+def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
     """Chart (theta, x_1..x_{dim_g}, h, lam, sphere coords) for flat forms.
 
     The group map is the ordered product of coordinate exponentials, which is
@@ -429,7 +429,7 @@ def orbit_patch_from_form(f: GeneratorForm, label: str = "") -> HypersurfacePatc
         eval_func=eval_func,
         normal_func=normal_func,
         t_index=1 + nx,
-        label=label or f"form-orbit(n={n})",
+        label=f"form-orbit(n={n})",
         expected_mu=2.0,
     )
     res = _center_tangency_residual(patch)
