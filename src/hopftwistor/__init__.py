@@ -66,8 +66,6 @@ from .linalg import (
     pair_form,
     real_form,
     signature_matrix,
-    validate_algebra,
-    validate_group,
 )
 from .twistor import (
     LiftCoefficients,

@@ -101,25 +101,31 @@ def horizontal_part(x, w, tol: float = 1e-8) -> np.ndarray:
     """Project a tangent vector at w onto the horizontal subspace.
 
     HX = X + <X, iw> iw.  Requires <X, w> = 0 within tol (tangency); the
-    result satisfies ((HX, w)) = 0, i.e. full complex orthogonality.
+    result satisfies ((HX, w)) = 0, i.e. full complex orthogonality.  x may
+    be a stack (..., n+1) of tangent vectors at w (or at a matching stack of
+    points); every row must pass the tangency test, and the error reports the
+    largest defect.
     """
     wv = np.asarray(w, dtype=complex)
     xv = np.asarray(x, dtype=complex)
-    tangency = abs(real_form(xv, wv))
+    tangency = float(np.abs(real_form(xv, wv)).max())
     if tangency > tol:
         raise InputError(
             f"not tangent to the hyperquadric: <X,w> = {tangency:.3e}",
             residual=tangency,
         )
     iw = 1j * wv
-    return xv + real_form(xv, iw) * iw
+    return xv + np.asarray(real_form(xv, iw))[..., None] * iw
 
 
 def tangent_project_ads(x, w) -> np.ndarray:
-    """Project an ambient vector onto the tangent space at w: X + <X,w> w."""
+    """Project an ambient vector onto the tangent space at w: X + <X,w> w.
+
+    x may be a stack (..., n+1); each row is projected as on its own.
+    """
     wv = np.asarray(w, dtype=complex)
     xv = np.asarray(x, dtype=complex)
-    return xv + real_form(xv, wv) * wv
+    return xv + np.asarray(real_form(xv, wv))[..., None] * wv
 
 
 def numeric_derivative(

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, ImmersionError, InputError, ValidationError
 from .fibration import FD_STEP
-from .hypersurface import HypersurfacePatch
+from .hypersurface import HypersurfacePatch, _chart_jacobian
 from .linalg import AlgebraElement, GroupElement, matrix_exp, real_form
 
 FORM_TOL = 1e-12
@@ -361,18 +361,6 @@ def _profile_normal(h: float, lam: float, p: np.ndarray) -> np.ndarray:
     return np.concatenate([head, -lam * p.astype(complex)])
 
 
-def _center_tangency_residual(patch: HypersurfacePatch, step: float = FD_STEP) -> float:
-    at = patch.center
-    n0 = patch.normal(at)
-    worst = 0.0
-    for k in range(1, len(patch.param_names)):
-        offset = np.zeros(len(patch.param_names))
-        offset[k] = step
-        col = (patch.eval_func(at + offset) - patch.eval_func(at - offset)) / (2 * step)
-        worst = max(worst, abs(real_form(np.asarray(col, dtype=complex), n0)))
-    return worst
-
-
 _LAM_RANGE = (0.4, 1.6)
 
 
@@ -432,7 +420,8 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
         label=f"form-orbit(n={n})",
         expected_mu=2.0,
     )
-    res = _center_tangency_residual(patch)
+    columns = _chart_jacobian(patch, patch.center, FD_STEP)
+    res = float(np.abs(real_form(columns[1:], patch.normal(patch.center))).max())
     if res > 1e-6:
         raise InputError(
             f"normal is not orthogonal to the chart directions (residual "

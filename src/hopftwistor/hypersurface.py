@@ -16,7 +16,6 @@ in circulation for these examples.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -127,21 +126,20 @@ class HypersurfacePatch:
         return np.asarray(self.normal_func(np.asarray(at, dtype=float)), dtype=complex)
 
     def grid(self, density: int = GRID_DENSITY, cap: int = GRID_CAP) -> List[np.ndarray]:
-        """Lexicographic product grid over the chart ranges, subsampled to cap."""
+        """Lexicographic product grid over the chart ranges, subsampled to cap;
+        only the kept points are decoded from their lexicographic indices."""
         if density < 2:
             raise InputError("grid density must be >= 2")
         axes = [np.linspace(lo, hi, density) for lo, hi in self.ranges]
         total = density ** len(axes)
-        points = [np.array(p) for p in itertools.product(*axes)]
-        if total <= cap:
-            return points
-        keep = np.unique(np.round(np.linspace(0, total - 1, cap)).astype(int))
-        return [points[i] for i in keep]
+        keep = np.unique(np.round(np.linspace(0, total - 1, min(cap, total))).astype(int))
+        digits = np.unravel_index(keep, (density,) * len(axes))
+        return list(np.stack([ax[d] for ax, d in zip(axes, digits)], axis=1))
 
 
 class ShapeResult(NamedTuple):
     matrix: np.ndarray
-    frame: List[np.ndarray]
+    frame: np.ndarray  # (dim, n+1): the horizontal frame, one vector per row
     lsq_residual: float
     min_singular: float
 
@@ -337,8 +335,21 @@ def build_patch(
     )
 
 
-def _realify(vec: np.ndarray) -> np.ndarray:
-    return np.concatenate([vec.real, vec.imag])
+def _realify(vecs: np.ndarray) -> np.ndarray:
+    """(Re, Im) coordinates of a vector, or of a stack as the columns of a
+    C-contiguous matrix (the layout fixes the BLAS order of jac @ velocity)."""
+    return np.ascontiguousarray(np.concatenate([vecs.real, vecs.imag], axis=-1).T)
+
+
+def _chart_jacobian(patch: HypersurfacePatch, at: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference chart derivatives, one row per chart coordinate."""
+    return np.array(
+        [
+            (patch.eval_func(at + d) - patch.eval_func(at - d)) / (2 * step)
+            for d in step * np.eye(len(patch.param_names))
+        ],
+        dtype=complex,
+    )
 
 
 def shape_operator(
@@ -361,23 +372,13 @@ def shape_operator(
             f"degenerate patch {patch.label!r}: {patch.degenerate_reason}"
         )
     at = np.asarray(at, dtype=float)
-    n_par = len(patch.param_names)
     psi0 = patch.point(at)
     dim = 2 * patch.dim_n - 1
 
-    columns = []
-    for k in range(n_par):
-        offset = np.zeros(n_par)
-        offset[k] = step
-        col = (patch.eval_func(at + offset) - patch.eval_func(at - offset)) / (2 * step)
-        columns.append(np.asarray(col, dtype=complex))
-
-    projected = {}
-    for k in range(1, n_par):
-        vec = horizontal_part(tangent_project_ads(columns[k], psi0), psi0, tol=1e-5)
-        projected[k] = vec
-    proj_matrix = np.stack([_realify(projected[k]) for k in sorted(projected)], axis=1)
-    singulars = np.linalg.svd(proj_matrix, compute_uv=False)
+    columns = _chart_jacobian(patch, at, step)
+    # Non-fiber columns, projected: row k - 1 belongs to chart coordinate k.
+    projected = horizontal_part(tangent_project_ads(columns[1:], psi0), psi0, tol=1e-5)
+    singulars = np.linalg.svd(_realify(projected), compute_uv=False)
     min_singular = float(singulars[-1])
     if min_singular < rank_tol:
         raise ImmersionError(
@@ -385,13 +386,12 @@ def shape_operator(
             f"{min_singular:.3e} < {rank_tol:.1e}"
         )
 
-    frame: List[np.ndarray] = []
-    seed = projected[patch.t_index]
+    frame = []
+    seed = projected[patch.t_index - 1]
     frame.append(seed / space_norm(seed, psi0))
-    for k in sorted(projected):
+    for k, vec in enumerate(projected, start=1):
         if k == patch.t_index:
             continue
-        vec = projected[k]
         for e in frame:
             vec = vec - real_form(vec, e) * e
         norm = space_norm(vec, psi0)
@@ -402,22 +402,24 @@ def shape_operator(
         raise ImmersionError(
             f"frame collapsed at {grid_key(at)}: {len(frame)} of {dim} directions"
         )
+    frame = np.array(frame)
 
-    jac = np.stack([_realify(c) for c in columns], axis=1)
-    matrix = np.zeros((dim, dim))
+    jac = _realify(columns)
+    derivatives = []
     lsq_residual = 0.0
-    for j, e_j in enumerate(frame):
+    for e_j in frame:
         target = _realify(e_j)
         velocity = np.linalg.lstsq(jac, target, rcond=None)[0]
         lsq_residual = max(
             lsq_residual, float(np.linalg.norm(jac @ velocity - target))
         )
-        dn = (
-            patch.normal(at + step * velocity) - patch.normal(at - step * velocity)
-        ) / (2 * step)
-        w = -horizontal_part(tangent_project_ads(dn, psi0), psi0, tol=1e-3)
-        for i, e_i in enumerate(frame):
-            matrix[i, j] = real_form(w, e_i)
+        derivatives.append(
+            (patch.normal(at + step * velocity) - patch.normal(at - step * velocity))
+            / (2 * step)
+        )
+    w = -horizontal_part(tangent_project_ads(np.array(derivatives), psi0), psi0, tol=1e-3)
+    # matrix[i, j] = <w_j, e_i>
+    matrix = real_form(w[None], frame[:, None])
     return ShapeResult(matrix, frame, lsq_residual, min_singular)
 
 
@@ -432,24 +434,21 @@ def _point_report(patch, at, step, rank_tol):
     unit0[0] = 1.0
     hopf = float(np.linalg.norm(a[:, 0] - mu * unit0))
 
-    normal0 = patch.normal(at)
+    # Pair each principal curvature lam (off the structure eigenvector) with
+    # the eigenvalue that carries most of phi X, X its eigenvector; pairs with
+    # 2 lam = mu are exceptional and only counted.
     xi_slot = int(np.argmax(np.abs(eigvecs[0, :])))
-    pairings = []
-    exceptional = 0
-    for idx in range(eigvals.size):
-        if idx == xi_slot:
-            continue
-        lam = float(eigvals[idx])
-        if abs(2.0 * lam - mu) <= PAIRING_DEGENERATE_TOL:
-            exceptional += 1
-            continue
-        x_vec = sum(eigvecs[i, idx] * sr.frame[i] for i in range(len(sr.frame)))
-        ix = 1j * x_vec
-        phi_x = ix - real_form(ix, normal0) * normal0
-        coords = np.array([real_form(phi_x, e) for e in sr.frame])
-        weights = np.abs(eigvecs.T @ coords)
-        lam_star = float(eigvals[int(np.argmax(weights))])
-        pairings.append(pairing_residual(lam, lam_star, mu))
+    others = [i for i in range(eigvals.size) if i != xi_slot]
+    regular = [i for i in others if abs(2.0 * eigvals[i] - mu) > PAIRING_DEGENERATE_TOL]
+    normal0 = patch.normal(at)
+    ix = 1j * (eigvecs.T[regular] @ sr.frame)
+    phi_x = ix - real_form(ix, normal0)[:, None] * normal0
+    weights = np.abs(real_form(phi_x[:, None], sr.frame[None]) @ eigvecs)
+    pairings = [
+        pairing_residual(float(eigvals[i]), float(eigvals[j]), mu)
+        for i, j in zip(regular, np.argmax(weights, axis=1))
+    ]
+    exceptional = len(others) - len(regular)
     return {
         "at": at,
         "mu": mu,

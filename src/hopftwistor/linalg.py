@@ -1,7 +1,8 @@
 """Indefinite complex linear algebra on C^{n+1} with one timelike direction.
 
 Vectors are plain 1-d numpy arrays of length n+1 (complex128); the ambient
-dimension n is implied by the length.  The Hermitian form is
+dimension n is implied by the length.  A stack of vectors is an array of
+shape (..., n+1).  The Hermitian form is
 
     ((z, w)) = -z_0 conj(w_0) + sum_{k>=1} z_k conj(w_k),
 
@@ -36,8 +37,6 @@ __all__ = [
     "algebra_residual",
     "GroupElement",
     "AlgebraElement",
-    "validate_group",
-    "validate_algebra",
     "matrix_exp",
 ]
 
@@ -53,25 +52,34 @@ def signature_matrix(dim_n: int) -> np.ndarray:
 
 def _as_vec(z) -> np.ndarray:
     v = np.asarray(z, dtype=complex)
-    if v.ndim != 1 or v.size < 2:
-        raise InputError("expected a coordinate vector of length n+1 >= 2")
+    if v.ndim < 1 or v.shape[-1] < 2:
+        raise InputError("expected coordinate vectors of length n+1 >= 2")
     return v
 
 
-def herm_form(z, w) -> complex:
+def herm_form(z, w):
     """The signature-(1,n) Hermitian form ((z, w)).
 
-    Linear in z, conjugate-linear in w; ((z,w)) = conj(((w,z))).
+    Linear in z, conjugate-linear in w; ((z,w)) = conj(((w,z))).  z and w are
+    vectors or stacks of shape (..., n+1); the leading axes broadcast and the
+    result has their shape, so herm_form(W[None], E[:, None]) is the Gram
+    matrix G[i, j] = ((W[j], E[i])).  On C-contiguous stacks each entry is
+    bitwise the value for its two single vectors (numpy sums a strided
+    coordinate axis in another order); two 1-d vectors give a Python complex.
     """
     zv, wv = _as_vec(z), _as_vec(w)
-    if zv.shape != wv.shape:
+    if zv.shape[-1] != wv.shape[-1]:
         raise InputError(f"dimension mismatch: {zv.shape} vs {wv.shape}")
-    prod = zv * np.conj(wv)
-    return complex(prod[1:].sum() - prod[0])
+    # Coordinates on the first axis: for two single vectors every step then
+    # stays on numpy scalars, which keeps the most frequent call cheap.
+    prod = (zv * np.conj(wv)).T
+    val = prod[1:].sum(0) - prod[0]
+    return complex(val) if val.ndim == 0 else val.T
 
 
-def real_form(z, w) -> float:
-    """Real scalar product <z, w> = Re ((z, w))."""
+def real_form(z, w):
+    """Real scalar product <z, w> = Re ((z, w)), with herm_form's broadcasting;
+    two 1-d vectors give a Python float."""
     return herm_form(z, w).real
 
 
@@ -133,7 +141,8 @@ class GroupElement:
             )
 
     def apply(self, z) -> np.ndarray:
-        return self.matrix @ _as_vec(z)
+        """A z for a vector z, or for each vector of a stack."""
+        return _as_vec(z) @ self.matrix.T
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.matrix @ other.matrix, self.dim_n, max(self.tol, other.tol))
@@ -176,18 +185,6 @@ class AlgebraElement:
         return t * self.matrix
 
 
-def validate_group(matrix, tol: float = STRUCTURE_TOL) -> GroupElement:
-    """Wrap a matrix as a GroupElement, or raise ValidationError with the residual."""
-    m = _check_square(matrix)
-    return GroupElement(m, m.shape[0] - 1, tol)
-
-
-def validate_algebra(matrix, tol: float = STRUCTURE_TOL) -> AlgebraElement:
-    """Wrap a matrix as an AlgebraElement, or raise ValidationError with the residual."""
-    m = _check_square(matrix)
-    return AlgebraElement(m, m.shape[0] - 1, tol)
-
-
 # Truncation order for the scaled Taylor series.  With the argument scaled to
 # 1-norm <= 0.5, the first dropped term is bounded by 0.5^19/19! ~ 1.6e-23.
 _EXP_ORDER = 18
@@ -207,11 +204,11 @@ def matrix_exp(x: AlgebraElement, t: float = 1.0) -> GroupElement:
     if norm1 > 0.5:
         squarings = int(math.ceil(math.log2(norm1 / 0.5)))
         a = a / (2.0**squarings)
-    size = a.shape[0]
     # Horner evaluation of sum_{m<=18} a^m / m!
-    result = np.eye(size, dtype=complex) + a / _EXP_ORDER
+    eye = np.eye(a.shape[0], dtype=complex)
+    result = eye + a / _EXP_ORDER
     for m in range(_EXP_ORDER - 1, 0, -1):
-        result = np.eye(size, dtype=complex) + (a @ result) / m
+        result = eye + (a @ result) / m
     for _ in range(squarings):
         result = result @ result
     return GroupElement(result, x.dim_n, STRUCTURE_TOL)

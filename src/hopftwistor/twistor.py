@@ -66,10 +66,10 @@ class StiefelPoint:
             raise InputError("u_minus and u_plus must share a dimension")
         object.__setattr__(self, "u_minus", um)
         object.__setattr__(self, "u_plus", up)
-        res = max(
-            abs(herm_form(um, um) + 1.0),
-            abs(herm_form(up, up) - 1.0),
-            abs(herm_form(um, up)),
+        pair = np.array([um, up])
+        gram = herm_form(pair[:, None], pair[None])
+        res = float(
+            max(abs(gram[0, 0] + 1.0), abs(gram[1, 1] - 1.0), abs(gram[0, 1]))
         )
         if res > self.tol:
             raise ValidationError(
@@ -93,15 +93,12 @@ class TangentPair:
     def __post_init__(self):
         xm = np.asarray(self.x_minus, dtype=complex)
         xp = np.asarray(self.x_plus, dtype=complex)
+        if xm.shape != xp.shape:
+            raise InputError("x_minus and x_plus must share a dimension")
         object.__setattr__(self, "x_minus", xm)
         object.__setattr__(self, "x_plus", xp)
-        um, up = self.base.u_minus, self.base.u_plus
-        res = max(
-            abs(herm_form(xm, um)),
-            abs(herm_form(xm, up)),
-            abs(herm_form(xp, um)),
-            abs(herm_form(xp, up)),
-        )
+        base = np.array([self.base.u_minus, self.base.u_plus])
+        res = float(np.abs(herm_form(np.array([xm, xp])[:, None], base[None])).max())
         if res > self.tol:
             raise ValidationError(
                 f"pair not orthogonal to the base: residual {res:.3e}", residual=res
@@ -246,10 +243,10 @@ def lift_coefficients(
     dum = (plus.u_minus - minus.u_minus) / (2.0 * step)
     dup = (plus.u_plus - minus.u_plus) / (2.0 * step)
     um, up = here.u_minus, here.u_plus
-    c_mm = herm_form(dum, um)
-    c_mp = herm_form(dum, up)
-    c_pm = herm_form(dup, um)
-    c_pp = herm_form(dup, up)
+    # c[a, b] = ((d u_a, u_b)) with a, b in (minus, plus)
+    (c_mm, c_mp), (c_pm, c_pp) = herm_form(
+        np.array([dum, dup])[:, None], np.array([um, up])[None]
+    ).tolist()
     w_minus = dum + c_mm * um - c_mp * up
     w_plus = dup + c_pm * um - c_pp * up
     residual = max(abs(c_mm.real), abs(c_pp.real), abs(c_pm + np.conj(c_mp)))

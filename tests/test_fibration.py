@@ -46,6 +46,19 @@ def test_horizontal_part_properties(rng):
     assert np.abs(horizontal_part(h, w) - h).max() <= 1e-12
 
 
+def test_stacked_projections_equal_row_by_row(rng):
+    for n in (2, 4, 6):
+        w = random_stiefel(rng, n).u_minus
+        raw = rng.standard_normal((6, n + 1)) + 1j * rng.standard_normal((6, n + 1))
+        tangent = tangent_project_ads(raw, w)
+        assert tangent.shape == raw.shape
+        assert np.array_equal(tangent, [tangent_project_ads(x, w) for x in raw])
+        flat = horizontal_part(tangent, w)
+        assert np.array_equal(flat, [horizontal_part(x, w) for x in tangent])
+        with pytest.raises(InputError):
+            horizontal_part(np.vstack([tangent, w]), w)
+
+
 def test_horizontal_part_rejects_non_tangent():
     w = np.array([1.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(InputError):

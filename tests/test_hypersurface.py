@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from hopftwistor import (
     tube_real,
     verify_hopf,
 )
+from hopftwistor.fibration import FD_STEP
+from hopftwistor.hypersurface import _point_report
 
 
 def coth(x: float) -> float:
@@ -145,6 +149,70 @@ def test_grid_respects_cap():
     pts = patch.grid(3, cap=50)
     assert len(pts) <= 50
     assert all(p.shape == (len(patch.param_names),) for p in pts)
+
+
+def _product_grid(patch, density, cap):
+    """Reference: every product point, then the evenly spaced subsample."""
+    axes = [np.linspace(lo, hi, density) for lo, hi in patch.ranges]
+    points = [np.array(p) for p in itertools.product(*axes)]
+    if len(points) <= cap:
+        return points
+    keep = np.unique(np.round(np.linspace(0, len(points) - 1, cap)).astype(int))
+    return [points[i] for i in keep]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grid_matches_product_reference(n):
+    patches = [tube_complex(n, n - 1, 0.4), tube_real(n, 0.3), horosphere(n, 0.0)]
+    for patch in patches:
+        for density, cap in ((3, 81), (2, 4), (2, 10**6)):
+            got = patch.grid(density, cap=cap)
+            want = _product_grid(patch, density, cap)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+
+def test_grid_does_not_build_the_full_product():
+    """At n = 6 the full product has 3^12 points; only the kept ones are built."""
+    patch = horosphere(6, 0.0)
+    tracemalloc.start()
+    try:
+        pts = patch.grid()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 81
+    assert peak < 2**20
+
+
+def _loop_pairings(patch, at):
+    """Reference: the pairing of each principal curvature, one eigenvector
+    and one scalar form evaluation at a time."""
+    sr = shape_operator(patch, at)
+    eigvals, eigvecs = np.linalg.eigh((sr.matrix + sr.matrix.T) / 2.0)
+    mu = float(sr.matrix[0, 0])
+    normal = patch.normal(at)
+    xi_slot = int(np.argmax(np.abs(eigvecs[0, :])))
+    out = []
+    for idx in range(eigvals.size):
+        lam = float(eigvals[idx])
+        if idx == xi_slot or abs(2.0 * lam - mu) <= 1e-3:
+            continue
+        ix = 1j * sum(eigvecs[i, idx] * e for i, e in enumerate(sr.frame))
+        phi_x = ix - real_form(ix, normal) * normal
+        coords = np.array([real_form(phi_x, e) for e in sr.frame])
+        lam_star = float(eigvals[int(np.argmax(np.abs(eigvecs.T @ coords)))])
+        out.append(pairing_residual(lam, lam_star, mu))
+    return out
+
+
+@pytest.mark.parametrize("patch", [tube_complex(3, 1, 0.4), tube_real(3, 0.7)])
+def test_pairings_match_the_per_eigenvector_loop(patch):
+    for at in patch.grid(2, cap=6):
+        got = _point_report(patch, at, FD_STEP, 1e-6)["pairings"]
+        assert len(got) == 4
+        assert got == _loop_pairings(patch, at)
 
 
 def test_verify_hopf_flags_wrong_closed_form(canonical_pair):

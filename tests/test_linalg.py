@@ -10,6 +10,7 @@ from hopftwistor import (
     group_residual,
     herm_form,
     matrix_exp,
+    real_form,
     signature_matrix,
 )
 from hopftwistor.sampling import random_algebra
@@ -43,6 +44,44 @@ def test_herm_form_signature():
     assert herm_form(e0, e0) == pytest.approx(-1.0)
     assert herm_form(e1, e1) == pytest.approx(1.0)
     assert herm_form(e0, e1) == pytest.approx(0.0)
+
+
+def _random_vectors(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("size", [3, 7, 13])
+def test_stacked_forms_equal_the_per_vector_loop(rng, size):
+    """Stacks broadcast over leading axes and reproduce every single-vector
+    value bit for bit, Gram matrices included."""
+    z = _random_vectors(rng, (5, size))
+    w = _random_vectors(rng, (5, size))
+    for form in (herm_form, real_form):
+        rows = form(z, w)
+        assert rows.shape == (5,)
+        assert np.array_equal(rows, [form(a, b) for a, b in zip(z, w)])
+        single = form(z, w[2])
+        assert np.array_equal(single, [form(a, w[2]) for a in z])
+    e = _random_vectors(rng, (4, size))
+    gram = real_form(z[None], e[:, None])
+    assert gram.shape == (4, 5)
+    loop = np.array([[real_form(zj, ei) for zj in z] for ei in e])
+    assert np.array_equal(gram, loop)
+    stack3 = herm_form(z.reshape(5, 1, size), w.reshape(1, 5, size))
+    assert np.array_equal(stack3, [[herm_form(a, b) for b in w] for a in z])
+
+
+def test_form_shapes_and_return_types(rng):
+    a = _random_vectors(rng, 4)
+    b = _random_vectors(rng, 4)
+    assert type(herm_form(a, b)) is complex
+    assert type(real_form(a, b)) is float
+    with pytest.raises(InputError):
+        herm_form(a, b[:3])
+    with pytest.raises(InputError):
+        herm_form(_random_vectors(rng, (2, 4)), _random_vectors(rng, (2, 3)))
+    with pytest.raises(InputError):
+        herm_form(np.ones(1), np.ones(1))
 
 
 def test_group_element_validation(rng):

@@ -4,6 +4,7 @@ import pytest
 from hopftwistor import (
     InputError,
     StiefelPoint,
+    TangentPair,
     TwistorClass,
     ValidationError,
     gauge_apply,
@@ -36,6 +37,17 @@ def test_stiefel_validation(canonical_pair):
         StiefelPoint(canonical_pair.u_minus, 2.0 * canonical_pair.u_plus)
     with pytest.raises(InputError):
         StiefelPoint(canonical_pair.u_minus, np.zeros(4, dtype=complex))
+
+
+def test_tangent_pair_validation(rng):
+    p = random_stiefel(rng, 3)
+    v = random_tangent_pair(rng, p)
+    with pytest.raises(ValidationError):
+        TangentPair(v.x_minus + p.u_plus, v.x_plus, p)
+    with pytest.raises(InputError):
+        TangentPair(v.x_minus, v.x_plus[:3], p)
+    with pytest.raises(InputError):
+        TangentPair(v.x_minus[:3], v.x_plus[:3], p)
 
 
 def test_para_frame_multiplication_table(rng):
