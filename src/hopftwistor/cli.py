@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,63 +58,7 @@ RHO_HEIGHTS = (0.5, 1.0, 2.0)
 ORBIT_ROWS = ("mu", "hopf-residual", "unit-multiplicity")
 ONE_PARAM_ROWS = ORBIT_ROWS + ("symmetry-residual", "lsq-residual")
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 2
-    s: Optional[str] = None
-    r: Optional[float] = None
-    k: int = 0
-    grid_density: int = 3
-    fd_step: float = 1e-4
-    tolerances: Dict[str, float] = field(default_factory=dict)
-    seed: int = 0
-    output_path: Optional[str] = None
-    format: str = "json"
-    constants_path: Optional[str] = None
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError(f"n must be >= 2, got {self.n}")
-        if self.grid_density < 2:
-            raise ConfigError(f"grid density must be >= 2, got {self.grid_density}")
-        if not (0.0 < self.fd_step <= 1e-2):
-            raise ConfigError(
-                f"fd step must lie in (0, 1e-2], got {self.fd_step}"
-            )
-        if self.format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.format!r}")
-        if self.s is not None and self.s not in SIGNS:
-            raise ConfigError(f"s must be one of {SIGNS}, got {self.s!r}")
-        merged = dict(DEFAULT_TOLERANCES)
-        for name, val in self.tolerances.items():
-            if name not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {name!r}")
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val >= 0):
-                raise ConfigError(f"tolerance {name!r} must be a finite number >= 0")
-            merged[name] = float(val)
-        self.tolerances = merged
-
-    def tol(self, name: str) -> float:
-        return self.tolerances[name]
-
-    def echo(self, constants: Optional[dict] = None) -> dict:
-        return {
-            "command": self.command,
-            "n": self.n,
-            "s": self.s,
-            "r": self.r,
-            "k": self.k,
-            "grid_density": self.grid_density,
-            "fd_step": self.fd_step,
-            "seed": self.seed,
-            "format": self.format,
-            "constants": constants,
-            "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
-        }
+__all__ = ["main"]
 
 
 def _g(x: float) -> str:
@@ -175,21 +118,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        s=args.s,
-        r=args.r,
-        k=args.k,
-        grid_density=args.grid,
-        fd_step=args.step,
-        tolerances=_parse_tols(args.tol),
-        seed=args.seed,
-        output_path=args.out,
-        format=args.format,
-        constants_path=args.constants,
-    )
+def _validate(args: argparse.Namespace) -> argparse.Namespace:
+    """Check what argparse cannot and replace args.tol by the full tolerance
+    table with the --tol overrides merged in."""
+    overrides = _parse_tols(args.tol)
+    if args.n < 2:
+        raise ConfigError(f"n must be >= 2, got {args.n}")
+    if args.grid < 2:
+        raise ConfigError(f"grid density must be >= 2, got {args.grid}")
+    if not (0.0 < args.step <= 1e-2):
+        raise ConfigError(f"fd step must lie in (0, 1e-2], got {args.step}")
+    args.tol = dict(DEFAULT_TOLERANCES)
+    for name, val in overrides.items():
+        if name not in DEFAULT_TOLERANCES:
+            raise ConfigError(f"unknown tolerance {name!r}")
+        if not (math.isfinite(val) and val >= 0):
+            raise ConfigError(f"tolerance {name!r} must be a finite number >= 0")
+        args.tol[name] = val
+    return args
+
+
+def _echo(args: argparse.Namespace, constants: Optional[dict] = None) -> dict:
+    return {
+        "command": args.command,
+        "n": args.n,
+        "s": args.s,
+        "r": args.r,
+        "k": args.k,
+        "grid_density": args.grid,
+        "fd_step": args.step,
+        "seed": args.seed,
+        "format": args.format,
+        "constants": constants,
+        "tolerances": dict(sorted(args.tol.items())),
+    }
 
 
 def _constants_doc(kind: str, form: GeneratorForm) -> dict:
@@ -208,12 +170,12 @@ def _constants_doc(kind: str, form: GeneratorForm) -> dict:
     }
 
 
-def _load_constants(cfg: RunConfig) -> Optional[Tuple[str, GeneratorForm]]:
+def _load_constants(args: argparse.Namespace) -> Optional[Tuple[str, GeneratorForm]]:
     """The document kind and its form; the kind, not dim_g, picks the battery."""
-    if cfg.constants_path is None:
+    if args.constants is None:
         return None
     try:
-        with open(cfg.constants_path, "r", encoding="utf-8") as fh:
+        with open(args.constants, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read constants file: {exc}")
@@ -226,13 +188,13 @@ def _load_constants(cfg: RunConfig) -> Optional[Tuple[str, GeneratorForm]]:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_verify_curves(cfg: RunConfig) -> dict:
+def _cmd_verify_curves(args: argparse.Namespace) -> dict:
     checks: List[dict] = []
-    signs = [cfg.s] if cfg.s else list(SIGNS)
-    radii = [cfg.r] if cfg.r is not None else list(DEFAULT_RADII)
+    signs = [args.s] if args.s else list(SIGNS)
+    radii = [args.r] if args.r is not None else list(DEFAULT_RADII)
     ts = np.linspace(-1.0, 1.0, 5)
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n
+    rng = np.random.default_rng(args.seed)
+    n = args.n
     canonical = StiefelPoint(
         np.eye(n + 1, dtype=complex)[0], np.eye(n + 1, dtype=complex)[1]
     )
@@ -261,10 +223,14 @@ def _cmd_verify_curves(cfg: RunConfig) -> dict:
                 curve = model_curve(s, r, base)
                 for t in ts:
                     gp = f"s={s},r={_g(r)},t={_g(t)},{bname}"
-                    res = curve_curvature(curve, float(t), step=cfg.fd_step)
+                    res = curve_curvature(curve, float(t), step=args.step)
                     checks.append(
                         make_check(
-                            "curvature", res.kappa, expected, cfg.tol("curvature"), grid_point=gp
+                            "curvature",
+                            res.kappa,
+                            expected,
+                            args.tol["curvature"],
+                            grid_point=gp,
                         )
                     )
                     checks.append(
@@ -272,7 +238,7 @@ def _cmd_verify_curves(cfg: RunConfig) -> dict:
                             "circle-residual",
                             res.residual,
                             0.0,
-                            cfg.tol("circle"),
+                            args.tol["circle"],
                             grid_point=gp,
                         )
                     )
@@ -285,36 +251,38 @@ def _cmd_verify_curves(cfg: RunConfig) -> dict:
                             "parallel-residual",
                             val,
                             0.0,
-                            cfg.tol("parallel"),
+                            args.tol["parallel"],
                             grid_point=gp,
                         )
                     )
-    return make_envelope(cfg.command, cfg.echo(), checks)
+    return make_envelope(args.command, _echo(args), checks)
 
 
-def _build_classical(cfg: RunConfig) -> HypersurfacePatch:
-    if cfg.s is None:
+def _build_classical(args: argparse.Namespace) -> HypersurfacePatch:
+    if args.s is None:
         raise ConfigError("--s is required for this command")
-    if cfg.s == "zero":
-        r = 0.0 if cfg.r is None else cfg.r
-        return horosphere(cfg.n, r)
-    if cfg.r is None:
+    if args.s == "zero":
+        r = 0.0 if args.r is None else args.r
+        return horosphere(args.n, r)
+    if args.r is None:
         raise ConfigError("--r is required for the tube families")
-    if abs(cfg.r) < 1e-14:
+    if abs(args.r) < 1e-14:
         raise ConfigError("r = 0 is the degenerate radius for the tube families")
     try:
-        if cfg.s == "plus":
-            if not (0 <= cfg.k <= cfg.n - 1):
+        if args.s == "plus":
+            if not (0 <= args.k <= args.n - 1):
                 raise ConfigError(
-                    f"k must lie in [0, n-1] = [0, {cfg.n - 1}], got {cfg.k}"
+                    f"k must lie in [0, n-1] = [0, {args.n - 1}], got {args.k}"
                 )
-            return tube_complex(cfg.n, cfg.k, cfg.r)
-        return tube_real(cfg.n, cfg.r)
+            return tube_complex(args.n, args.k, args.r)
+        return tube_real(args.n, args.r)
     except GeometryError as exc:
         raise ConfigError(f"cannot build the requested example: {exc}")
 
 
-def _spectrum_checks(cfg: RunConfig, patch: HypersurfacePatch, rep: ShapeReport) -> List[dict]:
+def _spectrum_checks(
+    args: argparse.Namespace, patch: HypersurfacePatch, rep: ShapeReport
+) -> List[dict]:
     checks: List[dict] = []
     expected = patch.expected_spectrum
     if not expected:
@@ -336,7 +304,7 @@ def _spectrum_checks(cfg: RunConfig, patch: HypersurfacePatch, rep: ShapeReport)
         for vname, mname, got, want in tables:
             for i, ((gv, gm), (wv, wm)) in enumerate(zip(got, want)):
                 checks.append(
-                    make_check(vname, gv, wv, cfg.tol("eigenvalue"), index=i)
+                    make_check(vname, gv, wv, args.tol["eigenvalue"], index=i)
                 )
                 checks.append(make_check(mname, float(gm), float(wm), 0.0, index=i))
     values = [v for v, _ in expected]
@@ -348,7 +316,7 @@ def _spectrum_checks(cfg: RunConfig, patch: HypersurfacePatch, rep: ShapeReport)
                     "sample-eigenvalue",
                     v,
                     nearest,
-                    cfg.tol("eigenvalue"),
+                    args.tol["eigenvalue"],
                     grid_point=gp,
                     index=i,
                 )
@@ -356,7 +324,9 @@ def _spectrum_checks(cfg: RunConfig, patch: HypersurfacePatch, rep: ShapeReport)
     return checks
 
 
-def _construction_checks(cfg: RunConfig, patch: HypersurfacePatch, grid) -> List[dict]:
+def _construction_checks(
+    args: argparse.Namespace, patch: HypersurfacePatch, grid
+) -> List[dict]:
     checks: List[dict] = []
     stride = max(1, len(grid) // 5)
     for at in grid[::stride][:5]:
@@ -372,36 +342,36 @@ def _construction_checks(cfg: RunConfig, patch: HypersurfacePatch, grid) -> List
             residual = horosphere_defining_residual(pair[0], patch.r or 0.0)
             rows.append(("defining-relation", residual, "defining"))
         checks += [
-            make_check(name, value, 0.0, cfg.tol(tol), grid_point=gp)
+            make_check(name, value, 0.0, args.tol[tol], grid_point=gp)
             for name, value, tol in rows
         ]
     return checks
 
 
-def _cmd_build_example(cfg: RunConfig) -> dict:
-    patch = _build_classical(cfg)
-    grid = patch.grid(cfg.grid_density)
-    checks = _construction_checks(cfg, patch, grid)
-    rep = verify_hopf(patch, grid, step=cfg.fd_step, tolerances=cfg.tolerances)
+def _cmd_build_example(args: argparse.Namespace) -> dict:
+    patch = _build_classical(args)
+    grid = patch.grid(args.grid)
+    checks = _construction_checks(args, patch, grid)
+    rep = verify_hopf(patch, grid, step=args.step, tolerances=args.tol)
     checks += rep.checks
-    checks += _spectrum_checks(cfg, patch, rep)
-    return make_envelope(cfg.command, cfg.echo(), checks)
+    checks += _spectrum_checks(args, patch, rep)
+    return make_envelope(args.command, _echo(args), checks)
 
 
-def _cmd_verify_hopf(cfg: RunConfig) -> dict:
-    patch = _build_classical(cfg)
-    grid = patch.grid(cfg.grid_density)
-    rep = verify_hopf(patch, grid, step=cfg.fd_step, tolerances=cfg.tolerances)
-    checks = _construction_checks(cfg, patch, grid)
+def _cmd_verify_hopf(args: argparse.Namespace) -> dict:
+    patch = _build_classical(args)
+    grid = patch.grid(args.grid)
+    rep = verify_hopf(patch, grid, step=args.step, tolerances=args.tol)
+    checks = _construction_checks(args, patch, grid)
     checks += rep.checks
     mu_abs = abs(rep.mu)
-    if cfg.s == "plus":
+    if args.s == "plus":
         checks.append(
             make_check(
                 "trichotomy-margin", mu_abs - 2.0, 0.0, 0.0, passed=mu_abs - 2.0 > 0
             )
         )
-    elif cfg.s == "minus":
+    elif args.s == "minus":
         checks.append(
             make_check(
                 "trichotomy-margin", 2.0 - mu_abs, 0.0, 0.0, passed=2.0 - mu_abs > 0
@@ -409,13 +379,13 @@ def _cmd_verify_hopf(cfg: RunConfig) -> dict:
         )
     else:
         checks.append(
-            make_check("trichotomy-margin", abs(mu_abs - 2.0), 0.0, cfg.tol("mu"))
+            make_check("trichotomy-margin", abs(mu_abs - 2.0), 0.0, args.tol["mu"])
         )
-    return make_envelope(cfg.command, cfg.echo(), checks)
+    return make_envelope(args.command, _echo(args), checks)
 
 
 def _orbit_checks(
-    cfg: RunConfig, form: GeneratorForm, grid, rows: Sequence[str]
+    args: argparse.Namespace, form: GeneratorForm, grid, rows: Sequence[str]
 ) -> Tuple[List[dict], Optional[ShapeReport]]:
     """The immersion row and the named verifier rows of the form's orbit
     patch; no report when the construction or a measurement degenerates.
@@ -425,8 +395,8 @@ def _orbit_checks(
         rep = verify_hopf(
             patch,
             patch.grid(2, cap=4) if grid is None else grid,
-            step=cfg.fd_step,
-            tolerances=cfg.tolerances,
+            step=args.step,
+            tolerances=args.tol,
         )
     except GeometryError as exc:
         print(f"non-immersion: {exc}", file=sys.stderr)
@@ -435,14 +405,14 @@ def _orbit_checks(
     return checks + [c for c in rep.checks if c["name"] in rows], rep
 
 
-def _one_param_checks(cfg: RunConfig, form: GeneratorForm) -> List[dict]:
+def _one_param_checks(args: argparse.Namespace, form: GeneratorForm) -> List[dict]:
     offsets = ((0.0, 0.0, 0.0), (0.3, -0.2, 0.25), (-0.25, 0.3, -0.2))
     grid = [
         np.array([th, x, h, lam])
         for lam in RHO_HEIGHTS
         for (th, x, h) in offsets
     ]
-    checks, rep = _orbit_checks(cfg, form, grid, ONE_PARAM_ROWS)
+    checks, rep = _orbit_checks(args, form, grid, ONE_PARAM_ROWS)
     if rep is None:
         return checks
     try:
@@ -454,7 +424,7 @@ def _one_param_checks(cfg: RunConfig, form: GeneratorForm) -> List[dict]:
     for at, (lam, rho) in zip(grid, rep.rho_values):
         gp = grid_key(at)
         checks.append(
-            make_check("rho", rho, predicted[lam], cfg.tol("rho"), grid_point=gp)
+            make_check("rho", rho, predicted[lam], args.tol["rho"], grid_point=gp)
         )
         by_height.setdefault(lam, []).append(rho)
     for lam in sorted(by_height):
@@ -464,7 +434,7 @@ def _one_param_checks(cfg: RunConfig, form: GeneratorForm) -> List[dict]:
                 "rho-constancy",
                 max(vals) - min(vals),
                 0.0,
-                cfg.tol("rho"),
+                args.tol["rho"],
                 grid_point=f"lam={_g(lam)}",
             )
         )
@@ -480,49 +450,49 @@ def _one_param_checks(cfg: RunConfig, form: GeneratorForm) -> List[dict]:
                         "rho-horosphere",
                         rho,
                         1.0,
-                        cfg.tol("rho"),
+                        args.tol["rho"],
                         grid_point=f"lam={_g(lam)}",
                     )
                 )
     return checks
 
 
-def _form_checks(cfg: RunConfig, f: GeneratorForm) -> List[dict]:
+def _form_checks(args: argparse.Namespace, f: GeneratorForm) -> List[dict]:
     """Flatness rows; the first is the mc-residual row."""
     checks = [
-        make_check("mc-residual", maurer_cartan_residual(f), 0.0, cfg.tol("mc")),
-        make_check("commutator-residual", commutator_residual(f), 0.0, cfg.tol("mc")),
-        make_check("two-path-witness", two_path_residual(f), 0.0, cfg.tol("witness")),
+        make_check("mc-residual", maurer_cartan_residual(f), 0.0, args.tol["mc"]),
+        make_check("commutator-residual", commutator_residual(f), 0.0, args.tol["mc"]),
+        make_check("two-path-witness", two_path_residual(f), 0.0, args.tol["witness"]),
     ]
     membership = 0.0
     for e in np.eye(f.dim_g):
         membership = max(membership, algebra_residual(form_value(f, e).matrix))
     checks.append(
-        make_check("algebra-membership", membership, 0.0, cfg.tol("structure"))
+        make_check("algebra-membership", membership, 0.0, args.tol["structure"])
     )
     return checks
 
 
-def _cmd_cko_run(cfg: RunConfig) -> dict:
-    loaded = _load_constants(cfg)
+def _cmd_cko_run(args: argparse.Namespace) -> dict:
+    loaded = _load_constants(args)
     if loaded is None:
-        loaded = ("one-param", random_one_param(np.random.default_rng(cfg.seed)))
+        loaded = ("one-param", random_one_param(np.random.default_rng(args.seed)))
     kind, form = loaded
     if kind == "one-param":
-        checks = _one_param_checks(cfg, form)
+        checks = _one_param_checks(args, form)
     else:
-        checks = _form_checks(cfg, form)
+        checks = _form_checks(args, form)
         if checks[0]["pass"]:
-            checks += _orbit_checks(cfg, form, None, ORBIT_ROWS)[0]
-    return make_envelope(cfg.command, cfg.echo(_constants_doc(kind, form)), checks)
+            checks += _orbit_checks(args, form, None, ORBIT_ROWS)[0]
+    return make_envelope(args.command, _echo(args, _constants_doc(kind, form)), checks)
 
 
-def _cmd_mc_check(cfg: RunConfig) -> dict:
-    if cfg.constants_path is None:
+def _cmd_mc_check(args: argparse.Namespace) -> dict:
+    if args.constants is None:
         raise ConfigError("mc-check needs --constants")
-    kind, form = _load_constants(cfg)
-    checks = _form_checks(cfg, form)
-    return make_envelope(cfg.command, cfg.echo(_constants_doc(kind, form)), checks)
+    kind, form = _load_constants(args)
+    checks = _form_checks(args, form)
+    return make_envelope(args.command, _echo(args, _constants_doc(kind, form)), checks)
 
 
 _COMMANDS = {
@@ -542,8 +512,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     start = time.monotonic()
     try:
-        cfg = _config_from_args(args)
-        envelope = _COMMANDS[cfg.command](cfg)
+        envelope = _COMMANDS[args.command](_validate(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -553,12 +522,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     text = (
         envelope_to_json(envelope)
-        if cfg.format == "json"
+        if args.format == "json"
         else envelope_to_csv(envelope)
     )
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     elapsed = int((time.monotonic() - start) * 1000)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, ImmersionError, InputError, ValidationError
 from .fibration import FD_STEP
-from .hypersurface import HypersurfacePatch, _chart_jacobian
+from .hypersurface import HypersurfacePatch, _central_differences
 from .linalg import AlgebraElement, GroupElement, matrix_exp, real_form
 
 FORM_TOL = 1e-12
@@ -420,7 +420,7 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
         label=f"form-orbit(n={n})",
         expected_mu=2.0,
     )
-    columns = _chart_jacobian(patch, patch.center, FD_STEP)
+    columns = _central_differences(eval_func, patch.center, np.eye(len(names)), FD_STEP)
     res = float(np.abs(real_form(columns[1:], patch.normal(patch.center))).max())
     if res > 1e-6:
         raise InputError(
@@ -434,13 +434,19 @@ _ONE_PARAM_KEYS = ("alpha0", "alpha1", "x", "y0", "y1", "w")
 _FORM_KEYS = ("alpha0", "alpha1", "x_form", "y0", "y1", "w1", "w2")
 
 
+def _real_number(v) -> bool:
+    """A JSON number; true and false are not numbers here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def parse_constants(data) -> GeneratorForm:
     """Build generator data from a decoded JSON document.
 
     kind "one-param": six scalar entries, missing ones default to 0, not all
     zero; the result is the n = 2 form with dim_g = 1.
-    kind "block-form": vector/matrix entries as nested lists.
-    Anything malformed raises ConfigError.
+    kind "block-form": vector/matrix entries as nested lists of numbers.
+    Anything malformed, a boolean or a string in place of a number included,
+    raises ConfigError.
     """
     if not isinstance(data, dict):
         raise ConfigError("constants document must be a JSON object")
@@ -452,7 +458,7 @@ def parse_constants(data) -> GeneratorForm:
         vals = []
         for key in _ONE_PARAM_KEYS:
             v = data.get(key, 0.0)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if not _real_number(v):
                 raise ConfigError(f"field {key!r} must be a real number")
             vals.append(float(v))
         if max(abs(v) for v in vals) == 0.0:
@@ -469,10 +475,10 @@ def parse_constants(data) -> GeneratorForm:
         for key in _FORM_KEYS:
             if key not in data:
                 raise ConfigError(f"block-form needs field {key!r}")
-            try:
-                arrays[key] = np.array(data[key], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"field {key!r} is not numeric: {exc}") from exc
+            raw = np.array(data[key], dtype=object)
+            if not all(_real_number(v) for v in raw.flat):
+                raise ConfigError(f"field {key!r} must hold only real numbers")
+            arrays[key] = raw.astype(float)
         try:
             return GeneratorForm(**arrays)
         except (ValidationError, InputError) as exc:

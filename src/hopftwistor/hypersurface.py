@@ -341,13 +341,11 @@ def _realify(vecs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate([vecs.real, vecs.imag], axis=-1).T)
 
 
-def _chart_jacobian(patch: HypersurfacePatch, at: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference chart derivatives, one row per chart coordinate."""
+def _central_differences(func, at: np.ndarray, directions, step: float) -> np.ndarray:
+    """One central difference (func(at + step*d) - func(at - step*d)) / (2*step)
+    per direction d, as the rows of a complex array."""
     return np.array(
-        [
-            (patch.eval_func(at + d) - patch.eval_func(at - d)) / (2 * step)
-            for d in step * np.eye(len(patch.param_names))
-        ],
+        [(func(at + step * d) - func(at - step * d)) / (2 * step) for d in directions],
         dtype=complex,
     )
 
@@ -360,12 +358,19 @@ def shape_operator(
 ) -> ShapeResult:
     """Finite-difference shape operator in an orthonormal horizontal frame.
 
-    Steps: chart Jacobian by central differences; rank gate on the projected
-    non-fiber columns (smallest singular value >= rank_tol); frame = structure
-    direction then Gram-Schmidt of the remaining projected columns; chart
-    velocities for each frame vector by least squares; the matrix entry is
-    A[i,j] = <-D_{E_j} N, E_i>.  Pairing against horizontal frame vectors
-    annihilates any vertical contamination of the derivative.
+    Steps, each on the whole stack of directions:
+    - chart Jacobian: one central difference per chart coordinate;
+    - rank gate: the projected non-fiber columns need a smallest singular
+      value >= rank_tol;
+    - frame: the structure direction (column t_index), then one row-wise
+      modified Gram-Schmidt sweep over the other columns in chart order.  Each
+      accepted vector leaves all later columns at once; a column below norm
+      1e-8 is skipped and removes nothing.  Every column thus gets the updates
+      of the column-by-column loop, in its order, with the same bits;
+    - velocities: one least-squares solve per frame vector;
+    - normal derivative: one central difference along each velocity;
+    - matrix: A[i,j] = <-D_{E_j} N, E_i>, one Gram call.  Pairing against
+      horizontal frame vectors annihilates any vertical contamination.
     """
     if patch.degenerate:
         raise ImmersionError(
@@ -375,7 +380,7 @@ def shape_operator(
     psi0 = patch.point(at)
     dim = 2 * patch.dim_n - 1
 
-    columns = _chart_jacobian(patch, at, step)
+    columns = _central_differences(patch.eval_func, at, np.eye(len(at)), step)
     # Non-fiber columns, projected: row k - 1 belongs to chart coordinate k.
     projected = horizontal_part(tangent_project_ads(columns[1:], psi0), psi0, tol=1e-5)
     singulars = np.linalg.svd(_realify(projected), compute_uv=False)
@@ -386,18 +391,17 @@ def shape_operator(
             f"{min_singular:.3e} < {rank_tol:.1e}"
         )
 
-    frame = []
     seed = projected[patch.t_index - 1]
-    frame.append(seed / space_norm(seed, psi0))
-    for k, vec in enumerate(projected, start=1):
-        if k == patch.t_index:
-            continue
-        for e in frame:
-            vec = vec - real_form(vec, e) * e
+    frame = [seed / space_norm(seed, psi0)]
+    rest = np.delete(projected, patch.t_index - 1, axis=0)
+    rest -= real_form(rest, frame[0])[:, None] * frame[0]
+    for i, vec in enumerate(rest):
         norm = space_norm(vec, psi0)
         if norm < 1e-8:
             continue
-        frame.append(vec / norm)
+        e = vec / norm
+        frame.append(e)
+        rest[i + 1 :] -= real_form(rest[i + 1 :], e)[:, None] * e
     if len(frame) != dim:
         raise ImmersionError(
             f"frame collapsed at {grid_key(at)}: {len(frame)} of {dim} directions"
@@ -405,19 +409,13 @@ def shape_operator(
     frame = np.array(frame)
 
     jac = _realify(columns)
-    derivatives = []
-    lsq_residual = 0.0
-    for e_j in frame:
-        target = _realify(e_j)
-        velocity = np.linalg.lstsq(jac, target, rcond=None)[0]
-        lsq_residual = max(
-            lsq_residual, float(np.linalg.norm(jac @ velocity - target))
-        )
-        derivatives.append(
-            (patch.normal(at + step * velocity) - patch.normal(at - step * velocity))
-            / (2 * step)
-        )
-    w = -horizontal_part(tangent_project_ads(np.array(derivatives), psi0), psi0, tol=1e-3)
+    targets = [_realify(e) for e in frame]
+    velocities = [np.linalg.lstsq(jac, t, rcond=None)[0] for t in targets]
+    lsq_residual = max(
+        float(np.linalg.norm(jac @ v - t)) for v, t in zip(velocities, targets)
+    )
+    derivatives = _central_differences(patch.normal, at, velocities, step)
+    w = -horizontal_part(tangent_project_ads(derivatives, psi0), psi0, tol=1e-3)
     # matrix[i, j] = <w_j, e_i>
     matrix = real_form(w[None], frame[:, None])
     return ShapeResult(matrix, frame, lsq_residual, min_singular)
@@ -634,20 +632,15 @@ def tube_real(n: int, r: float) -> HypersurfacePatch:
     """
     if n < 2:
         raise InputError(f"need n >= 2, got n={n}")
-    generators = []
-    for j in range(2, n + 1):
-        boost = np.zeros((n + 1, n + 1))
-        boost[0, j] = boost[j, 0] = 1.0
-        generators.append(boost)
-    for j in range(2, n + 1):
-        rot = np.zeros((n + 1, n + 1))
-        rot[1, j] = -1.0
-        rot[j, 1] = 1.0
-        generators.append(rot)
 
     def lift(q: np.ndarray) -> StiefelPoint:
-        gen = sum(c * g for c, g in zip(q, generators))
-        group = matrix_exp(AlgebraElement(gen.astype(complex), n))
+        # Boosts e0^ej carry q[:n-1], rotations e1^ej carry q[n-1:]; the
+        # supports are disjoint, so every entry is one coordinate.
+        gen = np.zeros((n + 1, n + 1), dtype=complex)
+        gen[0, 2:] = gen[2:, 0] = q[: n - 1]
+        gen[2:, 1] = q[n - 1 :]
+        gen[1, 2:] -= q[n - 1 :]
+        group = matrix_exp(AlgebraElement(gen, n))
         return StiefelPoint(group.matrix[:, 0], group.matrix[:, 1])
 
     coth = lambda x: math.cosh(x) / math.sinh(x)

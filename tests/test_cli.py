@@ -116,6 +116,26 @@ def test_non_finite_block_form_is_config_error(tmp_path, capsys, command, field)
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mc-check", "cko-run"])
+@pytest.mark.parametrize("leaf", [False, "0"], ids=["bool", "string"])
+def test_non_number_block_form_is_config_error(tmp_path, capsys, command, leaf):
+    doc = json.loads(json.dumps(FLAT_FORM_DOC))
+    doc["alpha0"][1] = leaf
+    path = write_doc(tmp_path, "leaf.json", doc)
+    assert main([command, "--constants", path]) == 2
+    captured = capsys.readouterr()
+    assert "config error: field 'alpha0' must hold only real numbers" in captured.err
+    assert captured.out == ""
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    args = ["verify-hopf", "--n", "2", "--s", "zero", "--out", str(out)]
+    assert main(args) == 2
+    assert "config error: cannot write report:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cko_run_seeded(tmp_path):
     code, out = run_to_file(tmp_path, ["cko-run", "--n", "2", "--seed", "5"])
     assert code == 0

@@ -24,7 +24,12 @@ from hopftwistor import (
     tube_real,
     verify_hopf,
 )
-from hopftwistor.fibration import FD_STEP
+from hopftwistor.fibration import (
+    FD_STEP,
+    horizontal_part,
+    space_norm,
+    tangent_project_ads,
+)
 from hopftwistor.hypersurface import _point_report
 
 
@@ -213,6 +218,79 @@ def test_pairings_match_the_per_eigenvector_loop(patch):
         got = _point_report(patch, at, FD_STEP, 1e-6)["pairings"]
         assert len(got) == 4
         assert got == _loop_pairings(patch, at)
+
+
+def _loop_frame(patch, at, step=FD_STEP):
+    """Reference: the column-by-column modified Gram-Schmidt loop, every
+    column projected onto each accepted frame vector in turn."""
+    psi0 = patch.point(at)
+    columns = np.array(
+        [
+            (patch.eval_func(at + d) - patch.eval_func(at - d)) / (2 * step)
+            for d in step * np.eye(at.size)
+        ],
+        dtype=complex,
+    )
+    projected = horizontal_part(tangent_project_ads(columns[1:], psi0), psi0, tol=1e-5)
+    seed = projected[patch.t_index - 1]
+    frame = [seed / space_norm(seed, psi0)]
+    for k, vec in enumerate(projected, start=1):
+        if k == patch.t_index:
+            continue
+        for e in frame:
+            vec = vec - real_form(vec, e) * e
+        norm = space_norm(vec, psi0)
+        if norm >= 1e-8:
+            frame.append(vec / norm)
+    return np.array(frame)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda n: tube_complex(n, n // 2, 0.6),
+        lambda n: tube_real(n, 0.6),
+        lambda n: horosphere(n, 0.6),
+    ],
+    ids=["plus", "minus", "zero"],
+)
+def test_frame_matches_the_column_by_column_sweep(family):
+    for n in range(2, 7):
+        patch = family(n)
+        for at in patch.grid(2, cap=3):
+            assert np.array_equal(shape_operator(patch, at).frame, _loop_frame(patch, at))
+
+
+def _horosphere_lift(q: np.ndarray) -> StiefelPoint:
+    """horosphere(2, r)'s lift, written out."""
+    p = q[0::2] + 1j * q[1::2]
+    a = float(np.vdot(p, p).real)
+    um = np.array([1.0 + a / 2.0, a / 2.0, p[0]], dtype=complex)
+    up = np.array([-1j * a / 2.0, 1j * (1.0 - a / 2.0), -1j * p[0]], dtype=complex)
+    return StiefelPoint(um, up)
+
+
+def test_redundant_coordinate_is_skipped_by_the_frame():
+    # q1 is ignored: its column vanishes, the sweep skips it, and the other
+    # columns give horosphere(2, 0.5)'s frame and matrix bit for bit.
+    horo = horosphere(2, 0.5)
+    redundant = build_patch(
+        "zero", 0.5, lambda q: _horosphere_lift(q[[0, 2]]), base_dim=3
+    )
+    for at in ([0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.1, 0.05]):
+        want = shape_operator(horo, np.array(at))
+        got = shape_operator(redundant, np.array(at[:3] + [0.7] + at[3:]), rank_tol=0)
+        assert got.frame.shape == (3, 3)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.frame, want.frame)
+
+
+def test_single_coordinate_lift_collapses_the_frame():
+    one = build_patch(
+        "zero", 0.5, lambda q: _horosphere_lift(np.array([q[0], 0.0])), base_dim=2
+    )
+    with pytest.raises(ImmersionError, match="frame collapsed"):
+        shape_operator(one, one.center, rank_tol=0)
 
 
 def test_verify_hopf_flags_wrong_closed_form(canonical_pair):
