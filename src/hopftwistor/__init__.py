@@ -61,7 +61,6 @@ from .linalg import (
     algebra_residual,
     group_residual,
     herm_form,
-    is_anti_de_sitter,
     matrix_exp,
     pair_form,
     real_form,

@@ -20,7 +20,6 @@ single entry of the symmetric block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -289,9 +288,12 @@ def _require_flat(f: GeneratorForm, flat_tol: float) -> None:
 
 
 def _ordered_product(values: Sequence[AlgebraElement], coords) -> GroupElement:
-    group = matrix_exp(values[0], float(coords[0]))
-    for x, c in zip(values[1:], coords[1:]):
-        group = group.compose(matrix_exp(x, float(c)))
+    """exp(c_0 X_0) exp(c_1 X_1) ...; a stack of coordinates (..., dim_g)
+    gives the stack of products, one exponential and one product per factor."""
+    coords = np.asarray(coords, dtype=float)
+    group = matrix_exp(values[0], coords[..., 0])
+    for k, x in enumerate(values[1:], 1):
+        group = group.compose(matrix_exp(x, coords[..., k]))
     return group
 
 
@@ -347,18 +349,14 @@ def _documented_degeneracy(f: GeneratorForm) -> bool:
     )
 
 
-def _profile_vector(h: float, lam: float, p: np.ndarray) -> np.ndarray:
-    head = np.array(
-        [1.0 + lam * lam / 2.0 - 1j * h, -lam * lam / 2.0 + 1j * h], dtype=complex
-    )
-    return np.concatenate([head, lam * p.astype(complex)])
+def _profile_vector(h: np.ndarray, lam: np.ndarray, p: np.ndarray) -> np.ndarray:
+    head = np.stack([1.0 + lam * lam / 2.0 - 1j * h, -lam * lam / 2.0 + 1j * h], axis=-1)
+    return np.concatenate([head, lam[..., None] * p.astype(complex)], axis=-1)
 
 
-def _profile_normal(h: float, lam: float, p: np.ndarray) -> np.ndarray:
-    head = np.array(
-        [-lam * lam / 2.0 + 1j * h, lam * lam / 2.0 - 1.0 - 1j * h], dtype=complex
-    )
-    return np.concatenate([head, -lam * p.astype(complex)])
+def _profile_normal(h: np.ndarray, lam: np.ndarray, p: np.ndarray) -> np.ndarray:
+    head = np.stack([-lam * lam / 2.0 + 1j * h, lam * lam / 2.0 - 1.0 - 1j * h], axis=-1)
+    return np.concatenate([head, -lam[..., None] * p.astype(complex)], axis=-1)
 
 
 _LAM_RANGE = (0.4, 1.6)
@@ -391,15 +389,17 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
         center = center + [0.0] * (n - 2)
 
     def chart(at: np.ndarray, profile) -> np.ndarray:
-        h = at[1 + nx]
-        lam = at[2 + nx]
-        c = at[3 + nx :]
-        nc = float(c @ c)
-        if nc >= 1.0:
+        # Chart points (..., d) in one call: one group product per stack.
+        h = at[..., 1 + nx]
+        lam = at[..., 2 + nx]
+        c = at[..., 3 + nx :]
+        nc = (c[..., None, :] @ c[..., :, None])[..., 0, 0]
+        if np.any(nc >= 1.0):
             raise InputError("sphere chart leaves the unit ball")
-        p = np.concatenate([[math.sqrt(1.0 - nc)], c])
-        g = _ordered_product(values, at[1 : 1 + nx])
-        return np.exp(1j * at[0]) * (g.matrix @ profile(h, lam, p))
+        p = np.concatenate([np.sqrt(1.0 - nc)[..., None], c], axis=-1)
+        g = _ordered_product(values, at[..., 1 : 1 + nx])
+        moved = (g.matrix @ profile(h, lam, p)[..., None])[..., 0]
+        return np.exp(1j * at[..., 0])[..., None] * moved
 
     def eval_func(at: np.ndarray) -> np.ndarray:
         return chart(at, _profile_vector)
@@ -445,8 +445,8 @@ def parse_constants(data) -> GeneratorForm:
     kind "one-param": six scalar entries, missing ones default to 0, not all
     zero; the result is the n = 2 form with dim_g = 1.
     kind "block-form": vector/matrix entries as nested lists of numbers.
-    Anything malformed, a boolean or a string in place of a number included,
-    raises ConfigError.
+    Anything malformed, a boolean or a string in place of a number or an
+    integer beyond the float range included, raises ConfigError.
     """
     if not isinstance(data, dict):
         raise ConfigError("constants document must be a JSON object")
@@ -460,7 +460,10 @@ def parse_constants(data) -> GeneratorForm:
             v = data.get(key, 0.0)
             if not _real_number(v):
                 raise ConfigError(f"field {key!r} must be a real number")
-            vals.append(float(v))
+            try:
+                vals.append(float(v))
+            except OverflowError:
+                raise ConfigError(f"field {key!r} is too large for a float") from None
         if max(abs(v) for v in vals) == 0.0:
             raise ConfigError("invalid one-param constants: all six constants vanish")
         try:
@@ -478,7 +481,10 @@ def parse_constants(data) -> GeneratorForm:
             raw = np.array(data[key], dtype=object)
             if not all(_real_number(v) for v in raw.flat):
                 raise ConfigError(f"field {key!r} must hold only real numbers")
-            arrays[key] = raw.astype(float)
+            try:
+                arrays[key] = raw.astype(float)
+            except OverflowError:
+                raise ConfigError(f"field {key!r} holds a number too large for a float") from None
         try:
             return GeneratorForm(**arrays)
         except (ValidationError, InputError) as exc:

@@ -34,10 +34,11 @@ from .linalg import AlgebraElement, matrix_exp, real_form
 from .report import make_check
 from .twistor import (
     StiefelPoint,
+    _check_sign,
+    _tangent_coefficients,
     curve_coefficients,
     is_horizontal,
     lift_coefficients,
-    unit_tangent_lift,
 )
 
 GRID_DENSITY = 3
@@ -98,9 +99,12 @@ __all__ = [
 class HypersurfacePatch:
     """A parametrized piece of a real hypersurface, seen through its lift.
 
-    eval_func maps a chart point (1-d float array, params[0] = fiber angle) to
-    a vector on the hyperquadric; normal_func gives the horizontal unit-normal
-    lift at the same chart point.
+    eval_func maps chart points (a float array (..., d), params[0] = fiber
+    angle) to vectors (..., n+1) on the hyperquadric; normal_func gives the
+    horizontal unit-normal lifts at the same chart points.  A 1-d chart point
+    gives one (n+1,) vector; a stack is evaluated in one call, each row with
+    the arithmetic of a call on it alone.  point and normal take one chart
+    point.
     """
 
     sign: str
@@ -250,6 +254,44 @@ def build_patch(
     r: float,
     lift: Callable[[np.ndarray], StiefelPoint],
     base_dim: int,
+    **options,
+) -> HypersurfacePatch:
+    """Assemble a patch from a horizontal Stiefel lift over a base chart.
+
+    lift maps one base point (base_dim,) to a StiefelPoint; the chart maps
+    apply it to each row of their stacks.  Chart is (theta, t, q_0 ...
+    q_{base_dim-1}); the curve parameter t seeds the structure direction.
+    The lift is checked for horizontality along every base axis at the chart
+    center and rejected otherwise.  sign "plus" at r = 0 is constructible but
+    flagged degenerate (focal collapse), and sign "minus" at r = 0 likewise
+    (the image drops rank).  Keyword options: center (of the base chart),
+    ranges (of every chart coordinate), label, expected_mu,
+    expected_spectrum, check_horizontal and fd_step (of that check).
+    """
+
+    def rows(q: np.ndarray) -> StiefelPoint:
+        if q.ndim == 1:
+            return lift(q)
+        pairs = [lift(row) for row in q.reshape(-1, q.shape[-1])]
+        shape = q.shape[:-1] + (-1,)
+        return StiefelPoint(
+            np.array([p.u_minus for p in pairs]).reshape(shape),
+            np.array([p.u_plus for p in pairs]).reshape(shape),
+        )
+
+    return _patch_from_lift(sign, r, rows, base_dim, **options)
+
+
+def _tangent_row(sign: str, r: float, t: float) -> Tuple[complex, complex]:
+    """unit_tangent_lift's coefficients, with its sign check."""
+    return _tangent_coefficients(_check_sign(sign), r, t)
+
+
+def _patch_from_lift(
+    sign: str,
+    r: float,
+    lift: Callable[[np.ndarray], StiefelPoint],
+    base_dim: int,
     *,
     center: Optional[np.ndarray] = None,
     ranges: Optional[Sequence[Tuple[float, float]]] = None,
@@ -259,14 +301,8 @@ def build_patch(
     check_horizontal: bool = True,
     fd_step: float = FD_STEP,
 ) -> HypersurfacePatch:
-    """Assemble a patch from a horizontal Stiefel lift over a base chart.
-
-    Chart is (theta, t, q_0 ... q_{base_dim-1}); the curve parameter t seeds
-    the structure direction.  The lift is checked for horizontality along
-    every base axis at the chart center and rejected otherwise.  sign "plus"
-    at r = 0 is constructible but flagged degenerate (focal collapse), and
-    sign "minus" at r = 0 likewise (the image drops rank).
-    """
+    """build_patch for a lift that maps base points (..., base_dim) to stacked
+    pairs (..., n+1) in one call."""
     q_center = np.zeros(base_dim) if center is None else np.asarray(center, dtype=float)
     if q_center.size != base_dim:
         raise InputError("center size does not match base_dim")
@@ -288,16 +324,23 @@ def build_patch(
                     f"axis {axis}"
                 )
 
-    def eval_func(at: np.ndarray) -> np.ndarray:
-        theta, t, q = at[0], at[1], at[2:]
+    def chart(at: np.ndarray, coefficients) -> np.ndarray:
+        # e^{i theta} (c_- u_- + c_+ u_+): the lift takes the whole stack;
+        # the coefficients stay scalar math, row by row (numpy's array
+        # cosh/sinh differ from math's in the last bit).
+        theta, t, q = at[..., 0], at[..., 1], at[..., 2:]
         p = lift(q)
-        cm, cp = curve_coefficients(sign, r, t)
-        return np.exp(1j * theta) * (cm * p.u_minus + cp * p.u_plus)
+        c = np.array([coefficients(sign, r, ti) for ti in t.ravel()], dtype=complex)
+        c = c.reshape(t.shape + (2,))
+        return np.exp(1j * theta)[..., None], c[..., :1] * p.u_minus + c[..., 1:] * p.u_plus
+
+    def eval_func(at: np.ndarray) -> np.ndarray:
+        phase, vec = chart(at, curve_coefficients)
+        return phase * vec
 
     def normal_func(at: np.ndarray) -> np.ndarray:
-        theta, t, q = at[0], at[1], at[2:]
-        p = lift(q)
-        return np.exp(1j * theta) * (1j * unit_tangent_lift(sign, r, p, t))
+        phase, tangent = chart(at, _tangent_row)
+        return phase * (1j * tangent)
 
     degenerate = False
     reason = ""
@@ -343,11 +386,11 @@ def _realify(vecs: np.ndarray) -> np.ndarray:
 
 def _central_differences(func, at: np.ndarray, directions, step: float) -> np.ndarray:
     """One central difference (func(at + step*d) - func(at - step*d)) / (2*step)
-    per direction d, as the rows of a complex array."""
-    return np.array(
-        [(func(at + step * d) - func(at - step * d)) / (2 * step) for d in directions],
-        dtype=complex,
-    )
+    per direction d, as the rows of a complex array.  func takes the whole
+    stencil, the points at + step*D over at - step*D, in one call."""
+    steps = step * np.asarray(directions, dtype=float)
+    values = np.asarray(func(np.concatenate([at + steps, at - steps])), dtype=complex)
+    return (values[: len(steps)] - values[len(steps) :]) / (2 * step)
 
 
 def shape_operator(
@@ -573,7 +616,13 @@ def verify_hopf(
 
 
 def _complexify(q: np.ndarray) -> np.ndarray:
-    return q[0::2] + 1j * q[1::2]
+    return q[..., 0::2] + 1j * q[..., 1::2]
+
+
+def _norm2(z: np.ndarray) -> np.ndarray:
+    """((z, z)) for the positive form on each row of a stack (..., k); the
+    stacked row-times-column product equals np.vdot(z, z) bit for bit."""
+    return (z.conj()[..., None, :] @ z[..., :, None])[..., 0, 0].real
 
 
 def tube_complex(n: int, k: int, r: float) -> HypersurfacePatch:
@@ -592,17 +641,17 @@ def tube_complex(n: int, k: int, r: float) -> HypersurfacePatch:
         )
 
     def lift(q: np.ndarray) -> StiefelPoint:
-        z = _complexify(q[: 2 * k])
-        w = _complexify(q[2 * k :])
-        norm_w = float(np.vdot(w, w).real)
-        if norm_w >= 1.0:
+        z = _complexify(q[..., : 2 * k])
+        w = _complexify(q[..., 2 * k :])
+        norm_w = _norm2(w)
+        if np.any(norm_w >= 1.0):
             raise InputError("chart leaves the unit ball of the spacelike block")
-        um = np.zeros(n + 1, dtype=complex)
-        um[0] = math.sqrt(1.0 + float(np.vdot(z, z).real))
-        um[1 : k + 1] = z
-        up = np.zeros(n + 1, dtype=complex)
-        up[k + 1] = math.sqrt(1.0 - norm_w)
-        up[k + 2 :] = w
+        um = np.zeros(q.shape[:-1] + (n + 1,), dtype=complex)
+        um[..., 0] = np.sqrt(1.0 + _norm2(z))
+        um[..., 1 : k + 1] = z
+        up = np.zeros(q.shape[:-1] + (n + 1,), dtype=complex)
+        up[..., k + 1] = np.sqrt(1.0 - norm_w)
+        up[..., k + 2 :] = w
         return StiefelPoint(um, up)
 
     coth = lambda x: math.cosh(x) / math.sinh(x)
@@ -611,7 +660,7 @@ def tube_complex(n: int, k: int, r: float) -> HypersurfacePatch:
         spectrum.append((-math.tanh(r), 2 * k))
     if k < n - 1:
         spectrum.append((-coth(r), 2 * (n - 1 - k)))
-    return build_patch(
+    return _patch_from_lift(
         "plus",
         r,
         lift,
@@ -635,13 +684,14 @@ def tube_real(n: int, r: float) -> HypersurfacePatch:
 
     def lift(q: np.ndarray) -> StiefelPoint:
         # Boosts e0^ej carry q[:n-1], rotations e1^ej carry q[n-1:]; the
-        # supports are disjoint, so every entry is one coordinate.
-        gen = np.zeros((n + 1, n + 1), dtype=complex)
-        gen[0, 2:] = gen[2:, 0] = q[: n - 1]
-        gen[2:, 1] = q[n - 1 :]
-        gen[1, 2:] -= q[n - 1 :]
+        # supports are disjoint, so every entry is one coordinate.  One
+        # exponential of the whole stack of generators.
+        gen = np.zeros(q.shape[:-1] + (n + 1, n + 1), dtype=complex)
+        gen[..., 0, 2:] = gen[..., 2:, 0] = q[..., : n - 1]
+        gen[..., 2:, 1] = q[..., n - 1 :]
+        gen[..., 1, 2:] -= q[..., n - 1 :]
         group = matrix_exp(AlgebraElement(gen, n))
-        return StiefelPoint(group.matrix[:, 0], group.matrix[:, 1])
+        return StiefelPoint(group.matrix[..., :, 0], group.matrix[..., :, 1])
 
     coth = lambda x: math.cosh(x) / math.sinh(x)
     if abs(r) < 1e-14:
@@ -654,7 +704,7 @@ def tube_real(n: int, r: float) -> HypersurfacePatch:
                 [(-2.0 * math.tanh(2.0 * r), 1), (-coth(r), n - 1), (-math.tanh(r), n - 1)]
             )
         )
-    return build_patch(
+    return _patch_from_lift(
         "minus",
         r,
         lift,
@@ -676,18 +726,18 @@ def horosphere(n: int, r: float) -> HypersurfacePatch:
 
     def lift(q: np.ndarray) -> StiefelPoint:
         p = _complexify(q)
-        a = float(np.vdot(p, p).real)
-        um = np.zeros(n + 1, dtype=complex)
-        um[0] = 1.0 + a / 2.0
-        um[1] = a / 2.0
-        um[2:] = p
-        up = np.zeros(n + 1, dtype=complex)
-        up[0] = -1j * a / 2.0
-        up[1] = 1j * (1.0 - a / 2.0)
-        up[2:] = -1j * p
+        a = _norm2(p)
+        um = np.zeros(q.shape[:-1] + (n + 1,), dtype=complex)
+        um[..., 0] = 1.0 + a / 2.0
+        um[..., 1] = a / 2.0
+        um[..., 2:] = p
+        up = np.zeros(q.shape[:-1] + (n + 1,), dtype=complex)
+        up[..., 0] = -1j * a / 2.0
+        up[..., 1] = 1j * (1.0 - a / 2.0)
+        up[..., 2:] = -1j * p
         return StiefelPoint(um, up)
 
-    return build_patch(
+    return _patch_from_lift(
         "zero",
         r,
         lift,

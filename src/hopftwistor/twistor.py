@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateCurveError, InputError, ValidationError
 from .fibration import FD_STEP, ParamCurve
-from .linalg import STRUCTURE_TOL, herm_form
+from .linalg import STRUCTURE_TOL, _judge_rows, herm_form
 
 SIGNS = ("plus", "minus", "zero")
 HORIZONTAL_TOL = 1e-8
@@ -53,7 +53,11 @@ def _check_sign(sign: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class StiefelPoint:
-    """An orthonormal pair: u_minus timelike (norm -1), u_plus spacelike (norm +1)."""
+    """An orthonormal pair: u_minus timelike (norm -1), u_plus spacelike (norm +1).
+
+    u_minus and u_plus may be stacks (..., n+1) of pairs, judged once: every
+    pair's residual against tol, and the error names the worst pair's row.
+    """
 
     u_minus: np.ndarray
     u_plus: np.ndarray
@@ -66,19 +70,20 @@ class StiefelPoint:
             raise InputError("u_minus and u_plus must share a dimension")
         object.__setattr__(self, "u_minus", um)
         object.__setattr__(self, "u_plus", up)
-        pair = np.array([um, up])
-        gram = herm_form(pair[:, None], pair[None])
-        res = float(
-            max(abs(gram[0, 0] + 1.0), abs(gram[1, 1] - 1.0), abs(gram[0, 1]))
+        pair = np.stack([um, up], axis=-2)
+        gram = herm_form(pair[..., :, None, :], pair[..., None, :, :])
+        res = np.maximum.reduce(
+            [
+                np.abs(gram[..., 0, 0] + 1.0),
+                np.abs(gram[..., 1, 1] - 1.0),
+                np.abs(gram[..., 0, 1]),
+            ]
         )
-        if res > self.tol:
-            raise ValidationError(
-                f"not an orthonormal (-,+) pair: residual {res:.3e}", residual=res
-            )
+        _judge_rows(res, self.tol, "not an orthonormal (-,+) pair: residual {:.3e}")
 
     @property
     def dim_n(self) -> int:
-        return self.u_minus.size - 1
+        return self.u_minus.shape[-1] - 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -231,3 +231,20 @@ def test_byte_determinism(tmp_path):
     _, a = run_to_file(tmp_path, args, "a.json")
     _, b = run_to_file(tmp_path, args, "b.json")
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["mc-check", "cko-run"])
+@pytest.mark.parametrize("kind", ["one-param", "block-form"])
+def test_integer_beyond_float_range_is_config_error(tmp_path, capsys, command, kind):
+    huge = 10**400
+    if kind == "one-param":
+        doc = {"kind": "one-param", "x": huge}
+    else:
+        doc = json.loads(json.dumps(FLAT_FORM_DOC))
+        doc["y0"][1][1] = huge
+    path = write_doc(tmp_path, "huge.json", doc)
+    assert main([command, "--constants", path]) == 2
+    captured = capsys.readouterr()
+    assert "config error: field" in captured.err
+    assert "too large for a float" in captured.err
+    assert captured.out == ""

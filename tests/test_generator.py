@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,47 @@ def test_parse_constants_rejections():
     doc_bad = dict(doc, w1=w1_bad)
     with pytest.raises(ConfigError):
         parse_constants(doc_bad)
+
+
+def _point_orbit_chart(f, at, normal, loop_exp):
+    """orbit_patch_from_form's chart map at one point, as it was written
+    before it took stacks: one exponential and one product per factor."""
+    nx = f.dim_g
+    values = [form_value(f, e).matrix for e in np.eye(nx)]
+    h, lam, c = at[1 + nx], at[2 + nx], at[3 + nx :]
+    p = np.concatenate([[math.sqrt(1.0 - float(c @ c))], c])
+    g = loop_exp(float(at[1]) * values[0])
+    for x, coord in zip(values[1:], at[2 : 1 + nx]):
+        g = g @ loop_exp(float(coord) * x)
+    if normal:
+        head = np.array([-lam * lam / 2.0 + 1j * h, lam * lam / 2.0 - 1.0 - 1j * h], dtype=complex)
+        profile = np.concatenate([head, -lam * p.astype(complex)])
+    else:
+        head = np.array([1.0 + lam * lam / 2.0 - 1j * h, -lam * lam / 2.0 + 1j * h], dtype=complex)
+        profile = np.concatenate([head, lam * p.astype(complex)])
+    return np.exp(1j * at[0]) * (g @ profile)
+
+
+def test_stacked_orbit_chart_equals_the_per_point_product(rng, loop_exp):
+    # Flat forms with Y's 1-norm at 0.9 (n - 1), as in the largest benchmark
+    # draws, so the stacks mix several squaring counts; and a one-parameter
+    # draw.
+    forms = [random_one_param(np.random.default_rng(7))]
+    for n in range(3, 7):
+        y = rng.uniform(-1.0, 1.0, size=(n - 1, n - 1))
+        y *= 0.9 * (n - 1) / np.abs(y).sum(axis=0).max()
+        zeros = np.zeros((n - 1, n - 1))
+        forms.append(
+            GeneratorForm(
+                alpha0=np.zeros(n - 1), alpha1=np.zeros(n - 1), x_form=zeros,
+                y0=y, y1=y, w1=np.zeros((n - 1,) * 3), w2=np.zeros((n - 1,) * 3),
+            )
+        )
+    for f in forms:
+        patch = orbit_patch_from_form(f)
+        lo, hi = np.array(patch.ranges).T
+        points = np.array(patch.grid(2, cap=5) + list(rng.uniform(lo, hi, size=(20, lo.size))))
+        for func, normal in ((patch.eval_func, False), (patch.normal_func, True)):
+            want = np.array([_point_orbit_chart(f, at, normal, loop_exp) for at in points])
+            assert np.array_equal(func(points), want)
+            assert np.array_equal(func(points[3]), want[3])

@@ -30,7 +30,8 @@ from hopftwistor.fibration import (
     space_norm,
     tangent_project_ads,
 )
-from hopftwistor.hypersurface import _point_report
+from hopftwistor.hypersurface import _central_differences, _point_report
+from hopftwistor.twistor import curve_coefficients, unit_tangent_lift
 
 
 def coth(x: float) -> float:
@@ -320,3 +321,83 @@ def test_parallel_patch_family():
     b = tube_complex(2, 0, 0.9)
     for at in [a.center, np.array([0.3, -0.2, 0.1, 0.05])]:
         assert parallel_patch_residual(a, b, 0.4, at) <= 1e-10
+
+
+# The per-point lifts as they were written before lifts took stacks.
+def _point_tube_complex_lift(n, k, q, loop_exp):
+    z = q[: 2 * k][0::2] + 1j * q[: 2 * k][1::2]
+    w = q[2 * k :][0::2] + 1j * q[2 * k :][1::2]
+    um = np.zeros(n + 1, dtype=complex)
+    um[0] = math.sqrt(1.0 + float(np.vdot(z, z).real))
+    um[1 : k + 1] = z
+    up = np.zeros(n + 1, dtype=complex)
+    up[k + 1] = math.sqrt(1.0 - float(np.vdot(w, w).real))
+    up[k + 2 :] = w
+    return um, up
+
+
+def _point_tube_real_lift(n, q, loop_exp):
+    gen = np.zeros((n + 1, n + 1), dtype=complex)
+    gen[0, 2:] = gen[2:, 0] = q[: n - 1]
+    gen[2:, 1] = q[n - 1 :]
+    gen[1, 2:] -= q[n - 1 :]
+    group = loop_exp(gen)
+    return group[:, 0], group[:, 1]
+
+
+def _point_horosphere_lift(n, q, loop_exp):
+    p = q[0::2] + 1j * q[1::2]
+    a = float(np.vdot(p, p).real)
+    um = np.zeros(n + 1, dtype=complex)
+    um[0] = 1.0 + a / 2.0
+    um[1] = a / 2.0
+    um[2:] = p
+    up = np.zeros(n + 1, dtype=complex)
+    up[0] = -1j * a / 2.0
+    up[1] = 1j * (1.0 - a / 2.0)
+    up[2:] = -1j * p
+    return um, up
+
+
+FAMILIES = {
+    "plus": (lambda n, r: tube_complex(n, n // 2, r), lambda n, q, e: _point_tube_complex_lift(n, n // 2, q, e)),
+    "minus": (tube_real, _point_tube_real_lift),
+    "zero": (horosphere, _point_horosphere_lift),
+}
+
+
+@pytest.mark.parametrize("sign", sorted(FAMILIES))
+def test_stacked_chart_maps_equal_the_per_point_lifts(sign, rng, loop_exp):
+    build, point_lift = FAMILIES[sign]
+    for n in range(2, 7):
+        for r in (0.7, 2.3):
+            patch = build(n, r)
+            lo, hi = np.array(patch.ranges).T
+            points = np.array(patch.grid(2, cap=5) + list(rng.uniform(lo, hi, size=(20, lo.size))))
+            want, want_normal = [], []
+            for at in points:
+                um, up = point_lift(n, at[2:], loop_exp)
+                cm, cp = curve_coefficients(sign, r, at[1])
+                want.append(np.exp(1j * at[0]) * (cm * um + cp * up))
+                tangent = unit_tangent_lift(sign, r, StiefelPoint(um, up), at[1])
+                want_normal.append(np.exp(1j * at[0]) * (1j * tangent))
+            assert np.array_equal(patch.eval_func(points), np.array(want))
+            assert np.array_equal(patch.normal_func(points), np.array(want_normal))
+            assert np.array_equal(patch.eval_func(points[0]), want[0])
+            assert np.array_equal(patch.normal(points[-1]), want_normal[-1])
+
+
+@pytest.mark.parametrize("sign", sorted(FAMILIES))
+def test_central_differences_equal_the_per_direction_loop(sign, rng):
+    patch = FAMILIES[sign][0](4, 0.7)
+    at = patch.grid(2, cap=3)[1]
+    step = FD_STEP
+    for func, directions in (
+        (patch.eval_func, np.eye(at.size)),
+        (patch.normal, rng.normal(size=(7, at.size))),
+    ):
+        want = np.array(
+            [(func(at + step * d) - func(at - step * d)) / (2 * step) for d in directions],
+            dtype=complex,
+        )
+        assert np.array_equal(_central_differences(func, at, directions, step), want)

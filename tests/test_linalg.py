@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from hopftwistor import (
     real_form,
     signature_matrix,
 )
-from hopftwistor.sampling import random_algebra
+from hopftwistor.sampling import random_algebra, random_stiefel
+from hopftwistor.twistor import StiefelPoint
 
 
 def expm_eig(m: np.ndarray) -> np.ndarray:
@@ -153,3 +156,69 @@ def test_compose_and_apply(rng):
     assert np.abs(prod.matrix - np.eye(3)).max() <= 1e-11
     v = np.array([2.0, 1.0, 0.5], dtype=complex)
     assert np.allclose(g.apply(v), g.matrix @ v)
+
+
+def _squarings(a: np.ndarray) -> int:
+    norm1 = float(np.abs(a).sum(axis=0).max())
+    return int(math.ceil(math.log2(norm1 / 0.5))) if norm1 > 0.5 else 0
+
+
+def test_stacked_matrix_exp_equals_the_per_matrix_loop(rng, loop_exp):
+    # A zero matrix and 1-norms up to 12, shuffled: 0 to 5 squarings mixed
+    # in one stack, so every squaring group is interleaved with the others.
+    n = 6
+    norms = [0.3, 0.45, 0.8, 1.1, 1.5, 2.9, 3.1, 6.0, 7.5, 12.0, 0.2]
+    mats = [np.zeros((n + 1, n + 1), dtype=complex)]
+    mats += [random_algebra(rng, n, scale=v).matrix for v in norms]
+    stack = np.array(mats)[rng.permutation(len(mats))]
+    assert {_squarings(x) for x in stack} == {0, 1, 2, 3, 4, 5}
+    want = np.array([loop_exp(x) for x in stack])
+    assert np.array_equal(matrix_exp(AlgebraElement(stack, n)).matrix, want)
+    grid = matrix_exp(AlgebraElement(stack.reshape((3, 4) + stack.shape[1:]), n))
+    assert np.array_equal(grid.matrix.reshape(want.shape), want)
+    # One element, a stack of parameters: exp(t_i X), t = 0 included.
+    x = random_algebra(rng, n, scale=1.0)
+    ts = np.array([0.0, -0.2, 0.7, 1.3, -2.6, 5.0, 9.0])
+    got = matrix_exp(x, ts).matrix
+    assert np.array_equal(got, np.array([loop_exp(float(t) * x.matrix) for t in ts]))
+    assert np.array_equal(matrix_exp(x, 0.7).matrix, loop_exp(0.7 * x.matrix))
+
+
+def _single_residual(cls, *args) -> float:
+    with pytest.raises(ValidationError) as single:
+        cls(*args)
+    assert "stack row" not in str(single.value)
+    return single.value.residual
+
+
+def test_stack_validation_names_the_worst_row(rng):
+    # Two perturbed rows: the stack fails on the worse one, with the residual
+    # that row has on its own.
+    n = 3
+    xs = np.array([random_algebra(rng, n).matrix for _ in range(6)])
+    AlgebraElement(xs, n)
+    bad = xs.copy()
+    bad[4, 1, 2] += 1e-6  # not skew-Hermitian
+    bad[1, 2, 3] += 1e-8
+    with pytest.raises(ValidationError, match=r"^not in u\(1,3\).* at stack row 4$") as exc:
+        AlgebraElement(bad, n)
+    assert exc.value.residual == _single_residual(AlgebraElement, bad[4], n)
+
+    gs = matrix_exp(AlgebraElement(xs, n)).matrix
+    GroupElement(gs, n)
+    bad = gs.copy()
+    bad[2] *= 1.0 + 1e-7  # not unitary for the form
+    bad[5] *= 1.0 + 1e-9
+    with pytest.raises(ValidationError, match=r"^not in U\(1,3\).* at stack row 2$") as exc:
+        GroupElement(bad, n)
+    assert exc.value.residual == _single_residual(GroupElement, bad[2], n)
+
+    pairs = [random_stiefel(rng, n) for _ in range(5)]
+    um = np.array([p.u_minus for p in pairs])
+    up = np.array([p.u_plus for p in pairs])
+    StiefelPoint(um, up)
+    um[3] *= 1.001  # off the quadric
+    um[0] *= 1.0 + 1e-6
+    with pytest.raises(ValidationError, match=r"^not an orthonormal.* at stack row 3$") as exc:
+        StiefelPoint(um, up)
+    assert exc.value.residual == _single_residual(StiefelPoint, um[3], up[3])
