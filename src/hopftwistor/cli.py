@@ -21,12 +21,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .fibration import curve_curvature
+from .fibration import AdSPoint, curve_curvature
 from .generator import (
     GeneratorForm,
+    _basis_values,
     commutator_residual,
     extra_curvature,
-    form_value,
     is_horosphere_data,
     maurer_cartan_residual,
     orbit_patch_from_form,
@@ -128,6 +128,10 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError(f"grid density must be >= 2, got {args.grid}")
     if not (0.0 < args.step <= 1e-2):
         raise ConfigError(f"fd step must lie in (0, 1e-2], got {args.step}")
+    if args.r is not None and not math.isfinite(args.r):
+        raise ConfigError(f"r must be a finite number, got {args.r}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     args.tol = dict(DEFAULT_TOLERANCES)
     for name, val in overrides.items():
         if name not in DEFAULT_TOLERANCES:
@@ -329,9 +333,15 @@ def _construction_checks(
 ) -> List[dict]:
     checks: List[dict] = []
     stride = max(1, len(grid) // 5)
-    for at in grid[::stride][:5]:
+    picked = grid[::stride][:5]
+    # One stack per chart map; each point is judged as patch.point judges it,
+    # in grid order.
+    stack = np.array(picked, dtype=float)
+    points = [AdSPoint(v).vec for v in np.asarray(patch.eval_func(stack), dtype=complex)]
+    normals = np.asarray(patch.normal_func(stack), dtype=complex)
+    for at, point, normal in zip(picked, points, normals):
         gp = grid_key(at)
-        pair = np.array([patch.point(at), patch.normal(at)])
+        pair = np.array([point, normal])
         gram = herm_form(pair[:, None], pair[None])
         rows = [
             ("quadric-residual", abs(gram[0, 0] + 1.0), "structure"),
@@ -465,8 +475,8 @@ def _form_checks(args: argparse.Namespace, f: GeneratorForm) -> List[dict]:
         make_check("two-path-witness", two_path_residual(f), 0.0, args.tol["witness"]),
     ]
     membership = 0.0
-    for e in np.eye(f.dim_g):
-        membership = max(membership, algebra_residual(form_value(f, e).matrix))
+    for x in _basis_values(f):
+        membership = max(membership, algebra_residual(x.matrix))
     checks.append(
         make_check("algebra-membership", membership, 0.0, args.tol["structure"])
     )
@@ -495,10 +505,23 @@ def _cmd_mc_check(args: argparse.Namespace) -> dict:
     return make_envelope(args.command, _echo(args, _constants_doc(kind, form)), checks)
 
 
+def _closed_forms(command):
+    """A command whose closed forms take cosh, sinh and exp of --r: a radius
+    beyond their float range is a configuration error, not a crash."""
+
+    def run(args: argparse.Namespace) -> dict:
+        try:
+            return command(args)
+        except OverflowError as exc:
+            raise ConfigError(f"r = {_g(args.r)} overflows a closed form ({exc})") from None
+
+    return run
+
+
 _COMMANDS = {
-    "verify-curves": _cmd_verify_curves,
-    "build-example": _cmd_build_example,
-    "verify-hopf": _cmd_verify_hopf,
+    "verify-curves": _closed_forms(_cmd_verify_curves),
+    "build-example": _closed_forms(_cmd_build_example),
+    "verify-hopf": _closed_forms(_cmd_verify_hopf),
     "cko-run": _cmd_cko_run,
     "mc-check": _cmd_mc_check,
 }

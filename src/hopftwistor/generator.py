@@ -21,7 +21,8 @@ single entry of the symmetric block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +63,10 @@ class GeneratorForm:
     every w1 slice must be alternating and every w2 slice symmetric, exactly.
     y0 and y1 must satisfy the wedge constraint
     y0(e_i).y1(e_j) = y0(e_j).y1(e_i).  Every entry must be finite.
+
+    The data is read-only, so the flatness residual and the form's values on
+    the coordinate basis are computed once per form and kept on it (they go
+    with the form, no module-level cache holds it).
     """
 
     alpha0: np.ndarray
@@ -125,6 +130,14 @@ class GeneratorForm:
     def dim_n(self) -> int:
         return self.x_form.shape[0] + 1
 
+    @cached_property
+    def _mc_residual(self) -> float:
+        return _structure_residual(self)
+
+    @cached_property
+    def _basis(self) -> Tuple[AlgebraElement, ...]:
+        return tuple(form_value(self, e) for e in np.eye(self.dim_g))
+
     def scalars(self) -> Tuple[float, float, float, float, float, float]:
         """(alpha0, alpha1, x, y0, y1, w) of an n = 2 (dim_g = 1) form."""
         if self.dim_g != 1:
@@ -185,7 +198,12 @@ def _wedge_scalar(s_i, s_j, t_i, t_j):
 def maurer_cartan_residual(f: GeneratorForm) -> float:
     """Max norm of the nine constant-coefficient structure equations over all
     coordinate pairs.  dim_g = 1 has no pairs and is flat by convention.
+    Computed once per form.
     """
+    return f._mc_residual
+
+
+def _structure_residual(f: GeneratorForm) -> float:
     g = f.dim_g
     if g < 2:
         return 0.0
@@ -244,9 +262,10 @@ def maurer_cartan_residual(f: GeneratorForm) -> float:
     return worst
 
 
-def _basis_values(f: GeneratorForm) -> List[AlgebraElement]:
-    """The form on each coordinate direction, in order."""
-    return [form_value(f, e) for e in np.eye(f.dim_g)]
+def _basis_values(f: GeneratorForm) -> Tuple[AlgebraElement, ...]:
+    """The form on each coordinate direction, in order; computed once per
+    form."""
+    return f._basis
 
 
 def commutator_residual(f: GeneratorForm) -> float:
@@ -420,7 +439,7 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
         label=f"form-orbit(n={n})",
         expected_mu=2.0,
     )
-    columns = _central_differences(eval_func, patch.center, np.eye(len(names)), FD_STEP)
+    columns, _ = _central_differences(eval_func, patch.center, np.eye(len(names)), FD_STEP)
     res = float(np.abs(real_form(columns[1:], patch.normal(patch.center))).max())
     if res > 1e-6:
         raise InputError(

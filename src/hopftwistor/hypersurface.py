@@ -35,10 +35,10 @@ from .report import make_check
 from .twistor import (
     StiefelPoint,
     _check_sign,
+    _connection,
     _tangent_coefficients,
     curve_coefficients,
     is_horizontal,
-    lift_coefficients,
 )
 
 GRID_DENSITY = 3
@@ -142,10 +142,15 @@ class HypersurfacePatch:
 
 
 class ShapeResult(NamedTuple):
+    """One grid point's shape operator and what came with it: the frame of
+    the matrix, the worst least-squares misfit of a velocity, the smallest
+    singular value of the rank gate, and the normal lift at the point."""
+
     matrix: np.ndarray
     frame: np.ndarray  # (dim, n+1): the horizontal frame, one vector per row
     lsq_residual: float
     min_singular: float
+    normal: np.ndarray  # (n+1,): patch.normal at the point
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,18 +311,21 @@ def _patch_from_lift(
     q_center = np.zeros(base_dim) if center is None else np.asarray(center, dtype=float)
     if q_center.size != base_dim:
         raise InputError("center size does not match base_dim")
-    probe = lift(q_center)
-    dim_n = probe.dim_n
+    # One lift of the center and of center +- fd_step along every base axis
+    # (the points lift_coefficients would lift one at a time); the center
+    # row also gives the dimension.
+    axes = np.eye(base_dim)
+    stencil = lift(
+        np.concatenate([[q_center + 0.0], q_center + fd_step * axes, q_center + -fd_step * axes])
+    )
+    um, up = stencil.u_minus, stencil.u_plus
+    dim_n = stencil.dim_n
 
     if check_horizontal:
+        here = (um[0], up[0])
         for axis in range(base_dim):
-            direction = np.zeros(base_dim)
-            direction[axis] = 1.0
-
-            def sliced(x: float, d=direction) -> StiefelPoint:
-                return lift(q_center + x * d)
-
-            co = lift_coefficients(sliced, 0.0, step=fd_step)
+            plus, minus = 1 + axis, 1 + base_dim + axis
+            co = _connection(here, (um[plus], up[plus]), (um[minus], up[minus]), fd_step)
             if not is_horizontal(sign, co, tol=1e-6):
                 raise InputError(
                     f"lift fails the {sign!r} horizontality condition on base "
@@ -384,13 +392,15 @@ def _realify(vecs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate([vecs.real, vecs.imag], axis=-1).T)
 
 
-def _central_differences(func, at: np.ndarray, directions, step: float) -> np.ndarray:
+def _central_differences(func, at: np.ndarray, directions, step: float):
     """One central difference (func(at + step*d) - func(at - step*d)) / (2*step)
-    per direction d, as the rows of a complex array.  func takes the whole
-    stencil, the points at + step*D over at - step*D, in one call."""
+    per direction d, as the rows of a complex array, and func(at).  func takes
+    the whole stencil, the points at + step*D over at - step*D and then at
+    itself, in one call."""
     steps = step * np.asarray(directions, dtype=float)
-    values = np.asarray(func(np.concatenate([at + steps, at - steps])), dtype=complex)
-    return (values[: len(steps)] - values[len(steps) :]) / (2 * step)
+    values = np.asarray(func(np.concatenate([at + steps, at - steps, at[None]])), dtype=complex)
+    m = len(steps)
+    return (values[:m] - values[m : 2 * m]) / (2 * step), values[-1]
 
 
 def shape_operator(
@@ -402,7 +412,9 @@ def shape_operator(
     """Finite-difference shape operator in an orthonormal horizontal frame.
 
     Steps, each on the whole stack of directions:
-    - chart Jacobian: one central difference per chart coordinate;
+    - chart Jacobian: one central difference per chart coordinate; the
+      stencil also carries the point itself, which is validated first as an
+      AdSPoint (the same check and text as patch.point);
     - rank gate: the projected non-fiber columns need a smallest singular
       value >= rank_tol;
     - frame: the structure direction (column t_index), then one row-wise
@@ -410,20 +422,23 @@ def shape_operator(
       accepted vector leaves all later columns at once; a column below norm
       1e-8 is skipped and removes nothing.  Every column thus gets the updates
       of the column-by-column loop, in its order, with the same bits;
-    - velocities: one least-squares solve per frame vector;
-    - normal derivative: one central difference along each velocity;
+    - velocities: one least-squares solve per frame vector; their misfits
+      |jac v - e| in one stacked product;
+    - normal derivative: one central difference along each velocity; that
+      stencil also carries the point, whose normal the result returns;
     - matrix: A[i,j] = <-D_{E_j} N, E_i>, one Gram call.  Pairing against
       horizontal frame vectors annihilates any vertical contamination.
+    Every value equals, bit for bit, the one computed point by point.
     """
     if patch.degenerate:
         raise ImmersionError(
             f"degenerate patch {patch.label!r}: {patch.degenerate_reason}"
         )
     at = np.asarray(at, dtype=float)
-    psi0 = patch.point(at)
+    columns, center = _central_differences(patch.eval_func, at, np.eye(len(at)), step)
+    psi0 = AdSPoint(center).vec
     dim = 2 * patch.dim_n - 1
 
-    columns = _central_differences(patch.eval_func, at, np.eye(len(at)), step)
     # Non-fiber columns, projected: row k - 1 belongs to chart coordinate k.
     projected = horizontal_part(tangent_project_ads(columns[1:], psi0), psi0, tol=1e-5)
     singulars = np.linalg.svd(_realify(projected), compute_uv=False)
@@ -452,16 +467,16 @@ def shape_operator(
     frame = np.array(frame)
 
     jac = _realify(columns)
-    targets = [_realify(e) for e in frame]
-    velocities = [np.linalg.lstsq(jac, t, rcond=None)[0] for t in targets]
-    lsq_residual = max(
-        float(np.linalg.norm(jac @ v - t)) for v, t in zip(velocities, targets)
-    )
-    derivatives = _central_differences(patch.normal, at, velocities, step)
+    targets = np.concatenate([frame.real, frame.imag], axis=-1)
+    velocities = np.array([np.linalg.lstsq(jac, t, rcond=None)[0] for t in targets])
+    # Row-times-column norms of the stacked misfits equal np.linalg.norm's.
+    misfits = (jac @ velocities[..., None])[..., 0] - targets
+    lsq_residual = float(np.sqrt(misfits[:, None, :] @ misfits[:, :, None]).max())
+    derivatives, normal = _central_differences(patch.normal_func, at, velocities, step)
     w = -horizontal_part(tangent_project_ads(derivatives, psi0), psi0, tol=1e-3)
     # matrix[i, j] = <w_j, e_i>
     matrix = real_form(w[None], frame[:, None])
-    return ShapeResult(matrix, frame, lsq_residual, min_singular)
+    return ShapeResult(matrix, frame, lsq_residual, min_singular, normal)
 
 
 def _point_report(patch, at, step, rank_tol):
@@ -481,9 +496,8 @@ def _point_report(patch, at, step, rank_tol):
     xi_slot = int(np.argmax(np.abs(eigvecs[0, :])))
     others = [i for i in range(eigvals.size) if i != xi_slot]
     regular = [i for i in others if abs(2.0 * eigvals[i] - mu) > PAIRING_DEGENERATE_TOL]
-    normal0 = patch.normal(at)
     ix = 1j * (eigvecs.T[regular] @ sr.frame)
-    phi_x = ix - real_form(ix, normal0)[:, None] * normal0
+    phi_x = ix - real_form(ix, sr.normal)[:, None] * sr.normal
     weights = np.abs(real_form(phi_x[:, None], sr.frame[None]) @ eigvecs)
     pairings = [
         pairing_residual(float(eigvals[i]), float(eigvals[j]), mu)

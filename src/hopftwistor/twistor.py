@@ -240,14 +240,26 @@ def lift_coefficients(
 ) -> LiftCoefficients:
     """Differentiate a one-parameter lift and split off the connection part.
 
-    Central differences at x; raises InputError when the reconstruction
-    residual shows the input does not stay on the Stiefel manifold.
+    Central differences at x from the lifts at x, x + step and x - step;
+    raises InputError when the reconstruction residual shows the input does
+    not stay on the Stiefel manifold.  _connection holds the arithmetic, for
+    callers that lift those three points as rows of one stack.
     """
-    here = lift(x)
-    plus, minus = lift(x + step), lift(x - step)
-    dum = (plus.u_minus - minus.u_minus) / (2.0 * step)
-    dup = (plus.u_plus - minus.u_plus) / (2.0 * step)
-    um, up = here.u_minus, here.u_plus
+    pairs = [(p.u_minus, p.u_plus) for p in (lift(x), lift(x + step), lift(x - step))]
+    return _connection(*pairs, step, recon_tol)
+
+
+_Pair = Tuple[np.ndarray, np.ndarray]
+
+
+def _connection(
+    here: _Pair, plus: _Pair, minus: _Pair, step: float, recon_tol: float = 1e-8
+) -> LiftCoefficients:
+    """lift_coefficients from the (u_minus, u_plus) vectors at x, x + step
+    and x - step."""
+    dum = (plus[0] - minus[0]) / (2.0 * step)
+    dup = (plus[1] - minus[1]) / (2.0 * step)
+    um, up = here
     # c[a, b] = ((d u_a, u_b)) with a, b in (minus, plus)
     (c_mm, c_mp), (c_pm, c_pp) = herm_form(
         np.array([dum, dup])[:, None], np.array([um, up])[None]

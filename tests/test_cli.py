@@ -1,9 +1,22 @@
+import argparse
 import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from hopftwistor import (
+    ValidationError,
+    herm_form,
+    horosphere,
+    horosphere_defining_residual,
+    tube_complex,
+    tube_real,
+)
+from hopftwistor import cli
 from hopftwistor.cli import main
+from hopftwistor.hypersurface import DEFAULT_TOLERANCES
 
 
 FLAT_FORM_DOC = {
@@ -248,3 +261,109 @@ def test_integer_beyond_float_range_is_config_error(tmp_path, capsys, command, k
     assert "config error: field" in captured.err
     assert "too large for a float" in captured.err
     assert captured.out == ""
+
+
+FAMILY_ARGS = {"plus": ["--s", "plus", "--k", "1"], "minus": ["--s", "minus"], "zero": ["--s", "zero"]}
+
+
+@pytest.mark.parametrize("command", ["verify-hopf", "build-example", "verify-curves"])
+@pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
+@pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
+def test_non_finite_radius_is_config_error(capsys, command, family, r):
+    assert main([command, "--n", "2", *FAMILY_ARGS[family], f"--r={r}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: r must be a finite number, got {float(r)}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify-hopf", "build-example", "verify-curves"])
+@pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
+@pytest.mark.parametrize("r", ["800", "-800"])
+def test_radius_beyond_the_float_range_is_config_error(capsys, command, family, r):
+    assert main([command, "--n", "2", *FAMILY_ARGS[family], f"--r={r}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: r = {r} overflows a closed form (math range error)\n"
+    assert captured.out == ""
+
+
+def test_plus_family_overflows_at_half_the_radius(capsys):
+    # -2coth(2r), the plus family's structure eigenvalue, overflows first.
+    assert main(["verify-hopf", "--n", "2", "--s", "plus", "--k", "1", "--r", "400"]) == 2
+    assert "config error: r = 400 overflows a closed form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cko-run", "--n", "2", "--seed", "-1"],
+        ["verify-curves", "--n", "2", "--s", "plus", "--r", "0.5", "--seed", "-3"],
+    ],
+)
+def test_negative_seed_is_config_error(capsys, args):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: seed must be >= 0, got {args[-1]}\n"
+    assert captured.out == ""
+
+
+# Recorded before the stencils carried their center point: the first grid
+# point fails the hyperquadric check, in verify_hopf for verify-hopf and in
+# the construction checks for build-example.
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        (
+            ["verify-hopf", "--n", "2", "--s", "zero", "--r", "8"],
+            "verification error: not on the hyperquadric: |((w,w))+1| = 3.730e-09\n",
+        ),
+        (
+            ["build-example", "--n", "3", "--s", "minus", "--r", "8"],
+            "verification error: not on the hyperquadric: |((w,w))+1| = 2.794e-09\n",
+        ),
+    ],
+)
+def test_large_radius_stderr_is_pinned(capsys, args, err):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out == ""
+
+
+def _point_construction_checks(patch, grid):
+    """Reference: the construction checks one grid point at a time, with
+    patch.point and patch.normal."""
+    rows = []
+    for at in grid[:: max(1, len(grid) // 5)][:5]:
+        pair = np.array([patch.point(at), patch.normal(at)])
+        gram = herm_form(pair[:, None], pair[None])
+        rows += [abs(gram[0, 0] + 1.0), abs(gram[1, 1] - 1.0), abs(gram[1, 0])]
+        if patch.sign == "zero":
+            rows.append(horosphere_defining_residual(pair[0], patch.r))
+    return rows
+
+
+def _construction_args():
+    return argparse.Namespace(tol=dict(DEFAULT_TOLERANCES))
+
+
+@pytest.mark.parametrize("patch", [tube_complex(3, 1, 0.7), tube_real(4, 2.3), horosphere(2, 0.5)])
+def test_construction_checks_equal_the_point_by_point_rows(patch):
+    grid = patch.grid()
+    got = [c["value"] for c in cli._construction_checks(_construction_args(), patch, grid)]
+    assert got == _point_construction_checks(patch, grid)
+
+
+def test_construction_checks_raise_for_the_first_point_off_the_quadric():
+    # Chart points with t > 0 are pushed off the hyperquadric; the stacked
+    # checks must raise what patch.point raises for the first of them.
+    base = horosphere(2, 0.5)
+    bent = dataclasses.replace(
+        base, eval_func=lambda at: base.eval_func(at) * (1.0 + 1e-6 * (at[..., 1:2] > 0))
+    )
+    grid = bent.grid()
+    with pytest.raises(ValidationError) as want:
+        _point_construction_checks(bent, grid)
+    with pytest.raises(ValidationError) as got:
+        cli._construction_checks(_construction_args(), bent, grid)
+    assert str(got.value) == str(want.value)
+    assert got.value.residual == want.value.residual

@@ -1,4 +1,7 @@
+import gc
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from hopftwistor import (
     two_path_residual,
     verify_hopf,
 )
+from hopftwistor import generator
+from hopftwistor.cli import main
 from hopftwistor.sampling import random_one_param
 
 
@@ -295,3 +300,74 @@ def test_stacked_orbit_chart_equals_the_per_point_product(rng, loop_exp):
             want = np.array([_point_orbit_chart(f, at, normal, loop_exp) for at in points])
             assert np.array_equal(func(points), want)
             assert np.array_equal(func(points[3]), want[3])
+
+
+def _fresh_basis(f):
+    return [form_value(f, e).matrix for e in np.eye(f.dim_g)]
+
+
+def test_form_cache_returns_the_uncached_value(rng):
+    forms = [
+        flat_form(x_form=np.eye(2)),
+        flat_form(alpha0=np.array([1.0, 0.0]), x_form=np.eye(2)),
+        random_one_param(np.random.default_rng(7)),
+    ]
+    for n in (4, 6):
+        y = rng.uniform(-1.0, 1.0, size=(n - 1, n - 1))
+        w1 = rng.uniform(-1.0, 1.0, size=(n - 1,) * 3)
+        forms.append(
+            GeneratorForm(
+                alpha0=rng.uniform(size=n - 1), alpha1=rng.uniform(size=n - 1),
+                x_form=rng.uniform(size=(n - 1, n - 1)), y0=y, y1=y,
+                w1=w1 - np.transpose(w1, (0, 2, 1)), w2=np.zeros((n - 1,) * 3),
+            )
+        )
+    for f in forms:
+        first = maurer_cartan_residual(f)
+        assert first == generator._structure_residual(f)
+        assert maurer_cartan_residual(f) == first
+        basis = generator._basis_values(f)
+        assert generator._basis_values(f) is basis
+        for got, want in zip(basis, _fresh_basis(f), strict=True):
+            assert np.array_equal(got.matrix, want)
+
+
+def test_form_cache_goes_with_the_form():
+    f = flat_form(x_form=np.eye(2))
+    maurer_cartan_residual(f)
+    generator._basis_values(f)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def _count_form_values(monkeypatch):
+    calls = []
+
+    def counting(f, y):
+        calls.append(1)
+        return form_value(f, y)
+
+    monkeypatch.setattr(generator, "form_value", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_cko_run_evaluates_the_form_once_per_direction(n, tmp_path, monkeypatch, rng):
+    y = rng.uniform(-1.0, 1.0, size=(n - 1, n - 1))
+    y *= 0.9 * (n - 1) / np.abs(y).sum(axis=0).max()
+    zeros = np.zeros((n - 1, n - 1)).tolist()
+    doc = {
+        "kind": "block-form", "alpha0": [0.0] * (n - 1), "alpha1": [0.0] * (n - 1),
+        "x_form": zeros, "y0": y.tolist(), "y1": y.tolist(),
+        "w1": np.zeros((n - 1,) * 3).tolist(), "w2": np.zeros((n - 1,) * 3).tolist(),
+    }
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(doc))
+    calls = _count_form_values(monkeypatch)
+    assert main(["cko-run", "--constants", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == n - 1
+    calls.clear()
+    assert main(["cko-run", "--n", "2", "--seed", "5", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1

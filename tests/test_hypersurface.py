@@ -10,10 +10,13 @@ from hopftwistor import (
     ImmersionError,
     InputError,
     StiefelPoint,
+    ValidationError,
     build_patch,
     cluster_eigenvalues,
     horosphere,
     horosphere_defining_residual,
+    is_horizontal,
+    lift_coefficients,
     pairing_residual,
     parallel_patch_residual,
     phi_project,
@@ -24,13 +27,15 @@ from hopftwistor import (
     tube_real,
     verify_hopf,
 )
+from hopftwistor import hypersurface
 from hopftwistor.fibration import (
     FD_STEP,
     horizontal_part,
     space_norm,
     tangent_project_ads,
 )
-from hopftwistor.hypersurface import _central_differences, _point_report
+from hopftwistor.generator import GeneratorForm, orbit_patch_from_form
+from hopftwistor.hypersurface import _central_differences, _point_report, _realify
 from hopftwistor.twistor import curve_coefficients, unit_tangent_lift
 
 
@@ -286,6 +291,105 @@ def test_redundant_coordinate_is_skipped_by_the_frame():
         assert np.array_equal(got.frame, want.frame)
 
 
+def _stencil(func, at, directions, step):
+    """Reference: the central differences of a stencil without its center."""
+    steps = step * np.asarray(directions, dtype=float)
+    values = np.asarray(func(np.concatenate([at + steps, at - steps])), dtype=complex)
+    return (values[: len(steps)] - values[len(steps) :]) / (2 * step)
+
+
+def _point_shape_operator(patch, at, step=FD_STEP, rank_tol=1e-6):
+    """Reference: shape_operator as it was before the stencils carried their
+    center: patch.point for the point, one least-squares misfit norm per
+    frame vector, and patch.normal for the normal."""
+    at = np.asarray(at, dtype=float)
+    psi0 = patch.point(at)
+    columns = _stencil(patch.eval_func, at, np.eye(len(at)), step)
+    projected = horizontal_part(tangent_project_ads(columns[1:], psi0), psi0, tol=1e-5)
+    min_singular = float(np.linalg.svd(_realify(projected), compute_uv=False)[-1])
+    assert min_singular >= rank_tol
+    seed = projected[patch.t_index - 1]
+    frame = [seed / space_norm(seed, psi0)]
+    rest = np.delete(projected, patch.t_index - 1, axis=0)
+    rest -= real_form(rest, frame[0])[:, None] * frame[0]
+    for i, vec in enumerate(rest):
+        norm = space_norm(vec, psi0)
+        if norm < 1e-8:
+            continue
+        e = vec / norm
+        frame.append(e)
+        rest[i + 1 :] -= real_form(rest[i + 1 :], e)[:, None] * e
+    frame = np.array(frame)
+    jac = _realify(columns)
+    targets = [_realify(e) for e in frame]
+    velocities = [np.linalg.lstsq(jac, t, rcond=None)[0] for t in targets]
+    lsq_residual = max(
+        float(np.linalg.norm(jac @ v - t)) for v, t in zip(velocities, targets)
+    )
+    derivatives = _stencil(patch.normal, at, velocities, step)
+    w = -horizontal_part(tangent_project_ads(derivatives, psi0), psi0, tol=1e-3)
+    matrix = real_form(w[None], frame[:, None])
+    return matrix, frame, lsq_residual, min_singular, patch.normal(at)
+
+
+def _flat_orbit_patch(n, rng):
+    y = rng.uniform(-1.0, 1.0, size=(n - 1, n - 1))
+    y *= 0.9 * (n - 1) / np.abs(y).sum(axis=0).max()
+    zeros = np.zeros((n - 1, n - 1))
+    form = GeneratorForm(
+        alpha0=np.zeros(n - 1), alpha1=np.zeros(n - 1), x_form=zeros,
+        y0=y, y1=y, w1=np.zeros((n - 1,) * 3), w2=np.zeros((n - 1,) * 3),
+    )
+    return orbit_patch_from_form(form)
+
+
+def _assert_shape_operator_is_the_point_path(patch, at, rank_tol=1e-6):
+    got = shape_operator(patch, at, rank_tol=rank_tol)
+    want = _point_shape_operator(patch, at, rank_tol=rank_tol)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda n, r: tube_complex(n, n // 2, r), tube_real, horosphere],
+    ids=["plus", "minus", "zero"],
+)
+def test_shape_operator_equals_the_point_by_point_path(build):
+    for n in range(2, 7):
+        for r in (0.7, 2.3):
+            patch = build(n, r)
+            for at in patch.grid(2, cap=3) + [patch.center]:
+                _assert_shape_operator_is_the_point_path(patch, at)
+
+
+def test_shape_operator_on_orbit_patches_equals_the_point_by_point_path(rng):
+    for n in (3, 4, 5, 6):
+        patch = _flat_orbit_patch(n, rng)
+        for at in patch.grid(2, cap=3) + [patch.center]:
+            _assert_shape_operator_is_the_point_path(patch, at)
+
+
+def test_shape_operator_on_a_redundant_coordinate_equals_the_point_by_point_path():
+    redundant = build_patch(
+        "zero", 0.5, lambda q: _horosphere_lift(q[[0, 2]]), base_dim=3
+    )
+    for at in ([0.0, 0.0, 0.0, 0.7, 0.0], [0.3, -0.2, 0.1, 0.7, 0.05]):
+        _assert_shape_operator_is_the_point_path(redundant, np.array(at), rank_tol=0)
+
+
+def test_shape_operator_validates_the_center_as_patch_point():
+    patch = horosphere(2, 8.0)
+    at = patch.grid()[0]
+    with pytest.raises(ValidationError) as point_error:
+        patch.point(at)
+    with pytest.raises(ValidationError) as stencil_error:
+        shape_operator(patch, at)
+    assert str(stencil_error.value) == str(point_error.value)
+    assert stencil_error.value.residual == point_error.value.residual
+
+
 def test_single_coordinate_lift_collapses_the_frame():
     one = build_patch(
         "zero", 0.5, lambda q: _horosphere_lift(np.array([q[0], 0.0])), base_dim=2
@@ -400,4 +504,48 @@ def test_central_differences_equal_the_per_direction_loop(sign, rng):
             [(func(at + step * d) - func(at - step * d)) / (2 * step) for d in directions],
             dtype=complex,
         )
-        assert np.array_equal(_central_differences(func, at, directions, step), want)
+        differences, center = _central_differences(func, at, directions, step)
+        assert np.array_equal(differences, want)
+        assert np.array_equal(center, func(at))
+
+
+def _gate_coefficients(monkeypatch, build):
+    """The LiftCoefficients that a patch's horizontality gate judges, in
+    axis order."""
+    seen = []
+
+    def recording(sign, co, tol):
+        seen.append(co)
+        return is_horizontal(sign, co, tol)
+
+    monkeypatch.setattr(hypersurface, "is_horizontal", recording)
+    build()
+    monkeypatch.undo()
+    return seen
+
+
+def _assert_gate_is_the_per_axis_loop(seen, point_lift, q_center):
+    assert len(seen) == q_center.size
+    for axis, got in enumerate(seen):
+        d = np.eye(q_center.size)[axis]
+        want = lift_coefficients(lambda x: point_lift(q_center + x * d), 0.0)
+        for field in ("alpha_minus", "alpha_plus", "beta", "w_minus", "w_plus", "residual"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("sign", sorted(FAMILIES))
+def test_horizontality_gate_equals_per_axis_lift_coefficients(sign, monkeypatch, loop_exp):
+    build, point_lift = FAMILIES[sign]
+    for n in range(2, 7):
+        seen = _gate_coefficients(monkeypatch, lambda: build(n, 0.7))
+        _assert_gate_is_the_per_axis_loop(
+            seen, lambda q: StiefelPoint(*point_lift(n, q, loop_exp)), np.zeros(2 * n - 2)
+        )
+
+
+def test_horizontality_gate_of_build_patch_equals_per_axis_lift_coefficients(monkeypatch):
+    center = np.array([0.1, -0.2])
+    seen = _gate_coefficients(
+        monkeypatch, lambda: build_patch("zero", 0.5, _horosphere_lift, base_dim=2, center=center)
+    )
+    _assert_gate_is_the_per_axis_loop(seen, _horosphere_lift, center)
