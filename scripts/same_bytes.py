@@ -17,6 +17,17 @@ go under --work (default .same_bytes/); record both sides with the same
 `diff` compares two records command by command, by position, and exits 1
 when any field differs.
 
+    python3 scripts/same_bytes.py diff --values before.json after.json
+
+`diff --values` is for changes that are not bitwise.  It exits 1 when any
+command differs in exit code, in the check names or their order, in a pass
+flag, in `certified`, or anywhere else in a report (config echo, expected
+values, tolerances) but the check values, or in stderr beyond its numbers.
+It prints, per check name (without grid point and index), how many values
+moved and the largest absolute and relative change of `value`, over the
+JSON and CSV reports on stdout and in --out files; then the stderr lines
+that differ only in numbers.
+
 The command set (460 commands):
 - the first 4 cycles of each benchmark workload (perfbench/inputs.py,
   seed 1) and the 24 commands of its full-range probe (seed 1);
@@ -36,9 +47,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
+import math
 import os
+import re
 import sys
 import warnings
 
@@ -191,7 +205,7 @@ def record(path: str, src: str, work: str) -> int:
     return 0
 
 
-def diff(path_a: str, path_b: str) -> int:
+def diff(path_a: str, path_b: str, values: bool = False) -> int:
     with open(path_a, encoding="utf-8") as fh:
         a = json.load(fh)["results"]
     with open(path_b, encoding="utf-8") as fh:
@@ -199,6 +213,8 @@ def diff(path_a: str, path_b: str) -> int:
     if len(a) != len(b):
         print(f"different command counts: {len(a)} vs {len(b)}")
         return 1
+    if values:
+        return diff_values(a, b)
     differing = 0
     for i, (x, y) in enumerate(zip(a, b)):
         fields = [k for k in ("argv", "rc", "stdout", "stderr", "out") if x[k] != y[k]]
@@ -211,6 +227,65 @@ def diff(path_a: str, path_b: str) -> int:
     return 1 if differing else 0
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+CSV_HEADER = "name,grid_point,index,value,expected,tolerance,pass\n"
+
+
+def _report(text):
+    """(everything but the check values, [(check name, value)]) of a JSON or
+    CSV report; None for any other text."""
+    if text and text.startswith(CSV_HEADER):
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        return [r[:3] + r[4:] for r in rows], [(r[0], float(r[3])) for r in rows]
+    try:
+        doc = json.loads(text or "")
+    except ValueError:
+        return None
+    if not isinstance(doc, dict) or "checks" not in doc:
+        return None
+    rest = dict(doc, checks=[{k: v for k, v in c.items() if k != "value"} for c in doc["checks"]])
+    return rest, [(re.split(r"[\[@]", c["name"])[0], c["value"]) for c in doc["checks"]]
+
+
+def diff_values(a: list, b: list) -> int:
+    failing = 0
+    moves: dict = {}
+    stderr_moves = []
+    for i, (x, y) in enumerate(zip(a, b)):
+        problems = [k for k in ("argv", "rc") if x[k] != y[k]]
+        for field in ("stdout", "out"):
+            if x[field] == y[field]:
+                continue
+            rx, ry = _report(x[field]), _report(y[field])
+            if rx is None or ry is None or rx[0] != ry[0]:
+                problems.append(field)
+                continue
+            for (name, vx), (_, vy) in zip(rx[1], ry[1]):
+                change = abs(vy - vx)
+                rel = change / abs(vx) if vx else (0.0 if change == 0 else math.inf)
+                count, worst, worst_rel = moves.get(name, (0, 0.0, 0.0))
+                moves[name] = (count + (change > 0), max(worst, change), max(worst_rel, rel))
+        if x["stderr"] != y["stderr"]:
+            if NUMBER.sub("#", x["stderr"]) == NUMBER.sub("#", y["stderr"]):
+                stderr_moves.append((i, x, y))
+            else:
+                problems.append("stderr")
+        if problems:
+            failing += 1
+            print(f"#{i} {' '.join(x['argv'])}: {', '.join(problems)} differ beyond values")
+    print(f"{'check':<24} {'moved':>6} {'max |change|':>13} {'max relative':>13}")
+    for name in sorted(moves):
+        count, worst, worst_rel = moves[name]
+        print(f"{name:<24} {count:>6} {worst:>13.3e} {worst_rel:>13.3e}")
+    for i, x, y in stderr_moves:
+        print(f"#{i} {' '.join(x['argv'])}: stderr differs in numbers only")
+        for lx, ly in zip(x["stderr"].splitlines(), y["stderr"].splitlines()):
+            if lx != ly:
+                print(f"  a: {lx}\n  b: {ly}")
+    print(f"{len(a) - failing} of {len(a)} commands agree in everything but values")
+    return 1 if failing else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="action", required=True)
@@ -221,10 +296,13 @@ def main(argv=None) -> int:
     cmp_ = sub.add_parser("diff", help="compare two records")
     cmp_.add_argument("a")
     cmp_.add_argument("b")
+    cmp_.add_argument(
+        "--values", action="store_true", help="allow check values to move; report by how much"
+    )
     args = parser.parse_args(argv)
     if args.action == "record":
         return record(args.path, args.src, args.work)
-    return diff(args.a, args.b)
+    return diff(args.a, args.b, args.values)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, GeometryError, NonFiniteCheckError
 from .fibration import AdSPoint, curve_curvature
 from .generator import (
     GeneratorForm,
@@ -535,11 +535,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     start = time.monotonic()
     try:
-        envelope = _COMMANDS[args.command](_validate(args))
+        # Values that overflow are judged where they land (a NaN or infinite
+        # residual fails its check), so numpy's overflow warnings add nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            envelope = _COMMANDS[args.command](_validate(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GeometryError as exc:
+    except (GeometryError, NonFiniteCheckError) as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,5 +40,11 @@ class ExceptionalPairError(GeometryError):
     belongs to the exceptional case and is reported separately."""
 
 
+class NonFiniteCheckError(ValueError):
+    """A check record got a value, expected value or tolerance that is not a
+    finite float: the measurement overflowed.  The CLI reports it as a
+    verification error (exit 1)."""
+
+
 class ConfigError(Exception):
     """Command-line / config-file validation failure (exit status 2)."""

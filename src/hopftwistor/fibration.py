@@ -48,7 +48,7 @@ class AdSPoint:
         v = np.asarray(self.vec, dtype=complex)
         object.__setattr__(self, "vec", v)
         res = abs(herm_form(v, v) + 1.0)
-        if res > self.tol:
+        if not (res <= self.tol):
             raise ValidationError(
                 f"not on the hyperquadric: |((w,w))+1| = {res:.3e}", residual=res
             )
@@ -109,7 +109,7 @@ def horizontal_part(x, w, tol: float = 1e-8) -> np.ndarray:
     wv = np.asarray(w, dtype=complex)
     xv = np.asarray(x, dtype=complex)
     tangency = float(np.abs(real_form(xv, wv)).max())
-    if tangency > tol:
+    if not (tangency <= tol):
         raise InputError(
             f"not tangent to the hyperquadric: <X,w> = {tangency:.3e}",
             residual=tangency,

@@ -299,7 +299,7 @@ def two_path_residual(f: GeneratorForm, delta: float = 0.5) -> float:
 
 def _require_flat(f: GeneratorForm, flat_tol: float) -> None:
     res = maurer_cartan_residual(f)
-    if res > flat_tol:
+    if not (res <= flat_tol):
         raise InputError(
             f"form is not flat (residual {res:.3e}); the product map is "
             f"path dependent"

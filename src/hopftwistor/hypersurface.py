@@ -199,7 +199,7 @@ def phi_project(patch: HypersurfacePatch, at, x, tol: float = 1e-6) -> np.ndarra
     psi = patch.point(at)
     xv = np.asarray(x, dtype=complex)
     res = max(abs(real_form(xv, psi)), abs(real_form(xv, 1j * psi)))
-    if res > tol:
+    if not (res <= tol):
         raise InputError(f"vector not horizontal-tangent: residual {res:.3e}")
     normal = patch.normal(at)
     ix = 1j * xv
@@ -422,13 +422,16 @@ def shape_operator(
       accepted vector leaves all later columns at once; a column below norm
       1e-8 is skipped and removes nothing.  Every column thus gets the updates
       of the column-by-column loop, in its order, with the same bits;
-    - velocities: one least-squares solve per frame vector; their misfits
-      |jac v - e| in one stacked product;
+    - velocities: one least-squares solve with every frame vector as a
+      right-hand side; their misfits |jac v - e| in one stacked product;
     - normal derivative: one central difference along each velocity; that
       stencil also carries the point, whose normal the result returns;
     - matrix: A[i,j] = <-D_{E_j} N, E_i>, one Gram call.  Pairing against
       horizontal frame vectors annihilates any vertical contamination.
-    Every value equals, bit for bit, the one computed point by point.
+    The point, frame, rank gate and normal equal, bit for bit, the ones
+    computed point by point.  The velocities of the one solve differ from
+    per-vector solves by rounding (a few u * cond(jac) * |v|), and the normal
+    derivative and the matrix with them.
     """
     if patch.degenerate:
         raise ImmersionError(
@@ -468,7 +471,10 @@ def shape_operator(
 
     jac = _realify(columns)
     targets = np.concatenate([frame.real, frame.imag], axis=-1)
-    velocities = np.array([np.linalg.lstsq(jac, t, rcond=None)[0] for t in targets])
+    # One solve for every frame vector; the velocities are kept row-major, as
+    # the per-vector solves gave them (the layout reaches the BLAS order of
+    # the normal stencil).
+    velocities = np.ascontiguousarray(np.linalg.lstsq(jac, targets.T, rcond=None)[0].T)
     # Row-times-column norms of the stacked misfits equal np.linalg.norm's.
     misfits = (jac @ velocities[..., None])[..., 0] - targets
     lsq_residual = float(np.sqrt(misfits[:, None, :] @ misfits[:, :, None]).max())

@@ -108,10 +108,10 @@ def _judge_rows(residuals, tol: float, message: str) -> None:
     """Judge a stack of residuals, one per row, against tol at once.
 
     Raises ValidationError(message.format(residual)) for the largest residual
-    above tol, naming its row when residuals is a stack.  A NaN residual
-    passes, as it did when rows were judged one at a time.
+    above tol, naming its row when residuals is a stack.  A row passes only
+    when its residual is <= tol, so a NaN residual fails (and is named first).
     """
-    over = residuals > tol
+    over = ~(residuals <= tol)
     if not over.any():
         return
     flat = int(np.argmax(np.where(over, residuals, -np.inf)))

@@ -17,6 +17,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from .errors import NonFiniteCheckError
+
 ARTIFACT_VERSION = "0.1.0"
 
 __all__ = [
@@ -32,7 +34,7 @@ __all__ = [
 def _as_float(x, label: str) -> float:
     f = float(x)
     if not math.isfinite(f):
-        raise ValueError(f"non-finite {label} in report")
+        raise NonFiniteCheckError(f"non-finite {label} in report: {f}")
     return f
 
 
@@ -45,7 +47,10 @@ def make_check(
     grid_point: str = "",
     index: Optional[int] = None,
 ) -> dict:
-    """One verification record.  passed defaults to the tolerance test."""
+    """One verification record.  passed defaults to the tolerance test.
+
+    Raises NonFiniteCheckError (a ValueError) for a non-finite value,
+    expected value or tolerance."""
     value = _as_float(value, f"value for {name!r}")
     expected = _as_float(expected, f"expected for {name!r}")
     tolerance = _as_float(tolerance, f"tolerance for {name!r}")

@@ -104,7 +104,7 @@ class TangentPair:
         object.__setattr__(self, "x_plus", xp)
         base = np.array([self.base.u_minus, self.base.u_plus])
         res = float(np.abs(herm_form(np.array([xm, xp])[:, None], base[None])).max())
-        if res > self.tol:
+        if not (res <= self.tol):
             raise ValidationError(
                 f"pair not orthogonal to the base: residual {res:.3e}", residual=res
             )
@@ -267,7 +267,7 @@ def _connection(
     w_minus = dum + c_mm * um - c_mp * up
     w_plus = dup + c_pm * um - c_pp * up
     residual = max(abs(c_mm.real), abs(c_pp.real), abs(c_pm + np.conj(c_mp)))
-    if residual > recon_tol:
+    if not (residual <= recon_tol):
         raise InputError(
             f"lift leaves the Stiefel manifold: residual {residual:.3e}",
             residual=residual,

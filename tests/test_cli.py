@@ -2,6 +2,10 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from hopftwistor import (
 from hopftwistor import cli
 from hopftwistor.cli import main
 from hopftwistor.hypersurface import DEFAULT_TOLERANCES
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 FLAT_FORM_DOC = {
@@ -327,6 +333,75 @@ def test_large_radius_stderr_is_pinned(capsys, args, err):
     captured = capsys.readouterr()
     assert captured.err == err
     assert captured.out == ""
+
+
+# Past the float range the Hermitian form gives NaN or inf; a NaN membership
+# residual must fail like a large one: exit 1, one stderr line, no report.
+@pytest.mark.parametrize(
+    "command, family, r, value",
+    [
+        (command, family, r, "inf" if r == "356" else "nan")
+        for command in ("verify-hopf", "build-example")
+        for family in ("minus", "zero")
+        for r in ("356", "500", "700")
+    ],
+)
+def test_overflowing_lift_is_a_verification_error(capsys, command, family, r, value):
+    assert main([command, "--n", "2", "--s", family, "--r", r]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"verification error: not on the hyperquadric: |((w,w))+1| = {value}\n"
+    assert captured.out == ""
+
+
+def _block_form_with(x_scale):
+    doc = json.loads(json.dumps(FLAT_FORM_DOC))
+    doc["x_form"] = [[x_scale, 0.0], [0.0, x_scale]]
+    return doc
+
+
+# A curve past the float range has a NaN tangency defect, which fails the
+# horizontal projection's tangency test.
+@pytest.mark.parametrize(
+    "family, r",
+    [(family, r) for family in ("plus", "minus", "zero") for r in ("150", "200", "300", "356", "500", "700")],
+)
+def test_overflowing_curve_is_a_verification_error(capsys, family, r):
+    assert main(["verify-curves", "--n", "2", "--s", family, "--r", r]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verification error: not tangent to the hyperquadric: <X,w> = nan\n"
+    assert captured.out == ""
+
+
+# A non-finite check value is refused by the report writer; the CLI names the
+# check in one verification-error line and exits 1.
+@pytest.mark.parametrize("command", ["mc-check", "cko-run"])
+def test_non_finite_check_value_is_a_verification_error(tmp_path, capsys, command):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(_block_form_with(1e200)))
+    assert main([command, "--constants", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "verification error: non-finite value for 'commutator-residual' in report: inf\n"
+    )
+    assert captured.out == ""
+
+
+def test_overflow_errors_print_one_line_and_no_traceback():
+    for args in (
+        ["verify-hopf", "--n", "2", "--s", "minus", "--r", "500"],
+        ["verify-curves", "--n", "2", "--s", "minus", "--r", "150"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopftwistor.cli", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("verification error: "), proc.stderr
 
 
 def _point_construction_checks(patch, grid):

@@ -371,3 +371,9 @@ def test_cko_run_evaluates_the_form_once_per_direction(n, tmp_path, monkeypatch,
     calls.clear()
     assert main(["cko-run", "--n", "2", "--seed", "5", "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 1
+
+
+def test_product_group_map_refuses_a_nan_flatness_residual(monkeypatch):
+    monkeypatch.setattr(generator, "maurer_cartan_residual", lambda f: math.nan)
+    with pytest.raises(InputError, match=r"^form is not flat \(residual nan\)"):
+        product_group_map(flat_form(x_form=np.eye(2)), [0.3, -0.2])

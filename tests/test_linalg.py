@@ -222,3 +222,25 @@ def test_stack_validation_names_the_worst_row(rng):
     with pytest.raises(ValidationError, match=r"^not an orthonormal.* at stack row 3$") as exc:
         StiefelPoint(um, up)
     assert exc.value.residual == _single_residual(StiefelPoint, um[3], up[3])
+
+
+def test_nan_residual_fails_and_is_named():
+    from hopftwistor.fibration import AdSPoint
+    from hopftwistor.linalg import _judge_rows
+
+    _judge_rows(np.array([0.0, 1e-11]), 1e-10, "bad {:.3e}")
+    with pytest.raises(ValidationError, match=r"^bad nan at stack row 1$"):
+        _judge_rows(np.array([0.0, np.nan, 1.0]), 1e-10, "bad {:.3e}")
+    with pytest.raises(ValidationError, match=r"^bad nan$"):
+        _judge_rows(np.float64(np.nan), 1e-10, "bad {:.3e}")
+    with pytest.raises(ValidationError, match=r"= nan$"):
+        AdSPoint(np.array([np.nan, 0.0, 0.0], dtype=complex))
+    um = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]], dtype=complex)
+    up = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
+    with pytest.raises(ValidationError, match=r"^not an orthonormal.*nan at stack row 1$"):
+        StiefelPoint(um, up)
+    bad = np.zeros((2, 3, 3), dtype=complex)
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        GroupElement(bad, 2)
+    assert math.isnan(group_residual(bad)[1])

@@ -1,0 +1,66 @@
+"""The 50-digit oracle of scripts/oracle.py, spot-checked.
+
+tests/oracle_reference.json holds the oracle's values for the checks of the
+golden commands (written by `python3 scripts/oracle.py record`).  Here one
+grid point per family at n = 4 is recomputed at 50 digits and must give the
+recorded values; the package's float64 values at that point must lie within
+32 u max|Psi| / h of them (u = 2^-53, h the step; measured up to about 5).
+"""
+
+import importlib.util
+import json
+import math
+import pathlib
+
+import mpmath  # noqa: F401  (the oracle needs it; a missing mpmath fails here)
+import numpy as np
+import pytest
+
+from hopftwistor import hypersurface
+from hopftwistor.fibration import FD_STEP
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("oracle", ROOT / "scripts" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+
+REFERENCE = json.loads((ROOT / "tests" / "oracle_reference.json").read_text())
+GOLDEN = json.loads((ROOT / "tests" / "golden_reports.json").read_text())
+ROUNDING_MULTIPLE = 32
+
+
+def _close(a, b):
+    return math.isclose(a, b, rel_tol=1e-13, abs_tol=1e-60)
+
+
+@pytest.mark.parametrize("case", oracle.SPOT_CASES)
+def test_oracle_recomputes_its_reference_point(case):
+    patch, _, at = oracle.spot_patch(GOLDEN[case])
+    want = REFERENCE["spot"][case]
+    assert [float(a) for a in at] == want["at"]
+    got = oracle.spot_values(GOLDEN[case])["values"]
+    assert sorted(got) == sorted(want["values"])
+    for key, value in want["values"].items():
+        values = value if isinstance(value, list) else [value]
+        mine = got[key] if isinstance(got[key], list) else [got[key]]
+        assert len(mine) == len(values), key
+        assert all(_close(a, b) for a, b in zip(mine, values)), key
+
+    # The package at the same point: float64 rounding away from the oracle.
+    package = hypersurface._point_report(patch, at, FD_STEP, hypersurface.RANK_TOL)
+    bound = ROUNDING_MULTIPLE * 2.0**-53 * got["psi_max"] / FD_STEP
+    for key in ("mu", "hopf", "symmetry", "lsq"):
+        assert abs(package[key] - got[key]) <= bound, key
+    for key in ("eigvals", "pairings"):
+        assert len(package[key]) == len(got[key]), key
+        assert np.abs(np.subtract(package[key], got[key])).max(initial=0.0) <= bound, key
+
+
+def test_reference_covers_the_golden_checks():
+    assert sorted(REFERENCE["cases"]) == sorted(GOLDEN)
+    for name, case in REFERENCE["cases"].items():
+        report = GOLDEN[name]["report"]
+        assert case["args"] == GOLDEN[name]["args"]
+        assert case["exit"] == GOLDEN[name]["exit"]
+        assert case["certified"] == report["certified"]
+        assert [row for row, _ in case["checks"]] == [c["name"] for c in report["checks"]]

@@ -183,3 +183,12 @@ def test_normalize_lift_1d_kills_gauge_part(canonical_pair):
     assert abs(cf.alpha_minus) <= 1e-6
     assert abs(cf.alpha_plus) <= 1e-6
     assert abs(cf.beta) <= 1e-6
+
+
+def test_lift_coefficients_refuse_a_nan_reconstruction(canonical_pair):
+    from hopftwistor.twistor import _connection
+
+    here = (canonical_pair.u_minus, canonical_pair.u_plus)
+    plus = (np.full(3, np.nan, dtype=complex), canonical_pair.u_plus)
+    with pytest.raises(InputError, match=r"leaves the Stiefel manifold: residual nan$"):
+        _connection(here, plus, here, 1e-4)
