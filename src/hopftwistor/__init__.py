@@ -14,14 +14,10 @@ from .errors import (
 )
 from .fibration import (
     AdSPoint,
-    CHPoint,
     CurvatureResult,
     ParamCurve,
-    canonical_rep,
-    ch_equal,
     curve_curvature,
     horizontal_part,
-    numeric_derivative,
     space_norm,
     tangent_project_ads,
 )
@@ -46,11 +42,8 @@ from .hypersurface import (
     horosphere,
     horosphere_defining_residual,
     pairing_residual,
-    parallel_patch_residual,
-    phi_project,
     pick_extra_eigenvalue,
     shape_operator,
-    structure_lift,
     tube_complex,
     tube_real,
     verify_hopf,
@@ -70,15 +63,11 @@ from .twistor import (
     LiftCoefficients,
     StiefelPoint,
     TangentPair,
-    TwistorClass,
-    gauge_apply,
     is_horizontal,
     lift_coefficients,
     model_curve,
-    normalize_lift_1d,
     para_apply,
     parallel_shift_residual,
-    twistor_equivalent,
     unit_tangent_lift,
 )
 

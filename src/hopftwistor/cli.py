@@ -20,9 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, NonFiniteCheckError
+from .errors import ConfigError, GeometryError, InputError, NonFiniteCheckError
 from .fibration import AdSPoint, curve_curvature
 from .generator import (
+    RHO_HEIGHTS,
     GeneratorForm,
     _basis_values,
     commutator_residual,
@@ -35,6 +36,7 @@ from .generator import (
 )
 from .hypersurface import (
     DEFAULT_TOLERANCES,
+    GRID_CAP,
     HypersurfacePatch,
     ShapeReport,
     grid_key,
@@ -51,7 +53,6 @@ from .twistor import SIGNS, StiefelPoint, model_curve, parallel_shift_residual
 
 DEFAULT_RADII = (-1.0, -0.5, 0.2, 0.5, 1.0)
 PARALLEL_SHIFTS = (-0.7, -0.3, 0.0, 0.4, 0.8)
-RHO_HEIGHTS = (0.5, 1.0, 2.0)
 
 # Verifier rows that the orbit commands print; the one-parameter battery adds
 # the symmetry and least-squares rows.  "mu" is the median over the grid.
@@ -284,6 +285,14 @@ def _build_classical(args: argparse.Namespace) -> HypersurfacePatch:
         raise ConfigError(f"cannot build the requested example: {exc}")
 
 
+def _grid(patch: HypersurfacePatch, density: int, cap: int = GRID_CAP) -> list:
+    """patch.grid; a grid too large to index is a configuration error."""
+    try:
+        return patch.grid(density, cap)
+    except InputError as exc:
+        raise ConfigError(f"cannot build the grid: {exc}")
+
+
 def _spectrum_checks(
     args: argparse.Namespace, patch: HypersurfacePatch, rep: ShapeReport
 ) -> List[dict]:
@@ -360,7 +369,7 @@ def _construction_checks(
 
 def _cmd_build_example(args: argparse.Namespace) -> dict:
     patch = _build_classical(args)
-    grid = patch.grid(args.grid)
+    grid = _grid(patch, args.grid)
     checks = _construction_checks(args, patch, grid)
     rep = verify_hopf(patch, grid, step=args.step, tolerances=args.tol)
     checks += rep.checks
@@ -370,7 +379,7 @@ def _cmd_build_example(args: argparse.Namespace) -> dict:
 
 def _cmd_verify_hopf(args: argparse.Namespace) -> dict:
     patch = _build_classical(args)
-    grid = patch.grid(args.grid)
+    grid = _grid(patch, args.grid)
     rep = verify_hopf(patch, grid, step=args.step, tolerances=args.tol)
     checks = _construction_checks(args, patch, grid)
     checks += rep.checks
@@ -404,7 +413,7 @@ def _orbit_checks(
         patch = orbit_patch_from_form(form)
         rep = verify_hopf(
             patch,
-            patch.grid(2, cap=4) if grid is None else grid,
+            _grid(patch, 2, cap=4) if grid is None else grid,
             step=args.step,
             tolerances=args.tol,
         )

@@ -1,6 +1,5 @@
 """The circle fibration of the anti-de Sitter hyperquadric over complex
-hyperbolic space: projections, representatives, and finite-difference curve
-geometry.
+hyperbolic space: projections and finite-difference curve geometry.
 
 A point of the base is an S^1-orbit {e^{i theta} w}; we always compute on an
 explicit representative w with ((w,w)) = -1.  "Horizontal" means orthogonal
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,15 +23,11 @@ FD_STEP = 1e-4
 __all__ = [
     "FD_STEP",
     "AdSPoint",
-    "CHPoint",
     "ParamCurve",
     "CurvatureResult",
     "horizontal_part",
     "tangent_project_ads",
-    "numeric_derivative",
     "curve_curvature",
-    "ch_equal",
-    "canonical_rep",
     "space_norm",
 ]
 
@@ -55,27 +50,15 @@ class AdSPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class CHPoint:
-    """A point of the base, stored as a chosen orbit representative."""
-
-    rep: AdSPoint
-
-
-@dataclass(frozen=True, eq=False)
 class ParamCurve:
     """A curve t -> hyperquadric, evaluated on raw coordinate vectors.
 
     func returns the vector; point() wraps it with the membership check.
-    domain is a closed interval.
     """
 
     func: Callable[[float], np.ndarray]
-    domain: Tuple[float, float] = (-math.inf, math.inf)
 
     def at(self, t: float) -> np.ndarray:
-        lo, hi = self.domain
-        if not (lo <= t <= hi):
-            raise InputError(f"parameter {t} outside domain [{lo}, {hi}]")
         return np.asarray(self.func(t), dtype=complex)
 
     def point(self, t: float) -> AdSPoint:
@@ -128,21 +111,6 @@ def tangent_project_ads(x, w) -> np.ndarray:
     return xv + np.asarray(real_form(xv, wv))[..., None] * wv
 
 
-def numeric_derivative(
-    curve: ParamCurve, t: float, step: float = FD_STEP, richardson: bool = False
-) -> np.ndarray:
-    """Central difference, O(step^2); one Richardson level on request."""
-    lo, hi = curve.domain
-    if not (lo <= t - step and t + step <= hi):
-        raise InputError(f"stencil [{t - step}, {t + step}] outside domain")
-    coarse = (curve.at(t + step) - curve.at(t - step)) / (2.0 * step)
-    if not richardson:
-        return coarse
-    h = step / 2.0
-    fine = (curve.at(t + h) - curve.at(t - h)) / (2.0 * h)
-    return (4.0 * fine - coarse) / 3.0
-
-
 def curve_curvature(
     curve: ParamCurve, t: float, step: float = FD_STEP
 ) -> CurvatureResult:
@@ -190,16 +158,3 @@ def curve_curvature(
     if res_plus <= res_minus:
         return CurvatureResult(kappa, res_plus, 1)
     return CurvatureResult(kappa, res_minus, -1)
-
-
-def ch_equal(a: CHPoint, b: CHPoint, tol: float = 1e-9) -> bool:
-    """Same fiber iff |((a, b))| = 1 within tol."""
-    return abs(abs(herm_form(a.rep.vec, b.rep.vec)) - 1.0) <= tol
-
-
-def canonical_rep(p: CHPoint, tol: float = 1e-12) -> CHPoint:
-    """Deterministic representative: first coordinate above tol made real positive."""
-    v = p.rep.vec
-    idx = int(np.argmax(np.abs(v) > tol))
-    phase = v[idx] / abs(v[idx])
-    return CHPoint(AdSPoint(v / phase))

@@ -42,6 +42,7 @@ __all__ = [
     "two_path_residual",
     "product_group_map",
     "orbit_patch_from_form",
+    "RHO_HEIGHTS",
     "extra_curvature",
     "is_horosphere_data",
     "parse_constants",
@@ -337,6 +338,17 @@ def is_horosphere_data(f: GeneratorForm) -> bool:
     return y0 == y1
 
 
+# The heights lam at which the one-parameter battery checks rho.
+RHO_HEIGHTS = (0.5, 1.0, 2.0)
+
+
+def _transverse_terms(f: GeneratorForm, lam: float) -> Tuple[float, float]:
+    """(a, b) of extra_curvature at height lam."""
+    a0, a1, _, y0, y1, w = f.scalars()
+    a = lam * (2.0 * w - a0 - a1) + 2.0 * y1 + 3.0 * lam * lam * (y0 - y1)
+    return a, a + 2.0 * (y0 - y1)
+
+
 def extra_curvature(f: GeneratorForm, lam: float) -> float:
     """Closed form of the transverse principal curvature at height lam, for
     an n = 2 form.
@@ -344,10 +356,8 @@ def extra_curvature(f: GeneratorForm, lam: float) -> float:
     rho = a/b with a = lam(2w - a0 - a1) + 2 y1 + 3 lam^2 (y0 - y1) and
     b = a + 2(y0 - y1); b = 0 means the transverse direction collapses.
     """
-    a0, a1, _, y0, y1, w = f.scalars()
     lam = float(lam)
-    a = lam * (2.0 * w - a0 - a1) + 2.0 * y1 + 3.0 * lam * lam * (y0 - y1)
-    b = a + 2.0 * (y0 - y1)
+    a, b = _transverse_terms(f, lam)
     if abs(b) <= 1e-10:
         raise ImmersionError(
             f"transverse direction collapses at lam = {lam}: b = {b:.3e}"

@@ -17,6 +17,7 @@ in circulation for these examples.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -79,8 +80,6 @@ __all__ = [
     "ShapeResult",
     "ShapeReport",
     "build_patch",
-    "structure_lift",
-    "phi_project",
     "shape_operator",
     "verify_hopf",
     "pairing_residual",
@@ -91,7 +90,6 @@ __all__ = [
     "tube_real",
     "horosphere",
     "horosphere_defining_residual",
-    "parallel_patch_residual",
 ]
 
 
@@ -131,12 +129,19 @@ class HypersurfacePatch:
 
     def grid(self, density: int = GRID_DENSITY, cap: int = GRID_CAP) -> List[np.ndarray]:
         """Lexicographic product grid over the chart ranges, subsampled to cap;
-        only the kept points are decoded from their lexicographic indices."""
+        only the kept points are decoded from their lexicographic indices.
+        More than 2^63 - 1 points raise InputError before any allocation; the
+        kept indices, spaced in floating point, are clipped to the last point."""
         if density < 2:
             raise InputError("grid density must be >= 2")
+        total = operator.index(density) ** len(self.ranges)
+        if total > np.iinfo(np.int64).max:
+            raise InputError(
+                f"a grid of {density}^{len(self.ranges)} points exceeds the int64 index range"
+            )
         axes = [np.linspace(lo, hi, density) for lo, hi in self.ranges]
-        total = density ** len(axes)
-        keep = np.unique(np.round(np.linspace(0, total - 1, min(cap, total))).astype(int))
+        spaced = np.round(np.linspace(0, total - 1, min(cap, total))).tolist()
+        keep = np.unique([min(int(i), total - 1) for i in spaced])
         digits = np.unravel_index(keep, (density,) * len(axes))
         return list(np.stack([ax[d] for ax, d in zip(axes, digits)], axis=1))
 
@@ -170,8 +175,6 @@ class ShapeReport:
     eigenvalues: Tuple[Tuple[float, int], ...]
     eigenvalues_opposite: Tuple[Tuple[float, int], ...]
     hopf_residual: float
-    symmetry_residual: float
-    lsq_residual: float
     pairing_residuals: Tuple[float, ...]
     exceptional_pairs: int
     checks: Tuple[dict, ...]
@@ -184,26 +187,6 @@ class ShapeReport:
 
 def grid_key(at) -> str:
     return "(" + ",".join(format(float(c), ".6g") for c in np.asarray(at).ravel()) + ")"
-
-
-def structure_lift(patch: HypersurfacePatch, at) -> np.ndarray:
-    """Horizontal lift of the structure vector: -i times the normal lift."""
-    return -1j * patch.normal(at)
-
-
-def phi_project(patch: HypersurfacePatch, at, x, tol: float = 1e-6) -> np.ndarray:
-    """Tangential part of the complex structure applied to a tangent vector.
-
-    phi X = iX - <iX, N> N.  Requires x tangent and horizontal at the point.
-    """
-    psi = patch.point(at)
-    xv = np.asarray(x, dtype=complex)
-    res = max(abs(real_form(xv, psi)), abs(real_form(xv, 1j * psi)))
-    if not (res <= tol):
-        raise InputError(f"vector not horizontal-tangent: residual {res:.3e}")
-    normal = patch.normal(at)
-    ix = 1j * xv
-    return ix - real_form(ix, normal) * normal
 
 
 def pairing_residual(lam: float, lam_star: float, mu: float, c: float = -1.0) -> float:
@@ -622,8 +605,6 @@ def verify_hopf(
         eigenvalues=clusters,
         eigenvalues_opposite=tuple((-v, m) for v, m in reversed(clusters)),
         hopf_residual=hopf,
-        symmetry_residual=symmetry,
-        lsq_residual=lsq,
         pairing_residuals=pairings,
         exceptional_pairs=sum(p["exceptional"] for p in points),
         checks=tuple(checks),
@@ -772,17 +753,3 @@ def horosphere_defining_residual(vec, r: float) -> float:
     """| |z_0 - z_1|^2 - e^{2r} | for a point of the lifted horosphere."""
     v = np.asarray(vec, dtype=complex)
     return abs(abs(v[0] - v[1]) ** 2 - math.exp(2.0 * r))
-
-
-def parallel_patch_residual(
-    patch: HypersurfacePatch,
-    shifted: HypersurfacePatch,
-    r_prime: float,
-    at,
-) -> float:
-    """|| cosh r' Psi_r + sinh r' N_r - Psi_{r+r'} || at one chart point."""
-    base = patch.point(at)
-    normal = patch.normal(at)
-    target = shifted.point(at)
-    diff = math.cosh(r_prime) * base + math.sinh(r_prime) * normal - target
-    return float(np.linalg.norm(diff))

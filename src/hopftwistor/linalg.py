@@ -163,11 +163,6 @@ class GroupElement:
             f"not in U(1,{self.dim_n}): residual {{:.3e}} > tol {self.tol:.1e}",
         )
 
-    def apply(self, z) -> np.ndarray:
-        """A z for a vector z, or for each vector of a stack; a stacked
-        element maps a vector by each of its matrices."""
-        return _as_vec(z) @ np.swapaxes(self.matrix, -1, -2)
-
     def compose(self, other: "GroupElement") -> "GroupElement":
         """The product, matrix by matrix for stacks."""
         return GroupElement(self.matrix @ other.matrix, self.dim_n, max(self.tol, other.tol))

@@ -12,9 +12,11 @@ import numpy as np
 
 from .errors import InputError
 from .generator import (
+    RHO_HEIGHTS,
     GeneratorForm,
     _documented_degeneracy,
     _scalar_form,
+    _transverse_terms,
     extra_curvature,
 )
 from .linalg import AlgebraElement, herm_form, signature_matrix
@@ -26,9 +28,6 @@ __all__ = [
     "random_algebra",
     "random_one_param",
 ]
-
-_RHO_LAMBDAS = (0.5, 1.0, 2.0)
-
 
 def _complex_vec(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -91,7 +90,7 @@ def random_one_param(
     horosphere data, where y1 is forced equal to y0) transverse curvature
     separated from both 1 and 2 so eigenvalue identification stays sharp.
     """
-    heights = np.concatenate([np.linspace(0.4, 2.2, 19), _RHO_LAMBDAS])
+    heights = np.concatenate([np.linspace(0.4, 2.2, 19), RHO_HEIGHTS])
     for _ in range(256):
         vals = rng.uniform(-1.0, 1.0, size=6)
         if horosphere:
@@ -101,22 +100,11 @@ def random_one_param(
         gen = _scalar_form(*vals)
         if _documented_degeneracy(gen):
             continue
-        a0, a1, _, y0, y1, w = gen.scalars()
-        ok = True
-        for lam in heights:
-            a = lam * (2 * w - a0 - a1) + 2 * y1 + 3 * lam * lam * (y0 - y1)
-            b = a + 2 * (y0 - y1)
-            if abs(b) < 0.15:
-                ok = False
-                break
-        if not ok:
+        if any(abs(_transverse_terms(gen, lam)[1]) < 0.15 for lam in heights):
             continue
-        if not horosphere:
-            for lam in _RHO_LAMBDAS:
-                rho = extra_curvature(gen, lam)
-                if abs(rho - 1.0) < 2e-3 or abs(rho - 2.0) < 2e-3:
-                    ok = False
-                    break
-        if ok:
+        if horosphere or not any(
+            abs(rho - 1.0) < 2e-3 or abs(rho - 2.0) < 2e-3
+            for rho in (extra_curvature(gen, lam) for lam in RHO_HEIGHTS)
+        ):
             return gen
     raise InputError("failed to draw admissible constants")

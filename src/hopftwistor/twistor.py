@@ -1,10 +1,8 @@
-"""Orthonormal timelike/spacelike pairs, the para-quaternionic frame, twistor
-classes with their gauge actions, the three model curve families, and the
-horizontal-lift calculus.
+"""Orthonormal timelike/spacelike pairs, the para-quaternionic frame, the
+three model curve families, and the horizontal-lift calculus.
 
 A pair p = (u_minus, u_plus) satisfies ((u-,u-)) = -1, ((u+,u+)) = 1,
-((u-,u+)) = 0.  All quotient objects are handled through representatives plus
-equivalence predicates; nothing is canonicalized.
+((u-,u+)) = 0.
 
 The sign argument below is one of the strings "plus", "minus", "zero",
 matching the three twistor bundles (fiber structures squaring to -1, +1, 0).
@@ -30,7 +28,6 @@ __all__ = [
     "HORIZONTAL_TOL",
     "StiefelPoint",
     "TangentPair",
-    "TwistorClass",
     "LiftCoefficients",
     "para_apply",
     "model_curve",
@@ -39,9 +36,6 @@ __all__ = [
     "parallel_shift_residual",
     "lift_coefficients",
     "is_horizontal",
-    "gauge_apply",
-    "twistor_equivalent",
-    "normalize_lift_1d",
 ]
 
 
@@ -108,20 +102,6 @@ class TangentPair:
             raise ValidationError(
                 f"pair not orthogonal to the base: residual {res:.3e}", residual=res
             )
-
-
-@dataclass(frozen=True, eq=False)
-class TwistorClass:
-    """A twistor-space point: a sign and a Stiefel representative."""
-
-    sign: str
-    rep: StiefelPoint
-
-    def __post_init__(self):
-        _check_sign(self.sign)
-
-    def equivalent_to(self, other: "TwistorClass", tol: float = 1e-8) -> bool:
-        return twistor_equivalent(self, other, tol)
 
 
 def para_apply(k: int, v: TangentPair) -> TangentPair:
@@ -300,122 +280,3 @@ def is_horizontal(sign: str, c: LiftCoefficients, tol: float = HORIZONTAL_TOL) -
         abs(c.alpha_minus - c.alpha_plus - 2.0 * c.beta.real) <= tol
         and abs(c.beta.imag) <= tol
     )
-
-
-def gauge_apply(sign: str, theta: float, t: float, p: StiefelPoint) -> StiefelPoint:
-    """The fiber gauge action on representatives for the given sign."""
-    _check_sign(sign)
-    um, up = p.u_minus, p.u_plus
-    if sign == "plus":
-        return StiefelPoint(
-            np.exp(1j * (theta + t)) * um,
-            np.exp(1j * (theta - t)) * up,
-        )
-    if sign == "minus":
-        ph = np.exp(1j * theta)
-        return StiefelPoint(
-            ph * (math.cosh(t) * um + math.sinh(t) * up),
-            ph * (math.sinh(t) * um + math.cosh(t) * up),
-        )
-    ph = np.exp(1j * theta)
-    return StiefelPoint(
-        ph * ((1.0 + 1j * t) * um + t * up),
-        ph * (t * um + (1.0 - 1j * t) * up),
-    )
-
-
-def twistor_equivalent(a: TwistorClass, b: TwistorClass, tol: float = 1e-8) -> bool:
-    """Same twistor point iff some gauge parameters map one rep to the other.
-
-    The candidate parameters are reconstructed in closed form from the
-    Hermitian pairings of the two representatives, then checked by applying
-    the action; no search is involved.
-    """
-    if a.sign != b.sign:
-        return False
-    p, q = a.rep, b.rep
-    if p.u_minus.shape != q.u_minus.shape:
-        return False
-    coef_a = -herm_form(q.u_minus, p.u_minus)
-    coef_b = herm_form(q.u_minus, p.u_plus)
-    if a.sign == "plus":
-        th_sum = float(np.angle(coef_a)) if abs(coef_a) > 1e-14 else 0.0
-        coef_c = herm_form(q.u_plus, p.u_plus)
-        th_diff = float(np.angle(coef_c)) if abs(coef_c) > 1e-14 else 0.0
-        theta, t = (th_sum + th_diff) / 2.0, (th_sum - th_diff) / 2.0
-    elif a.sign == "minus":
-        if abs(coef_a + coef_b) < 1e-12:
-            return False
-        t = math.log(abs(coef_a + coef_b))
-        theta = float(np.angle(coef_a + coef_b))
-    else:
-        probe = coef_a - 1j * coef_b
-        if abs(probe) < 1e-12:
-            return False
-        theta = float(np.angle(probe))
-        t = float((coef_b * np.exp(-1j * theta)).real)
-    moved = gauge_apply(a.sign, theta, t, p)
-    res = max(
-        float(np.linalg.norm(moved.u_minus - q.u_minus)),
-        float(np.linalg.norm(moved.u_plus - q.u_plus)),
-    )
-    return res <= tol
-
-
-def normalize_lift_1d(
-    lift: Callable[[float], StiefelPoint],
-    sign: str,
-    x0: float,
-    step: float = FD_STEP,
-    ode_step: float = 1e-2,
-    tol: float = HORIZONTAL_TOL,
-) -> Callable[[float], StiefelPoint]:
-    """Gauge a horizontal 1-d lift so its connection coefficients vanish.
-
-    Integrates the gauge rates
-        plus:         dtheta = -(a- + a+)/2,  dt = (a+ - a-)/2
-        minus / zero: dtheta = -(a- + a+)/2,  dt = -Re beta
-    from x0 by Simpson steps (the rates do not depend on the gauge state, so
-    this is a quadrature) and applies the action pointwise.  Raises InputError
-    when the input fails the horizontality predicate at a quadrature node.
-    """
-    _check_sign(sign)
-
-    def rates(x: float) -> Tuple[float, float]:
-        co = lift_coefficients(lift, x, step)
-        if not is_horizontal(sign, co, tol):
-            raise InputError(
-                f"lift is not horizontal for sign {sign!r} at x = {x}"
-            )
-        dtheta = -(co.alpha_minus + co.alpha_plus) / 2.0
-        if sign == "plus":
-            dt = (co.alpha_plus - co.alpha_minus) / 2.0
-        else:
-            dt = -co.beta.real
-        return dtheta, dt
-
-    cache: dict = {}
-
-    def gauge_at(x: float) -> Tuple[float, float]:
-        if x in cache:
-            return cache[x]
-        span = x - x0
-        theta = t_par = 0.0
-        if span != 0.0:
-            n = max(1, int(math.ceil(abs(span) / ode_step)))
-            h = span / n
-            left = rates(x0)
-            for k in range(n):
-                mid = rates(x0 + (k + 0.5) * h)
-                right = rates(x0 + (k + 1.0) * h)
-                theta += h * (left[0] + 4.0 * mid[0] + right[0]) / 6.0
-                t_par += h * (left[1] + 4.0 * mid[1] + right[1]) / 6.0
-                left = right
-        cache[x] = (theta, t_par)
-        return cache[x]
-
-    def normalized(x: float) -> StiefelPoint:
-        theta, t_par = gauge_at(x)
-        return gauge_apply(sign, theta, t_par, lift(x))
-
-    return normalized

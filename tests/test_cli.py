@@ -6,11 +6,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hopftwistor import (
+    HypersurfacePatch,
+    InputError,
     ValidationError,
     herm_form,
     horosphere,
@@ -402,6 +405,51 @@ def test_overflow_errors_print_one_line_and_no_traceback():
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("verification error: "), proc.stderr
+
+
+# A grid of more than 2^63 - 1 points has no int64 index: one config-error
+# line, before any grid array is allocated.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "6", "--s", "zero", "--grid", "1000"],
+        ["--n", "40", "--s", "zero", "--grid", "3"],
+        ["--n", "20", "--s", "zero"],
+        ["--n", "2", "--s", "zero", "--grid", "100000000000"],
+    ],
+)
+@pytest.mark.parametrize("command", ["verify-hopf", "build-example"])
+def test_grid_past_the_int64_range_is_config_error(capsys, command, args):
+    tracemalloc.start()
+    try:
+        code = main([command, *args])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("config error: cannot build the grid: a grid of ")
+    assert lines[0].endswith(" points exceeds the int64 index range")
+    assert captured.out == ""
+    assert peak < 2**24
+
+
+def test_orbit_grid_past_the_int64_range_is_config_error(tmp_path, capsys, monkeypatch):
+    # A block form reaches such a grid only at n >= 33, where the flatness
+    # checks alone take seconds; the grid's refusal is stood in for here.
+    def refuse(self, density, cap):
+        raise InputError("a grid of 2^66 points exceeds the int64 index range")
+
+    monkeypatch.setattr(HypersurfacePatch, "grid", refuse)
+    path = write_doc(tmp_path, "form.json", FLAT_FORM_DOC)
+    assert main(["cko-run", "--constants", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: cannot build the grid: a grid of 2^66 points exceeds the int64 index range\n"
+    )
+    assert captured.out == ""
 
 
 def _point_construction_checks(patch, grid):

@@ -5,17 +5,13 @@ import pytest
 
 from hopftwistor import (
     AdSPoint,
-    CHPoint,
     DegenerateCurveError,
     InputError,
     ParamCurve,
     ValidationError,
-    canonical_rep,
-    ch_equal,
     curve_curvature,
     horizontal_part,
     model_curve,
-    numeric_derivative,
     real_form,
     space_norm,
     tangent_project_ads,
@@ -65,21 +61,6 @@ def test_horizontal_part_rejects_non_tangent():
         horizontal_part(w, w)
 
 
-def test_numeric_derivative_accuracy():
-    curve = ParamCurve(lambda t: np.array([np.exp(2j * t), 0.0, 0.0]))
-    d = numeric_derivative(curve, 0.3)
-    want = 2j * np.exp(2j * 0.3)
-    assert abs(d[0] - want) <= 1e-7
-    fine = numeric_derivative(curve, 0.3, richardson=True)
-    assert abs(fine[0] - want) <= 1e-10
-
-
-def test_numeric_derivative_domain_gate():
-    curve = ParamCurve(lambda t: np.array([1.0 + 0j, t, 0.0]), domain=(0.0, 1.0))
-    with pytest.raises(InputError):
-        numeric_derivative(curve, 0.0)
-
-
 def test_curvature_matches_closed_forms(canonical_pair):
     cases = [
         ("plus", 0.5, 2.0 * coth(1.0)),
@@ -99,22 +80,6 @@ def test_curvature_fiber_curve_degenerate(canonical_pair):
     curve = ParamCurve(lambda t: np.exp(1j * t) * canonical_pair.u_minus)
     with pytest.raises(DegenerateCurveError):
         curve_curvature(curve, 0.0)
-
-
-def test_ch_equal_gauge_invariance(canonical_pair):
-    a = CHPoint(AdSPoint(canonical_pair.u_minus))
-    b = CHPoint(AdSPoint(np.exp(0.9j) * canonical_pair.u_minus))
-    assert ch_equal(a, b)
-    shifted = np.cosh(0.3) * canonical_pair.u_minus + np.sinh(0.3) * canonical_pair.u_plus
-    assert not ch_equal(a, CHPoint(AdSPoint(shifted)))
-
-
-def test_canonical_rep_fixes_phase(canonical_pair):
-    p = CHPoint(AdSPoint(np.exp(1.2j) * canonical_pair.u_minus))
-    rep = canonical_rep(p).rep.vec
-    assert rep[0].imag == pytest.approx(0.0, abs=1e-15)
-    assert rep[0].real > 0
-    assert ch_equal(CHPoint(AdSPoint(rep)), p)
 
 
 def test_space_norm_on_horizontal(rng):

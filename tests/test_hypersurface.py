@@ -18,11 +18,8 @@ from hopftwistor import (
     is_horizontal,
     lift_coefficients,
     pairing_residual,
-    parallel_patch_residual,
-    phi_project,
     real_form,
     shape_operator,
-    structure_lift,
     tube_complex,
     tube_real,
     verify_hopf,
@@ -125,18 +122,13 @@ def test_build_patch_horizontality_gate(canonical_pair):
     assert patch.sign == "minus"
 
 
-def test_structure_vector_phi_identities():
+def test_frame_seed_is_the_structure_vector():
     patch = tube_complex(2, 0, 0.5)
     at = patch.center
     sr = shape_operator(patch, at)
-    xi = structure_lift(patch, at)
+    xi = -1j * patch.normal(at)
     # the frame seed follows the curve direction: it is the structure vector
     assert abs(abs(real_form(sr.frame[0], xi)) - 1.0) <= 1e-6
-    e1 = sr.frame[1]
-    phi_e1 = phi_project(patch, at, e1)
-    phi2 = phi_project(patch, at, phi_e1)
-    assert np.abs(phi2 + e1).max() <= 1e-6
-    assert abs(real_form(phi_e1, xi)) <= 1e-8
 
 
 def test_pairing_residual_closed_form():
@@ -182,6 +174,41 @@ def test_grid_matches_product_reference(n):
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+
+
+def test_grid_clips_its_last_index_above_2_53():
+    """9742^4 > 2^53: in floating point the last spaced index rounds up to
+    the point count; it is clipped to the last point."""
+    patch = horosphere(2, 0.0)
+    pts = patch.grid(9742)
+    assert len(pts) == 81
+    assert np.array_equal(pts[0], [lo for lo, _ in patch.ranges])
+    assert np.array_equal(pts[-1], [hi for _, hi in patch.ranges])
+
+
+@pytest.mark.parametrize("n", [17, 18, 19])
+def test_grid_above_2_53_keeps_the_rounded_indices(n):
+    """3^(2n) lies between 2^53 and 2^63: the kept points are the ones the
+    rounded floating-point indices name."""
+    patch = horosphere(n, 0.0)
+    total = 3 ** len(patch.ranges)
+    keep = np.unique(np.round(np.linspace(0, total - 1, 81)).astype(int))
+    axes = [np.linspace(lo, hi, 3) for lo, hi in patch.ranges]
+    want = np.stack([ax[d] for ax, d in zip(axes, np.unravel_index(keep, (3,) * len(axes)))], axis=1)
+    assert np.array_equal(np.array(patch.grid(3)), want)
+
+
+@pytest.mark.parametrize("n, density", [(2, 10**11), (6, 1000), (20, 3), (40, 3)])
+def test_grid_past_the_int64_range_raises_before_allocating(n, density):
+    patch = horosphere(n, 0.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"a grid of {density}\\^{2 * n} points exceeds the int64"):
+            patch.grid(density)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_grid_does_not_build_the_full_product():
@@ -419,13 +446,6 @@ def _tube_lift(q: np.ndarray) -> StiefelPoint:
     um = np.array([math.sqrt(1.0 + abs(z) ** 2), z, 0.0], dtype=complex)
     up = np.array([0.0, 0.0, 1.0], dtype=complex)
     return StiefelPoint(um, up)
-
-
-def test_parallel_patch_family():
-    a = tube_complex(2, 0, 0.5)
-    b = tube_complex(2, 0, 0.9)
-    for at in [a.center, np.array([0.3, -0.2, 0.1, 0.05])]:
-        assert parallel_patch_residual(a, b, 0.4, at) <= 1e-10
 
 
 # The per-point lifts as they were written before lifts took stacks.

@@ -5,19 +5,16 @@ from hopftwistor import (
     InputError,
     StiefelPoint,
     TangentPair,
-    TwistorClass,
     ValidationError,
-    gauge_apply,
     is_horizontal,
     lift_coefficients,
     model_curve,
     pair_form,
     para_apply,
     parallel_shift_residual,
-    twistor_equivalent,
     unit_tangent_lift,
 )
-from hopftwistor.twistor import SIGNS, normalize_lift_1d
+from hopftwistor.twistor import SIGNS
 from hopftwistor.sampling import random_stiefel, random_tangent_pair
 
 
@@ -145,44 +142,6 @@ def test_parallel_shift_identity(canonical_pair):
                         parallel_shift_residual(sign, r, rp, canonical_pair, t),
                     )
     assert worst <= 1e-10
-
-
-def test_gauge_apply_preserves_stiefel(canonical_pair):
-    for sign in SIGNS:
-        q = gauge_apply(sign, 0.7, 0.3, canonical_pair)
-        assert isinstance(q, StiefelPoint)
-        a = TwistorClass(sign, canonical_pair)
-        b = TwistorClass(sign, q)
-        assert twistor_equivalent(a, b)
-
-
-def test_twistor_inequivalent_when_plane_moves(rng):
-    p = random_stiefel(rng, 3)
-    q = random_stiefel(rng, 3)
-    assert not twistor_equivalent(TwistorClass("plus", p), TwistorClass("plus", q))
-
-
-def test_normalize_lift_1d_kills_gauge_part(canonical_pair):
-    """A gauged horizontal lift comes back with vanishing coefficients."""
-    e0 = canonical_pair.u_minus
-    e1 = canonical_pair.u_plus
-    e2 = np.array([0.0, 0.0, 1.0], dtype=complex)
-
-    def clean(x: float) -> StiefelPoint:
-        # moves u_minus inside the orthogonal complement of u_plus: beta = 0
-        return StiefelPoint(np.cosh(x) * e0 + np.sinh(x) * e2, e1)
-
-    def wobbled(x: float) -> StiefelPoint:
-        return gauge_apply("plus", 0.2 * x, -0.3 * x, clean(x))
-
-    co = lift_coefficients(wobbled, 0.3)
-    assert is_horizontal("plus", co)
-    assert abs(co.alpha_minus) > 1e-3  # the gauge part is visible before fixing
-    fixed = normalize_lift_1d(wobbled, "plus", 0.1)
-    cf = lift_coefficients(fixed, 0.3)
-    assert abs(cf.alpha_minus) <= 1e-6
-    assert abs(cf.alpha_plus) <= 1e-6
-    assert abs(cf.beta) <= 1e-6
 
 
 def test_lift_coefficients_refuse_a_nan_reconstruction(canonical_pair):
