@@ -33,11 +33,20 @@ oracle's per-point values, which the test suite recomputes.
 
 `compare` runs the same cases on two source trees (each in a child process
 importing hopftwistor from that tree) and applies the rule: exit codes,
-check names and order, pass flags and `certified` are unchanged, and every
-value with an oracle value is no farther from it than the parent's distance
-plus u max|Psi| / h (u = 2^-53, h the finite-difference step); a value
-without one must be bitwise unchanged.  It prints the worst distances per
-check name and exits 1 on any violation.
+check names and order, pass flags and `certified` are unchanged, a value
+without an oracle value is bitwise unchanged, and every value with one is
+no farther from it than the parent's distance plus max(u max|Psi| / h, 2 s)
+(u = 2^-53, h the finite-difference step).  u max|Psi| / h is the rounding
+of one central difference; carried through the least-squares solve and the
+eigenproblem it grows to about ten times that, which s measures.  compare
+runs the parent 8 more times (seeds 0-7), each time multiplying every entry
+of every lift output of the classical families (each StiefelPoint that
+hypersurface builds) by 1 + u eps, eps uniform in [-1, 1] + i[-1, 1]; s is
+the largest move, over those runs, of any value of the case with the same
+check name (grid point and index dropped).  Orbit patches are not perturbed, so their
+values keep the rounding bound alone.  compare prints the worst distances,
+spreads and excesses per check name, and a tally of the values, and exits 1
+on any violation.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ import collections
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,6 +70,9 @@ GOLDEN = os.path.join(ROOT, "tests", "golden_reports.json")
 REFERENCE = os.path.join(ROOT, "tests", "oracle_reference.json")
 DIGITS = 50
 U = 2.0**-53
+# Seeded runs of the parent with perturbed lifts, from which compare takes
+# each check value's spread s.
+PERTURBED_RUNS = 8
 CONSTRUCTION_ROWS = ("quadric-residual", "normal-unit", "normal-orthogonal", "defining-relation")
 SHAPE_ROWS = (
     "hopf-residual", "symmetry-residual", "lsq-residual", "mu", "mu-constancy",
@@ -484,10 +497,14 @@ def spot_values(case, step=1e-4):
 # --------------------------------------------------------------- the compare
 
 
-def _tree_reports(src, reference):
-    """Run the reference's cases on the tree at src, in a child process."""
+def _tree_reports(src, reference, perturb=None):
+    """Run the reference's cases on the tree at src, in a child process;
+    perturb is the seed of a run with perturbed lifts (_reports)."""
+    argv = [sys.executable, os.path.abspath(__file__), "_reports", src, reference]
+    if perturb is not None:
+        argv += ["--perturb", str(perturb)]
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "_reports", src, reference],
+        argv,
         capture_output=True,
         text=True,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
@@ -496,14 +513,38 @@ def _tree_reports(src, reference):
     return json.loads(proc.stdout)
 
 
-def _reports(src, reference):
+def _perturb_lifts(hypersurface, seed):
+    """Multiply every entry of every lift output of the classical families
+    (each StiefelPoint that hypersurface builds) by 1 + u eps, eps uniform in
+    the complex box [-1, 1] + i[-1, 1], drawn from a generator seeded with
+    seed."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    original = hypersurface.StiefelPoint
+
+    def jitter(u):
+        u = np.asarray(u, dtype=complex)
+        eps = rng.uniform(-1.0, 1.0, u.shape) + 1j * rng.uniform(-1.0, 1.0, u.shape)
+        return u + u * (U * eps)
+
+    def perturbed(u_minus, u_plus, *args, **kwargs):
+        return original(jitter(u_minus), jitter(u_plus), *args, **kwargs)
+
+    return mock.patch.object(hypersurface, "StiefelPoint", perturbed)
+
+
+def _reports(src, reference, perturb=None):
     sys.path.insert(0, os.path.abspath(src))
-    from hopftwistor import cli
+    from hopftwistor import cli, hypersurface
 
     with open(reference, encoding="utf-8") as fh:
         cases = json.load(fh)["cases"]
     out = {}
-    with tempfile.TemporaryDirectory() as work:
+    with contextlib.ExitStack() as stack:
+        work = stack.enter_context(tempfile.TemporaryDirectory())
+        if perturb is not None:
+            stack.enter_context(_perturb_lifts(hypersurface, perturb))
         for name, case in cases.items():
             rc, report, _ = _run_case(cli, case, work)
             out[name] = {"exit": rc, "report": report}
@@ -511,13 +552,68 @@ def _reports(src, reference):
     return 0
 
 
+# The outcomes of one check value under the rule, in the order of the tally.
+SAME = "as close"
+CLOSER = "closer"
+WITHIN_ROUNDING = "farther within u max|Psi| / h"
+WITHIN_SPREAD = "farther within 2 s"
+BEYOND = "farther beyond both"
+KEPT = "unchanged without an oracle value"
+MOVED = "moved without an oracle value"
+
+
+def classify_row(parent, change, oracle, bound, spread):
+    """The outcome of one check value: the parent's and the change's values,
+    the oracle's (None when there is none), the rounding bound u max|Psi| / h
+    and the parent's spread s under perturbed lifts.  BEYOND and MOVED break
+    the rule."""
+    if oracle is None:
+        return KEPT if parent == change else MOVED
+    da, db = abs(parent - oracle), abs(change - oracle)
+    if db == da:
+        return SAME
+    if db < da:
+        return CLOSER
+    if db <= da + bound:
+        return WITHIN_ROUNDING
+    if db <= da + 2.0 * spread:
+        return WITHIN_SPREAD
+    return BEYOND
+
+
+def _spreads(parent, perturbed):
+    """Per case, the spread s of each check value: the largest move, over
+    the perturbed runs of the parent, of any value of the case with the same
+    check name (grid point and index dropped); None for a case whose runs
+    disagree in their checks."""
+    out = {}
+    for name, plain in parent.items():
+        report = plain["report"]
+        if report is None:
+            out[name] = None
+            continue
+        rows = [_base(c["name"]) for c in report["checks"]]
+        moves = dict.fromkeys(rows, 0.0)
+        for run in perturbed:
+            other = run[name]["report"]
+            if other is None or [c["name"] for c in other["checks"]] != [c["name"] for c in report["checks"]]:
+                moves = None
+                break
+            for row, a, b in zip(rows, report["checks"], other["checks"]):
+                moves[row] = max(moves[row], abs(b["value"] - a["value"]))
+        out[name] = None if moves is None else [moves[row] for row in rows]
+    return out
+
+
 def compare(parent_src, change_src, reference):
     with open(reference, encoding="utf-8") as fh:
         cases = json.load(fh)["cases"]
     parent = _tree_reports(parent_src, reference)
     change = _tree_reports(change_src, reference)
+    perturbed = [_tree_reports(parent_src, reference, seed) for seed in range(PERTURBED_RUNS)]
+    spreads = _spreads(parent, perturbed)
     violations = 0
-    tally = {"closer or equal": 0, "farther within the bound": 0, "farther beyond the bound": 0}
+    tally = dict.fromkeys((SAME, CLOSER, WITHIN_ROUNDING, WITHIN_SPREAD, BEYOND, KEPT, MOVED), 0)
     worst = {}
     for name, case in cases.items():
         a, b = parent[name], change[name]
@@ -535,39 +631,46 @@ def compare(parent_src, change_src, reference):
             if names != [c["name"] for c in rb["checks"]] or names != [r[0] for r in case["checks"]]:
                 problems.append("check names or order differ")
             else:
+                if spreads[name] is None:
+                    print(f"{name}: a perturbed run of the parent changed its checks; s = 0")
+                spread = spreads[name] or [0.0] * len(names)
                 bound = U * case["psi_max"] / ra["config"]["fd_step"] if case["psi_max"] else 0.0
-                for ca, cb, (row, oracle) in zip(ra["checks"], rb["checks"], case["checks"]):
+                for ca, cb, (row, oracle), s in zip(ra["checks"], rb["checks"], case["checks"], spread):
                     if ca["pass"] != cb["pass"]:
                         problems.append(f"{row}: pass {ca['pass']} -> {cb['pass']}")
+                    outcome = classify_row(ca["value"], cb["value"], oracle, bound, s)
+                    tally[outcome] += 1
+                    if outcome == MOVED:
+                        problems.append(f"{row}: no oracle value and {ca['value']!r} -> {cb['value']!r}")
                     if oracle is None:
-                        if ca["value"] != cb["value"]:
-                            problems.append(f"{row}: no oracle value and {ca['value']!r} -> {cb['value']!r}")
                         continue
                     da, db = abs(ca["value"] - oracle), abs(cb["value"] - oracle)
-                    entry = worst.setdefault(_base(row), [0.0, 0.0, 0.0])
+                    entry = worst.setdefault(_base(row), [0.0, 0.0, 0.0, 0.0, -math.inf])
                     entry[0], entry[1] = max(entry[0], da), max(entry[1], db)
-                    entry[2] = max(entry[2], db - da - bound)
-                    if db <= da:
-                        tally["closer or equal"] += 1
-                    elif db <= da + bound:
-                        tally["farther within the bound"] += 1
-                    else:
-                        tally["farther beyond the bound"] += 1
+                    entry[2] = max(entry[2], s)
+                    entry[3] = max(entry[3], db - da - bound)
+                    entry[4] = max(entry[4], db - da - max(bound, 2.0 * s))
+                    if outcome == BEYOND:
                         problems.append(
-                            f"{row}: |change - oracle| {db:.3e} > |parent - oracle| {da:.3e} + {bound:.3e}"
+                            f"{row}: |change - oracle| {db:.3e} > |parent - oracle| {da:.3e}"
+                            f" + max({bound:.3e}, 2 s = {2.0 * s:.3e})"
                         )
         if problems:
             violations += len(problems)
             print(f"{name}:")
             for p in problems:
                 print(f"  {p}")
-    print(f"{'check':<24} {'max parent dist':>16} {'max change dist':>16} {'max excess':>12}")
-    # max excess: the largest |change - oracle| - |parent - oracle| - bound (0 when none is over).
+    print(
+        f"{'check':<22} {'max parent dist':>15} {'max change dist':>15} {'max s':>10}"
+        f" {'excess u|Psi|/h':>15} {'excess rule':>11}"
+    )
+    # excess u|Psi|/h: the largest |change - oracle| - |parent - oracle| - u max|Psi| / h;
+    # excess rule: the same less max(u max|Psi| / h, 2 s) (<= 0 when the rule holds).
     for row in sorted(worst):
-        da, db, excess = worst[row]
-        print(f"{row:<24} {da:>16.3e} {db:>16.3e} {excess:>12.3e}")
-    print("rows with an oracle value, change against parent: " + ", ".join(f"{v} {k}" for k, v in tally.items()))
-    print(f"{len(cases)} cases, {violations} violations of the oracle rule")
+        da, db, s, old, new = worst[row]
+        print(f"{row:<22} {da:>15.3e} {db:>15.3e} {s:>10.3e} {old:>15.3e} {new:>11.3e}")
+    print("check values, change against parent: " + ", ".join(f"{v} {k}" for k, v in tally.items()))
+    print(f"{len(cases)} cases, {PERTURBED_RUNS} perturbed runs of the parent, {violations} violations of the oracle rule")
     return 1 if violations else 0
 
 
@@ -583,12 +686,13 @@ def main(argv=None) -> int:
     rep = sub.add_parser("_reports", help=argparse.SUPPRESS)
     rep.add_argument("src")
     rep.add_argument("reference")
+    rep.add_argument("--perturb", type=int, default=None)
     args = parser.parse_args(argv)
     if args.action == "record":
         return record(args.out)
     if args.action == "compare":
         return compare(args.parent_src, args.change_src, args.reference)
-    return _reports(args.src, args.reference)
+    return _reports(args.src, args.reference, args.perturb)
 
 
 if __name__ == "__main__":

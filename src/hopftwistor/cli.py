@@ -88,7 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, needs_sign: bool = False):
-        p.add_argument("--n", type=int, default=2, help="ambient complex dimension")
+        # None until _validate: cko-run and mc-check tell a given --n apart
+        # from the default 2.
+        p.add_argument("--n", type=int, default=None, help="ambient complex dimension")
         p.add_argument(
             "--s",
             choices=list(SIGNS),
@@ -123,6 +125,9 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
     """Check what argparse cannot and replace args.tol by the full tolerance
     table with the --tol overrides merged in."""
     overrides = _parse_tols(args.tol)
+    args.n_given = args.n is not None
+    if not args.n_given:
+        args.n = 2
     if args.n < 2:
         raise ConfigError(f"n must be >= 2, got {args.n}")
     if args.grid < 2:
@@ -176,7 +181,8 @@ def _constants_doc(kind: str, form: GeneratorForm) -> dict:
 
 
 def _load_constants(args: argparse.Namespace) -> Optional[Tuple[str, GeneratorForm]]:
-    """The document kind and its form; the kind, not dim_g, picks the battery."""
+    """The document kind and its form; the kind, not dim_g, picks the battery.
+    A --n given on the command line must be the form's n."""
     if args.constants is None:
         return None
     try:
@@ -187,6 +193,8 @@ def _load_constants(args: argparse.Namespace) -> Optional[Tuple[str, GeneratorFo
     except json.JSONDecodeError as exc:
         raise ConfigError(f"constants file is not valid JSON: {exc}")
     form = parse_constants(data)
+    if args.n_given and args.n != form.dim_n:
+        raise ConfigError(f"--n {args.n} does not match the n = {form.dim_n} of the constants")
     return data["kind"], form
 
 
@@ -495,6 +503,8 @@ def _form_checks(args: argparse.Namespace, f: GeneratorForm) -> List[dict]:
 def _cmd_cko_run(args: argparse.Namespace) -> dict:
     loaded = _load_constants(args)
     if loaded is None:
+        if args.n != 2:
+            raise ConfigError(f"the seeded draw is an n = 2 form; --n {args.n} needs --constants")
         loaded = ("one-param", random_one_param(np.random.default_rng(args.seed)))
     kind, form = loaded
     if kind == "one-param":

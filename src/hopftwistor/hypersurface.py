@@ -16,6 +16,7 @@ in circulation for these examples.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .fibration import (
     space_norm,
     tangent_project_ads,
 )
-from .linalg import AlgebraElement, matrix_exp, real_form
+from .linalg import real_form
 from .report import make_check
 from .twistor import (
     StiefelPoint,
@@ -672,27 +673,110 @@ def tube_complex(n: int, k: int, r: float) -> HypersurfacePatch:
     )
 
 
+# The even and odd exponential series of tube_real's lift take terms
+# j = 0.._SERIES_TERMS of a matrix K' with Frobenius norm at most the limit
+# at which the first term left out, bounded by ||K'||^(J+1) / (2J+2)!, is
+# _SERIES_TOL.  The largest entry of Cs(K') is at least 1/2, so that term is
+# below 1e-18 of the sum.
+_SERIES_TERMS = 10
+_SERIES_TOL = 5e-19
+
+
+@functools.lru_cache(maxsize=1)
+def _series_tables() -> Tuple[float, np.ndarray]:
+    """The norm limit of the series, and the divisors of term j in Cs and
+    Ss, 1 and 2j+1, as an array (_SERIES_TERMS + 1, 2, 1, 1, 1)."""
+    j = _SERIES_TERMS
+    limit = math.exp((math.log(_SERIES_TOL) + math.lgamma(2 * j + 3)) / (j + 1))
+    divisors = np.ones((j + 1, 2, 1, 1, 1))
+    divisors[:, 1] = np.arange(1, 2 * j + 2, 2)[:, None, None, None]
+    divisors.setflags(write=False)  # one array for every caller
+    return limit, divisors
+
+
+def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of two stacks of 2 x 2 matrices held as (2, 2, N) arrays,
+    entry by entry: (ab)[i, m] = a[i, 0] b[0, m] + a[i, 1] b[1, m]."""
+    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
+
+
+def _even_odd_series(k: np.ndarray, norm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Cs(K) = sum_j K^j / (2j)! and Ss(K) = sum_j K^j / (2j+1)! for a stack
+    of real 2 x 2 matrices K held as a (2, 2, N) array, given a bound norm
+    (N,) on the Frobenius norm of each K.
+
+    Terms j = 0.._SERIES_TERMS are summed in order from j = 0.  A matrix
+    whose norm is above the limit is scaled to K' = K / 4^s, s >= 1 the
+    fewest halvings that bring it under; its series are summed for K' and
+    followed by s doublings Cs(4K') = 2 Cs(K')^2 - I and
+    Ss(4K') = Ss(K') Cs(K').  Every matrix gets the bits of a call on it
+    alone.  Nothing is divided by a norm or an eigenvalue: K = 0 gives
+    Cs = Ss = I.  A non-finite K is not scaled; its sums are not finite.
+    """
+    limit, divisors = _series_tables()
+    halvings = np.zeros(norm.shape, dtype=int)
+    if not (norm <= limit).all():
+        big = np.isfinite(norm) & (norm > limit)
+        halvings[big] = np.ceil(np.log2(norm[big] / limit) / 2)
+        k = k * np.ldexp(1.0, -2 * halvings)  # 4^-s, exact
+    terms = [np.broadcast_to(np.eye(2)[..., None], k.shape)]
+    for j in range(1, _SERIES_TERMS + 1):
+        terms.append(_mul2(terms[-1], k) / ((2 * j - 1) * (2 * j)))
+    # cumsum adds in order along the first axis, for one matrix or many.
+    cs, ss = np.cumsum(np.array(terms)[:, None] / divisors, axis=0)[-1]
+    for step in range(int(halvings.max(initial=0))):
+        doubling = halvings > step
+        cs, ss = (
+            np.where(doubling, 2.0 * _mul2(cs, cs) - np.eye(2)[..., None], cs),
+            np.where(doubling, _mul2(ss, cs), ss),
+        )
+    return cs, ss
+
+
+def _tube_real_columns(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """tube_real's lift before its StiefelPoint check: the first two columns
+    of exp(G) for base points q (..., 2n-2), as stacks (..., n+1)."""
+    n = q.shape[-1] // 2 + 1
+    bc = q.reshape((-1, 2, n - 1))  # rows b and c of each base point
+    # [[b.b, b.c], [c.b, c.c]], each summed left to right over the coordinates.
+    gram = np.cumsum(bc[:, :, None] * bc[:, None], axis=-1)[..., -1]
+    k = np.empty((2, 2, len(bc)))
+    k[0, 0], k[0, 1], k[1, 0], k[1, 1] = gram[:, 0, 0], gram[:, 1, 0], -gram[:, 1, 0], -gram[:, 1, 1]
+    # ||K||_F <= b.b + c.c = |q|^2.
+    cs, ss = _even_odd_series(k, gram[:, 0, 0] + gram[:, 1, 1])
+    # Column col of exp(G) is (Cs[0, col], Cs[1, col], Ss[0, col] b + Ss[1, col] c).
+    columns = np.empty((len(bc), 2, n + 1))
+    columns[:, :, :2] = cs.T
+    columns[:, :, 2:] = ss[0].T[..., None] * bc[:, None, 0] + ss[1].T[..., None] * bc[:, None, 1]
+    columns = columns.reshape(q.shape[:-1] + (2, n + 1))
+    return columns[..., 0, :].astype(complex), columns[..., 1, :].astype(complex)
+
+
 def tube_real(n: int, r: float) -> HypersurfacePatch:
     """Tube of radius r around the totally geodesic real form (sign "minus").
 
-    Lift: real special-orthochronous motions applied to the first two basis
-    vectors, parametrized by n-1 boosts and n-1 rotations.  Real matrices give
-    alpha = 0 and real beta, hence the "minus" horizontality.  r = 0 is the
-    real form itself and is flagged degenerate.
+    Lift: the first two columns of exp(G), G the real generator of n-1 boosts
+    e0^ej (b = q[:n-1]) and n-1 rotations e1^ej (c = q[n-1:]).  Real matrices
+    give alpha = 0 and real beta, hence the "minus" horizontality.  G maps
+    e0 -> (0,0,b), e1 -> (0,0,c), (0,0,b) -> (b.b) e0 - (b.c) e1 and
+    (0,0,c) -> (b.c) e0 - (c.c) e1, so on span{e0, e1, (0,0,b), (0,0,c)} it
+    acts as M = [[0, K], [I, 0]] with K = [[b.b, b.c], [-b.c, -c.c]].  Since
+    M^2 = diag(K, K), exp(M) = [[Cs(K), K Ss(K)], [Ss(K), Cs(K)]] and
+
+        u_- = (Cs00, Cs10, Ss00 b + Ss10 c),  u_+ = (Cs01, Cs11, Ss01 b + Ss11 c),
+
+    with Cs(K) = sum_j K^j / (2j)! and Ss(K) = sum_j K^j / (2j+1)!.  Both
+    take terms j <= 10 while |q|^2 <= 1.78 (the chart reaches 0.9 at n = 6),
+    the first term left out below 1e-18 of the sum; a larger K is scaled by
+    4^-s and the sums doubled back s times (_even_odd_series).  Rows with
+    b = 0 or c = 0 need no special case; no matrix exponential is taken.
+    r = 0 is the real form itself and is flagged degenerate.
     """
     if n < 2:
         raise InputError(f"need n >= 2, got n={n}")
 
     def lift(q: np.ndarray) -> StiefelPoint:
-        # Boosts e0^ej carry q[:n-1], rotations e1^ej carry q[n-1:]; the
-        # supports are disjoint, so every entry is one coordinate.  One
-        # exponential of the whole stack of generators.
-        gen = np.zeros(q.shape[:-1] + (n + 1, n + 1), dtype=complex)
-        gen[..., 0, 2:] = gen[..., 2:, 0] = q[..., : n - 1]
-        gen[..., 2:, 1] = q[..., n - 1 :]
-        gen[..., 1, 2:] -= q[..., n - 1 :]
-        group = matrix_exp(AlgebraElement(gen, n))
-        return StiefelPoint(group.matrix[..., :, 0], group.matrix[..., :, 1])
+        return StiefelPoint(*_tube_real_columns(q))
 
     coth = lambda x: math.cosh(x) / math.sinh(x)
     if abs(r) < 1e-14:

@@ -186,6 +186,58 @@ def test_cko_run_block_form(tmp_path):
     assert {"mc-residual", "two-path-witness", "immersion", "mu"} <= base_names(doc)
 
 
+def _flat_block_form(n):
+    """FLAT_FORM_DOC's form at dimension n: y0 = y1 = identity, all else 0."""
+    m = n - 1
+    zero, eye = np.zeros((m, m)).tolist(), np.eye(m).tolist()
+    return {
+        "kind": "block-form",
+        "alpha0": [0.0] * m,
+        "alpha1": [0.0] * m,
+        "x_form": zero,
+        "y0": eye,
+        "y1": eye,
+        "w1": np.zeros((m, m, m)).tolist(),
+        "w2": np.zeros((m, m, m)).tolist(),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_cko_run_seeded_draw_refuses_an_n_other_than_2(n, capsys):
+    # The seeded draw is always an n = 2 form; a report must not echo an n
+    # it did not certify.
+    assert main(["cko-run", "--n", str(n), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["cko-run", "mc-check"])
+def test_constants_refuse_a_different_n(command, tmp_path, capsys):
+    path = write_doc(tmp_path, "flat.json", FLAT_FORM_DOC)  # an n = 3 form
+    for n in ("2", "4"):
+        assert main([command, "--n", n, "--constants", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and captured.out == ""
+    one_param = write_doc(tmp_path, "one.json", {"kind": "one-param", "x": 1.0, "w": 0.5})
+    assert main([command, "--n", "3", "--constants", one_param]) == 2
+    # The form's own n, given or not, gives the same report.
+    omitted = main([command, "--constants", path, "--out", str(tmp_path / "a.json")])
+    assert omitted == main([command, "--n", "3", "--constants", path, "--out", str(tmp_path / "b.json")])
+    a, b = (json.loads((tmp_path / f).read_text()) for f in ("a.json", "b.json"))
+    assert a["checks"] == b["checks"] and a["certified"] == b["certified"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_block_forms_certify_without_n(n, tmp_path):
+    path = write_doc(tmp_path, "flat.json", _flat_block_form(n))
+    code, out = run_to_file(tmp_path, ["cko-run", "--constants", path])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["certified"]
+    assert {"mc-residual", "immersion", "mu", "unit-multiplicity"} <= base_names(doc)
+
+
 def test_mc_check_requires_constants():
     assert main(["mc-check", "--n", "2"]) == 2
 

@@ -6,7 +6,10 @@ A name left in an __all__ after its definition is deleted breaks
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -33,3 +36,20 @@ def test_package_imports_only_exported_names():
             if exported is not None:
                 unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert unlisted == []
+
+
+def test_the_command_imports_numpy_alone():
+    # scipy, mpmath and sympy are installed for tests and scripts; the
+    # package and its start-up time depend on numpy only.
+    code = (
+        "import sys, hopftwistor.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'sympy'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -64,3 +64,52 @@ def test_reference_covers_the_golden_checks():
         assert case["exit"] == GOLDEN[name]["exit"]
         assert case["certified"] == report["certified"]
         assert [row for row, _ in case["checks"]] == [c["name"] for c in report["checks"]]
+
+
+# The acceptance rule on synthetic check values: a value may move away from
+# the oracle by max(u max|Psi| / h, 2 s), s the parent's spread under
+# perturbed lifts; a value without an oracle value must keep its bits.
+@pytest.mark.parametrize(
+    "change, outcome",
+    [
+        (1.0 + 3e-12, oracle.SAME),
+        (1.0 + 2e-12, oracle.CLOSER),
+        (1.0 + 4.5e-12, oracle.WITHIN_ROUNDING),
+        (1.0 + 4.9e-12, oracle.WITHIN_ROUNDING),
+        (1.0 - 4.9e-12, oracle.WITHIN_ROUNDING),
+        (1.0 + 6e-12, oracle.WITHIN_SPREAD),
+        (1.0 + 6.9e-12, oracle.WITHIN_SPREAD),
+        (1.0 + 7.5e-12, oracle.BEYOND),
+        (1.0 - 8e-12, oracle.BEYOND),
+    ],
+)
+def test_rule_bounds_the_move_away_from_the_oracle(change, outcome):
+    # |parent - oracle| = 3e-12; rounding bound 2e-12; spread 2e-12, so 2 s = 4e-12.
+    parent, truth = 1.0 + 3e-12, 1.0
+    assert oracle.classify_row(parent, change, truth, 2e-12, 2e-12) == outcome
+    # A spread below half the rounding bound leaves the rounding bound.
+    small = oracle.classify_row(parent, change, truth, 2e-12, 1e-13)
+    assert small == (oracle.BEYOND if outcome == oracle.WITHIN_SPREAD else outcome)
+
+
+def test_rule_keeps_the_bits_of_values_without_an_oracle_value():
+    assert oracle.classify_row(0.25, 0.25, None, 1.0, 1.0) == oracle.KEPT
+    assert oracle.classify_row(0.25, math.nextafter(0.25, 1.0), None, 1.0, 1.0) == oracle.MOVED
+
+
+def _report(values):
+    return {"report": {"checks": [{"name": n, "value": v} for n, v in values]}}
+
+
+def test_spread_is_pooled_per_check_name_of_a_case():
+    names = ["mu", "sample-eigenvalue[0]@(0)", "sample-eigenvalue[1]@(1)"]
+    parent = {"case": _report(zip(names, [1.0, 2.0, 3.0]))}
+    runs = [
+        {"case": _report(zip(names, [1.0 + 1e-12, 2.0, 3.0 - 4e-12]))},
+        {"case": _report(zip(names, [1.0 - 2e-12, 2.0 + 1e-12, 3.0]))},
+    ]
+    spread = oracle._spreads(parent, runs)["case"]
+    assert spread[0] == pytest.approx(2e-12, rel=1e-3)
+    assert spread[1] == spread[2] == pytest.approx(4e-12, rel=1e-3)
+    renamed = [{"case": _report(zip(["mu", "rho", "rho"], [1.0, 2.0, 3.0]))}]
+    assert oracle._spreads(parent, renamed)["case"] is None
