@@ -7,9 +7,11 @@ and the acceptance rule for changes that cannot keep the report bytes.
 The oracle evaluates, with mpmath at 50 significant digits, the lifts of the
 three classical families (tube_complex, tube_real through mpmath.expm of the
 full (n+1) x (n+1) generator, horosphere) and of the generator-form orbit
-patches (an ordered product of mpmath.expm of the form's basis values).  At
-each grid point it takes the shape operator as hypersurface.shape_operator
-does: the same central-difference stencil and step (the stencil points are
+patches (an ordered product of mpmath.expm of the form's basis values; the
+package takes one exponential of their sum, so the oracle keeps the product
+as an independent route, equal to it for a flat form).  At each grid
+point it takes the shape operator as hypersurface.shape_operator does: the
+same central-difference stencil and step (the stencil points are
 exact, not rounded to floats), the same horizontal frame sweep, least-squares
 velocities (minimum norm), the normal stencil along them, and the same
 eigenvalue pairing selection.  Only float64 rounding then separates the

@@ -30,7 +30,6 @@ from .generator import (
     maurer_cartan_residual,
     orbit_patch_from_form,
     parse_constants,
-    product_group_map,
     two_path_residual,
 )
 from .hypersurface import (

@@ -12,6 +12,7 @@ payload byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -79,7 +80,10 @@ def _parse_tols(pairs: Optional[Sequence[str]]) -> Dict[str, float]:
     return tols
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: parsing leaves
+    it unchanged, and each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="hopftwistor",
         description="Certify curve, hypersurface and generator-form claims "
@@ -182,7 +186,8 @@ def _constants_doc(kind: str, form: GeneratorForm) -> dict:
 
 def _load_constants(args: argparse.Namespace) -> Optional[Tuple[str, GeneratorForm]]:
     """The document kind and its form; the kind, not dim_g, picks the battery.
-    A --n given on the command line must be the form's n."""
+    A --n given on the command line must be the form's n; the report echoes
+    the form's n."""
     if args.constants is None:
         return None
     try:
@@ -195,6 +200,7 @@ def _load_constants(args: argparse.Namespace) -> Optional[Tuple[str, GeneratorFo
     form = parse_constants(data)
     if args.n_given and args.n != form.dim_n:
         raise ConfigError(f"--n {args.n} does not match the n = {form.dim_n} of the constants")
+    args.n = form.dim_n
     return data["kind"], form
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "maurer_cartan_residual",
     "commutator_residual",
     "two_path_residual",
-    "product_group_map",
     "orbit_patch_from_form",
     "RHO_HEIGHTS",
     "extra_curvature",
@@ -307,26 +306,18 @@ def _require_flat(f: GeneratorForm, flat_tol: float) -> None:
         )
 
 
-def _ordered_product(values: Sequence[AlgebraElement], coords) -> GroupElement:
-    """exp(c_0 X_0) exp(c_1 X_1) ...; a stack of coordinates (..., dim_g)
-    gives the stack of products, one exponential and one product per factor."""
-    coords = np.asarray(coords, dtype=float)
-    group = matrix_exp(values[0], coords[..., 0])
-    for k, x in enumerate(values[1:], 1):
-        group = group.compose(matrix_exp(x, coords[..., k]))
-    return group
-
-
-def product_group_map(f: GeneratorForm, coords, flat_tol: float = 1e-9) -> GroupElement:
-    """Primitive of a flat form: ordered product of coordinate exponentials.
-
-    Refuses non-flat forms, for which the product depends on the path.
+def _chart_group(values: Sequence[AlgebraElement], coords) -> GroupElement:
+    """exp(sum_k c_k X_k) for a stack of coordinates (..., dim_g): one
+    exponential per stack.  The sum runs left to right over k, so each row
+    has the bits of a call on it alone; it is judged as a u(1,n) stack, and
+    matrix_exp judges the result as a U(1,n) stack.  The X_k of a flat form
+    commute, so this is the ordered product exp(c_0 X_0) exp(c_1 X_1) ...
     """
-    _require_flat(f, flat_tol)
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (f.dim_g,):
-        raise InputError(f"coordinates must have length {f.dim_g}")
-    return _ordered_product(_basis_values(f), coords)
+    coords = np.asarray(coords, dtype=float)[..., None, None]
+    total = coords[..., 0, :, :] * values[0].matrix
+    for k, x in enumerate(values[1:], 1):
+        total = total + coords[..., k, :, :] * x.matrix
+    return matrix_exp(AlgebraElement(total, values[0].dim_n))
 
 
 def is_horosphere_data(f: GeneratorForm) -> bool:
@@ -394,11 +385,13 @@ _LAM_RANGE = (0.4, 1.6)
 def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
     """Chart (theta, x_1..x_{dim_g}, h, lam, sphere coords) for flat forms.
 
-    The group map is the ordered product of coordinate exponentials, which is
-    a primitive exactly when the form is flat; flatness is checked and the
-    coordinate images are built once, here.  For n >= 3 the chart adds
-    n - 2 sphere coordinates and the height lam stays in [0.4, 1.6].  At
-    n = 2 the documented non-immersion y0 = y1 = 0 with
+    The group map is g(x) = exp(sum_k x_k X_k), one exponential per chart
+    point.  It is a primitive of the form only because the coordinate images
+    commute, [X_i, X_j] = 0, which is what flatness of a constant-coefficient
+    form means; so a form that is not flat is refused here, before any chart
+    exists.  The coordinate images are built once, here.  For n >= 3 the
+    chart adds n - 2 sphere coordinates and the height lam stays in
+    [0.4, 1.6].  At n = 2 the documented non-immersion y0 = y1 = 0 with
     alpha0 + alpha1 = 2w != 0 is rejected.
     """
     if _documented_degeneracy(f):
@@ -418,7 +411,7 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
         center = center + [0.0] * (n - 2)
 
     def chart(at: np.ndarray, profile) -> np.ndarray:
-        # Chart points (..., d) in one call: one group product per stack.
+        # Chart points (..., d) in one call: one exponential per stack.
         h = at[..., 1 + nx]
         lam = at[..., 2 + nx]
         c = at[..., 3 + nx :]
@@ -426,7 +419,7 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
         if np.any(nc >= 1.0):
             raise InputError("sphere chart leaves the unit ball")
         p = np.concatenate([np.sqrt(1.0 - nc)[..., None], c], axis=-1)
-        g = _ordered_product(values, at[..., 1 : 1 + nx])
+        g = _chart_group(values, at[..., 1 : 1 + nx])
         moved = (g.matrix @ profile(h, lam, p)[..., None])[..., 0]
         return np.exp(1j * at[..., 0])[..., None] * moved
 

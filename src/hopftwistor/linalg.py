@@ -220,8 +220,9 @@ def matrix_exp(x: AlgebraElement, t=1.0) -> GroupElement:
     own number of squarings: the stack is evaluated in groups of equal
     count, so every matrix gets the arithmetic of a call on it alone, bit
     for bit.  For ||t X|| <= 10 the group residual stays below 1e-10.
-    In the package, the generator-form orbit patches are its only caller
-    (the tube_real lift has a closed form).
+    In the package, the generator-form orbit chart (one exponential per
+    evaluation) and the two-path witness are its only callers (the tube_real
+    lift has a closed form).
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):

@@ -238,6 +238,65 @@ def test_block_forms_certify_without_n(n, tmp_path):
     assert {"mc-residual", "immersion", "mu", "unit-multiplicity"} <= base_names(doc)
 
 
+@pytest.mark.parametrize("command", ["cko-run", "mc-check"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_constants_echo_the_form_n(n, command, tmp_path):
+    # Without --n the report names the dimension of the form it checked.
+    path = write_doc(tmp_path, "flat.json", _flat_block_form(n))
+    code, out = run_to_file(tmp_path, [command, "--constants", path])
+    assert code == 0
+    assert json.loads(out.read_text())["config"]["n"] == n
+
+
+def _without_wall_time(err: str) -> str:
+    return "".join(line for line in err.splitlines(True) if not line.startswith("wall_time_ms="))
+
+
+def test_calls_in_one_process_equal_each_call_alone(tmp_path, capsys):
+    # The parser is built once per process; neither it nor anything else may
+    # carry a --tol list, a format or an error over to the next call.
+    flat = write_doc(tmp_path, "flat.json", FLAT_FORM_DOC)
+    sequence = [
+        ["verify-hopf", "--n", "2", "--s", "zero", "--tol", "mu=0.5", "--tol", "eigenvalue=1e-3"],
+        ["verify-hopf", "--n", "2", "--s", "zero"],
+        ["verify-hopf", "--n", "2", "--s", "sideways"],
+        ["mc-check", "--constants", flat, "--format", "csv"],
+        ["mc-check", "--constants", flat, "--tol", "mc=1e-3"],
+        ["verify-hopf", "--n", "2", "--s", "zero", "--tol", "foo=1"],
+        ["cko-run", "--constants", flat],
+        ["mc-check", "--constants", flat],
+    ]
+    together = []
+    for argv in sequence:
+        code = main(argv)
+        captured = capsys.readouterr()
+        together.append((code, captured.out, _without_wall_time(captured.err)))
+    alone = []
+    for argv in sequence:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopftwistor.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+        alone.append((proc.returncode, proc.stdout, _without_wall_time(proc.stderr)))
+    assert [code for code, _, _ in alone] == [0, 0, 2, 0, 0, 2, 0, 0]
+    assert together == alone
+
+
+def test_parser_is_built_on_first_use():
+    code = "import hopftwistor.cli as c; print(c._build_parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        check=True,
+    )
+    assert proc.stdout.strip() == "0"
+
+
 def test_mc_check_requires_constants():
     assert main(["mc-check", "--n", "2"]) == 2
 

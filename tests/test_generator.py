@@ -17,11 +17,11 @@ from hopftwistor import (
     form_value,
     group_residual,
     is_horosphere_data,
+    matrix_exp,
     maurer_cartan_residual,
     orbit_patch_from_form,
     parse_constants,
     pick_extra_eigenvalue,
-    product_group_map,
     shape_operator,
     two_path_residual,
     verify_hopf,
@@ -51,6 +51,22 @@ def one_param(alpha0=0.0, alpha1=0.0, x=0.0, y0=0.0, y1=0.0, w=0.0) -> Generator
 
 
 REFERENCE = one_param(0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+
+
+def product_group_map(f: GeneratorForm, coords, flat_tol: float = 1e-9):
+    """The ordered product exp(c_0 X_0) exp(c_1 X_1) ... of the form's basis
+    values, for coordinates (..., dim_g): the orbit chart's group map as it
+    was before it took one exponential, kept as its reference.  Refuses a
+    form that is not flat, for which the product depends on the path."""
+    generator._require_flat(f, flat_tol)
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape[-1:] != (f.dim_g,):
+        raise InputError(f"coordinates must have length {f.dim_g}")
+    values = generator._basis_values(f)
+    group = matrix_exp(values[0], coords[..., 0])
+    for k, x in enumerate(values[1:], 1):
+        group = group.compose(matrix_exp(x, coords[..., k]))
+    return group
 
 
 def test_form_validation_rejects_symmetric_w1():
@@ -259,15 +275,16 @@ def test_parse_constants_rejections():
 
 
 def _point_orbit_chart(f, at, normal, loop_exp):
-    """orbit_patch_from_form's chart map at one point, as it was written
-    before it took stacks: one exponential and one product per factor."""
+    """orbit_patch_from_form's chart map at one point: the sum of the
+    coordinate images left to right, then one exponential."""
     nx = f.dim_g
     values = [form_value(f, e).matrix for e in np.eye(nx)]
     h, lam, c = at[1 + nx], at[2 + nx], at[3 + nx :]
     p = np.concatenate([[math.sqrt(1.0 - float(c @ c))], c])
-    g = loop_exp(float(at[1]) * values[0])
+    total = float(at[1]) * values[0]
     for x, coord in zip(values[1:], at[2 : 1 + nx]):
-        g = g @ loop_exp(float(coord) * x)
+        total = total + float(coord) * x
+    g = loop_exp(total)
     if normal:
         head = np.array([-lam * lam / 2.0 + 1j * h, lam * lam / 2.0 - 1.0 - 1j * h], dtype=complex)
         profile = np.concatenate([head, -lam * p.astype(complex)])
@@ -277,21 +294,29 @@ def _point_orbit_chart(f, at, normal, loop_exp):
     return np.exp(1j * at[0]) * (g @ profile)
 
 
-def test_stacked_orbit_chart_equals_the_per_point_product(rng, loop_exp):
-    # Flat forms with Y's 1-norm at 0.9 (n - 1), as in the largest benchmark
-    # draws, so the stacks mix several squaring counts; and a one-parameter
-    # draw.
-    forms = [random_one_param(np.random.default_rng(7))]
+def _flat_forms(rng, x_scale=0.0):
+    """Flat forms at n = 3..6: y0 = y1 = Y with Y's 1-norm at 0.9 (n - 1), as
+    in the largest benchmark draws, and x = x_scale Y (x^T Y is then
+    symmetric, which keeps the form flat)."""
+    forms = []
     for n in range(3, 7):
         y = rng.uniform(-1.0, 1.0, size=(n - 1, n - 1))
         y *= 0.9 * (n - 1) / np.abs(y).sum(axis=0).max()
-        zeros = np.zeros((n - 1, n - 1))
+        x = x_scale * y if x_scale else np.zeros_like(y)
+        zeros = np.zeros((n - 1,) * 3)
         forms.append(
             GeneratorForm(
-                alpha0=np.zeros(n - 1), alpha1=np.zeros(n - 1), x_form=zeros,
-                y0=y, y1=y, w1=np.zeros((n - 1,) * 3), w2=np.zeros((n - 1,) * 3),
+                alpha0=np.zeros(n - 1), alpha1=np.zeros(n - 1), x_form=x,
+                y0=y, y1=y, w1=zeros, w2=zeros,
             )
         )
+    return forms
+
+
+def test_stacked_orbit_chart_equals_the_per_point_product(rng, loop_exp):
+    # The stacks mix several squaring counts; a one-parameter draw is the
+    # dim_g = 1 case.
+    forms = [random_one_param(np.random.default_rng(7))] + _flat_forms(rng)
     for f in forms:
         patch = orbit_patch_from_form(f)
         lo, hi = np.array(patch.ranges).T
@@ -300,6 +325,63 @@ def test_stacked_orbit_chart_equals_the_per_point_product(rng, loop_exp):
             want = np.array([_point_orbit_chart(f, at, normal, loop_exp) for at in points])
             assert np.array_equal(func(points), want)
             assert np.array_equal(func(points[3]), want[3])
+
+
+# The single exponential and the ordered product round differently; over 800
+# flat forms at n = 3..6 (x = c Y, c up to 2) they differed by at most 140
+# u max|g|, and by at most 51 u max|g| on the forms below.
+CHART_PRODUCT_MULTIPLE = 256
+
+
+@pytest.mark.parametrize("x_scale", [0.0, 0.5, -1.3])
+def test_orbit_chart_is_within_rounding_of_the_ordered_product(x_scale, rng):
+    u = 2.0**-53
+    for f in _flat_forms(rng, x_scale):
+        assert maurer_cartan_residual(f) <= 1e-9
+        coords = rng.uniform(-0.5001, 0.5001, size=(200, f.dim_g))
+        got = generator._chart_group(generator._basis_values(f), coords).matrix
+        want = product_group_map(f, coords).matrix
+        scale = np.abs(want).max(axis=(-2, -1))
+        assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= CHART_PRODUCT_MULTIPLE * u * scale)
+
+
+def _count_exponentials(monkeypatch):
+    calls = []
+
+    def counting(x, t=1.0):
+        calls.append(x.matrix.shape)
+        return matrix_exp(x, t)
+
+    monkeypatch.setattr(generator, "matrix_exp", counting)
+    return calls
+
+
+def test_chart_takes_one_exponential_per_evaluation(rng, monkeypatch):
+    calls = _count_exponentials(monkeypatch)
+    forms = [random_one_param(np.random.default_rng(7))] + _flat_forms(rng)
+    for f in forms:
+        patch = orbit_patch_from_form(f)
+        points = np.array(patch.grid(2, cap=6))
+        for func in (patch.eval_func, patch.normal_func):
+            for at in (points, points[2]):
+                calls.clear()
+                func(at)
+                assert calls == [at.shape[:-1] + (f.dim_n + 1,) * 2], f.dim_g
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["bent", "nan-residual"])
+def test_non_flat_form_is_refused_before_any_chart(nan, rng, monkeypatch):
+    calls = _count_exponentials(monkeypatch)
+    patches = []
+    monkeypatch.setattr(generator, "HypersurfacePatch", lambda **kw: patches.append(kw))
+    forms = [flat_form(alpha0=np.array([1.0, 0.0]), x_form=np.eye(2))]
+    if nan:
+        forms = _flat_forms(rng)
+        monkeypatch.setattr(generator, "maurer_cartan_residual", lambda f: math.nan)
+    for f in forms:
+        with pytest.raises(InputError, match=r"^form is not flat"):
+            orbit_patch_from_form(f)
+    assert calls == [] and patches == []
 
 
 def _fresh_basis(f):
