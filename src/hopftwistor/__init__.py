@@ -15,7 +15,6 @@ from .errors import (
 from .fibration import (
     AdSPoint,
     CurvatureResult,
-    ParamCurve,
     curve_curvature,
     horizontal_part,
     space_norm,
@@ -36,7 +35,6 @@ from .hypersurface import (
     HypersurfacePatch,
     ShapeReport,
     ShapeResult,
-    build_patch,
     cluster_eigenvalues,
     horosphere,
     horosphere_defining_residual,
@@ -63,7 +61,6 @@ from .twistor import (
     StiefelPoint,
     TangentPair,
     is_horizontal,
-    lift_coefficients,
     model_curve,
     para_apply,
     parallel_shift_residual,

@@ -23,7 +23,6 @@ FD_STEP = 1e-4
 __all__ = [
     "FD_STEP",
     "AdSPoint",
-    "ParamCurve",
     "CurvatureResult",
     "horizontal_part",
     "tangent_project_ads",
@@ -34,41 +33,23 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class AdSPoint:
-    """A vector on the hyperquadric ((w,w)) = -1."""
+    """A vector on the hyperquadric ((w,w)) = -1, within STRUCTURE_TOL."""
 
     vec: np.ndarray
-    tol: float = STRUCTURE_TOL
 
     def __post_init__(self):
         v = np.asarray(self.vec, dtype=complex)
         object.__setattr__(self, "vec", v)
         res = abs(herm_form(v, v) + 1.0)
-        if not (res <= self.tol):
+        if not (res <= STRUCTURE_TOL):
             raise ValidationError(
                 f"not on the hyperquadric: |((w,w))+1| = {res:.3e}", residual=res
             )
 
 
-@dataclass(frozen=True, eq=False)
-class ParamCurve:
-    """A curve t -> hyperquadric, evaluated on raw coordinate vectors.
-
-    func returns the vector; point() wraps it with the membership check.
-    """
-
-    func: Callable[[float], np.ndarray]
-
-    def at(self, t: float) -> np.ndarray:
-        return np.asarray(self.func(t), dtype=complex)
-
-    def point(self, t: float) -> AdSPoint:
-        return AdSPoint(self.at(t))
-
-
 class CurvatureResult(NamedTuple):
     kappa: float
     residual: float
-    sign: int
 
 
 def space_norm(x, w) -> float:
@@ -112,9 +93,9 @@ def tangent_project_ads(x, w) -> np.ndarray:
 
 
 def curve_curvature(
-    curve: ParamCurve, t: float, step: float = FD_STEP
+    curve: Callable[[float], np.ndarray], t: float, step: float = FD_STEP
 ) -> CurvatureResult:
-    """Geodesic curvature of the projected curve at parameter t.
+    """Geodesic curvature at t of the projected curve t -> curve(t).
 
     Works on the lift: with a = <c', ic> the vertical rate, the horizontal
     velocity is Hc' = c' + a ic with speed v.  The unit tangent field
@@ -124,14 +105,14 @@ def curve_curvature(
 
         D_T T = (dT/dt + a iT) / v,
 
-    then tangent + horizontal projection.  Returns kappa = ||D_T T||, the sign
-    sigma minimizing the circle-equation residual || D_T T - kappa sigma iT ||,
-    and that residual.
+    then tangent + horizontal projection.  Returns kappa = ||D_T T|| and the
+    circle-equation residual || D_T T - kappa sigma iT || of the better sign
+    sigma = +-1.
     """
 
     def tangent_data(tau: float):
-        c = curve.at(tau)
-        dc = (curve.at(tau + step) - curve.at(tau - step)) / (2.0 * step)
+        c = curve(tau)
+        dc = (curve(tau + step) - curve(tau - step)) / (2.0 * step)
         a = real_form(dc, 1j * c)
         hvel = dc + a * (1j * c)
         return c, hvel, a
@@ -155,6 +136,4 @@ def curve_curvature(
     it0 = 1j * t0
     res_plus = space_norm(w - kappa * it0, c0)
     res_minus = space_norm(w + kappa * it0, c0)
-    if res_plus <= res_minus:
-        return CurvatureResult(kappa, res_plus, 1)
-    return CurvatureResult(kappa, res_minus, -1)
+    return CurvatureResult(kappa, res_plus if res_plus <= res_minus else res_minus)

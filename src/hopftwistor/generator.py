@@ -283,15 +283,15 @@ def commutator_residual(f: GeneratorForm) -> float:
     return worst
 
 
-def two_path_residual(f: GeneratorForm, delta: float = 0.5) -> float:
+def two_path_residual(f: GeneratorForm) -> float:
     """Path-independence witness: integrate along the two edge paths of the
-    coordinate square spanned by the first two directions and compare.
+    side-0.5 coordinate square of the first two directions and compare.
     """
     if f.dim_g < 2:
         return 0.0
     x1, x2 = _basis_values(f)[:2]
-    g1 = matrix_exp(x1, delta)
-    g2 = matrix_exp(x2, delta)
+    g1 = matrix_exp(x1, 0.5)
+    g2 = matrix_exp(x2, 0.5)
     a = g1.compose(g2)
     b = g2.compose(g1)
     return float(np.abs(a.matrix - b.matrix).max())
@@ -439,7 +439,6 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
         eval_func=eval_func,
         normal_func=normal_func,
         t_index=1 + nx,
-        label=f"form-orbit(n={n})",
         expected_mu=2.0,
     )
     columns, _ = _central_differences(eval_func, patch.center, np.eye(len(names)), FD_STEP)

@@ -36,7 +36,6 @@ from .linalg import real_form
 from .report import make_check
 from .twistor import (
     StiefelPoint,
-    _check_sign,
     _connection,
     _tangent_coefficients,
     curve_coefficients,
@@ -80,7 +79,6 @@ __all__ = [
     "HypersurfacePatch",
     "ShapeResult",
     "ShapeReport",
-    "build_patch",
     "shape_operator",
     "verify_hopf",
     "pairing_residual",
@@ -115,9 +113,6 @@ class HypersurfacePatch:
     eval_func: Callable[[np.ndarray], np.ndarray]
     normal_func: Callable[[np.ndarray], np.ndarray]
     t_index: int
-    label: str = ""
-    degenerate: bool = False
-    degenerate_reason: str = ""
     expected_mu: Optional[float] = None
     expected_spectrum: Optional[Tuple[Tuple[float, int], ...]] = None
 
@@ -190,8 +185,8 @@ def grid_key(at) -> str:
     return "(" + ",".join(format(float(c), ".6g") for c in np.asarray(at).ravel()) + ")"
 
 
-def pairing_residual(lam: float, lam_star: float, mu: float, c: float = -1.0) -> float:
-    """Defect of the principal-curvature pairing (lam mu + 2c)/(2 lam - mu).
+def pairing_residual(lam: float, lam_star: float, mu: float) -> float:
+    """Defect of the principal-curvature pairing (lam mu - 2)/(2 lam - mu).
 
     Raises ExceptionalPairError when the denominator vanishes (the |mu| = 2
     exceptional case, reported separately from regular pairs).
@@ -201,21 +196,19 @@ def pairing_residual(lam: float, lam_star: float, mu: float, c: float = -1.0) ->
         raise ExceptionalPairError(
             f"degenerate pair: 2*lam - mu = {denom:.3e} at lam = {lam}"
         )
-    return abs(lam_star - (lam * mu + 2.0 * c) / denom)
+    return abs(lam_star - (lam * mu - 2.0) / denom)
 
 
-def cluster_eigenvalues(
-    values: Sequence[float], tol: float = CLUSTER_TOL
-) -> List[Tuple[float, int]]:
+def cluster_eigenvalues(values: Sequence[float]) -> List[Tuple[float, int]]:
     """Merge sorted eigenvalues into (mean, multiplicity) buckets.
 
-    Values within tol of their neighbor share a bucket; tol sits above the
+    Neighbors within CLUSTER_TOL share a bucket; CLUSTER_TOL sits above the
     finite-difference noise floor and below every closed-form gap used here.
     """
     vals = sorted(float(v) for v in values)
     clusters: List[List[float]] = [[vals[0]]]
     for v in vals[1:]:
-        if v - clusters[-1][-1] <= tol:
+        if v - clusters[-1][-1] <= CLUSTER_TOL:
             clusters[-1].append(v)
         else:
             clusters.append([v])
@@ -238,83 +231,37 @@ def pick_extra_eigenvalue(values: Sequence[float], mu: float) -> float:
     return max(rest, key=lambda v: (abs(v - 1.0), -v))
 
 
-def build_patch(
-    sign: str,
-    r: float,
-    lift: Callable[[np.ndarray], StiefelPoint],
-    base_dim: int,
-    **options,
-) -> HypersurfacePatch:
-    """Assemble a patch from a horizontal Stiefel lift over a base chart.
-
-    lift maps one base point (base_dim,) to a StiefelPoint; the chart maps
-    apply it to each row of their stacks.  Chart is (theta, t, q_0 ...
-    q_{base_dim-1}); the curve parameter t seeds the structure direction.
-    The lift is checked for horizontality along every base axis at the chart
-    center and rejected otherwise.  sign "plus" at r = 0 is constructible but
-    flagged degenerate (focal collapse), and sign "minus" at r = 0 likewise
-    (the image drops rank).  Keyword options: center (of the base chart),
-    ranges (of every chart coordinate), label, expected_mu,
-    expected_spectrum, check_horizontal and fd_step (of that check).
-    """
-
-    def rows(q: np.ndarray) -> StiefelPoint:
-        if q.ndim == 1:
-            return lift(q)
-        pairs = [lift(row) for row in q.reshape(-1, q.shape[-1])]
-        shape = q.shape[:-1] + (-1,)
-        return StiefelPoint(
-            np.array([p.u_minus for p in pairs]).reshape(shape),
-            np.array([p.u_plus for p in pairs]).reshape(shape),
-        )
-
-    return _patch_from_lift(sign, r, rows, base_dim, **options)
-
-
-def _tangent_row(sign: str, r: float, t: float) -> Tuple[complex, complex]:
-    """unit_tangent_lift's coefficients, with its sign check."""
-    return _tangent_coefficients(_check_sign(sign), r, t)
-
-
 def _patch_from_lift(
     sign: str,
     r: float,
     lift: Callable[[np.ndarray], StiefelPoint],
     base_dim: int,
     *,
-    center: Optional[np.ndarray] = None,
-    ranges: Optional[Sequence[Tuple[float, float]]] = None,
-    label: str = "",
-    expected_mu: Optional[float] = None,
-    expected_spectrum: Optional[Tuple[Tuple[float, int], ...]] = None,
-    check_horizontal: bool = True,
-    fd_step: float = FD_STEP,
+    expected_mu: Optional[float],
+    expected_spectrum: Optional[Tuple[Tuple[float, int], ...]],
 ) -> HypersurfacePatch:
-    """build_patch for a lift that maps base points (..., base_dim) to stacked
-    pairs (..., n+1) in one call."""
-    q_center = np.zeros(base_dim) if center is None else np.asarray(center, dtype=float)
-    if q_center.size != base_dim:
-        raise InputError("center size does not match base_dim")
-    # One lift of the center and of center +- fd_step along every base axis
-    # (the points lift_coefficients would lift one at a time); the center
-    # row also gives the dimension.
-    axes = np.eye(base_dim)
-    stencil = lift(
-        np.concatenate([[q_center + 0.0], q_center + fd_step * axes, q_center + -fd_step * axes])
-    )
-    um, up = stencil.u_minus, stencil.u_plus
-    dim_n = stencil.dim_n
+    """Assemble a patch from a horizontal Stiefel lift over a base chart.
 
-    if check_horizontal:
-        here = (um[0], up[0])
-        for axis in range(base_dim):
-            plus, minus = 1 + axis, 1 + base_dim + axis
-            co = _connection(here, (um[plus], up[plus]), (um[minus], up[minus]), fd_step)
-            if not is_horizontal(sign, co, tol=1e-6):
-                raise InputError(
-                    f"lift fails the {sign!r} horizontality condition on base "
-                    f"axis {axis}"
-                )
+    lift maps base points (..., base_dim) to stacked pairs (..., n+1) in one
+    call.  Chart is (theta, t, q_0 ... q_{base_dim-1}) on the box
+    (-1, 1) x (-0.8, 0.8) x (-0.3, 0.3)^base_dim, centered at 0; the curve
+    parameter t seeds the structure direction.  The lift is checked for
+    horizontality along every base axis at q = 0 and rejected otherwise.
+    """
+
+    def pairs(q: np.ndarray) -> np.ndarray:
+        p = lift(q)
+        return np.stack([p.u_minus, p.u_plus], axis=-2)
+
+    # One lift of the stencil at q = 0 +- FD_STEP along every base axis and
+    # of q = 0 itself, which also gives the dimension.
+    derivatives, here = _central_differences(pairs, np.zeros(base_dim), np.eye(base_dim), FD_STEP)
+    for axis, derivative in enumerate(derivatives):
+        if not is_horizontal(sign, _connection(here, derivative)):
+            raise InputError(
+                f"lift fails the {sign!r} horizontality condition on base "
+                f"axis {axis}"
+            )
 
     def chart(at: np.ndarray, coefficients) -> np.ndarray:
         # e^{i theta} (c_- u_- + c_+ u_+): the lift takes the whole stack;
@@ -331,40 +278,19 @@ def _patch_from_lift(
         return phase * vec
 
     def normal_func(at: np.ndarray) -> np.ndarray:
-        phase, tangent = chart(at, _tangent_row)
+        phase, tangent = chart(at, _tangent_coefficients)
         return phase * (1j * tangent)
 
-    degenerate = False
-    reason = ""
-    if sign == "plus" and abs(r) < 1e-14:
-        degenerate = True
-        reason = "focal collapse at r = 0: the image is the complex subspace"
-    if sign == "minus" and abs(r) < 1e-14:
-        degenerate = True
-        reason = "r = 0: the curve parameter is gauge and the image drops rank"
-
-    names = ("theta", "t") + tuple(f"q{i}" for i in range(base_dim))
-    if ranges is None:
-        full_ranges = ((-1.0, 1.0), (-0.8, 0.8)) + ((-0.3, 0.3),) * base_dim
-    else:
-        full_ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
-        if len(full_ranges) != base_dim + 2:
-            raise InputError("ranges must cover theta, t and every base coordinate")
-
-    full_center = np.concatenate(([0.0, 0.0], q_center))
     return HypersurfacePatch(
         sign=sign,
         r=r,
-        dim_n=dim_n,
-        param_names=names,
-        ranges=full_ranges,
-        center=full_center,
+        dim_n=here.shape[-1] - 1,
+        param_names=("theta", "t") + tuple(f"q{i}" for i in range(base_dim)),
+        ranges=((-1.0, 1.0), (-0.8, 0.8)) + ((-0.3, 0.3),) * base_dim,
+        center=np.zeros(base_dim + 2),
         eval_func=eval_func,
         normal_func=normal_func,
         t_index=1,
-        label=label or f"patch-{sign}",
-        degenerate=degenerate,
-        degenerate_reason=reason,
         expected_mu=expected_mu,
         expected_spectrum=expected_spectrum,
     )
@@ -417,10 +343,6 @@ def shape_operator(
     per-vector solves by rounding (a few u * cond(jac) * |v|), and the normal
     derivative and the matrix with them.
     """
-    if patch.degenerate:
-        raise ImmersionError(
-            f"degenerate patch {patch.label!r}: {patch.degenerate_reason}"
-        )
     at = np.asarray(at, dtype=float)
     columns, center = _central_differences(patch.eval_func, at, np.eye(len(at)), step)
     psi0 = AdSPoint(center).vec
@@ -667,7 +589,6 @@ def tube_complex(n: int, k: int, r: float) -> HypersurfacePatch:
         r,
         lift,
         base_dim=2 * n - 2,
-        label=f"tube-chk(n={n},k={k},r={r})",
         expected_mu=-2.0 * coth(2.0 * r),
         expected_spectrum=tuple(sorted(spectrum)),
     )
@@ -770,33 +691,25 @@ def tube_real(n: int, r: float) -> HypersurfacePatch:
     the first term left out below 1e-18 of the sum; a larger K is scaled by
     4^-s and the sums doubled back s times (_even_odd_series).  Rows with
     b = 0 or c = 0 need no special case; no matrix exponential is taken.
-    r = 0 is the real form itself and is flagged degenerate.
+    r = 0 is the real form itself and is rejected.
     """
     if n < 2:
         raise InputError(f"need n >= 2, got n={n}")
+    if abs(r) < 1e-14:
+        raise ImmersionError("r = 0 collapses the tube onto the real form (focal set)")
 
     def lift(q: np.ndarray) -> StiefelPoint:
         return StiefelPoint(*_tube_real_columns(q))
 
     coth = lambda x: math.cosh(x) / math.sinh(x)
-    if abs(r) < 1e-14:
-        expected_mu = 0.0
-        spectrum = None
-    else:
-        expected_mu = -2.0 * math.tanh(2.0 * r)
-        spectrum = tuple(
-            sorted(
-                [(-2.0 * math.tanh(2.0 * r), 1), (-coth(r), n - 1), (-math.tanh(r), n - 1)]
-            )
-        )
+    spectrum = [(-2.0 * math.tanh(2.0 * r), 1), (-coth(r), n - 1), (-math.tanh(r), n - 1)]
     return _patch_from_lift(
         "minus",
         r,
         lift,
         base_dim=2 * n - 2,
-        label=f"tube-rhn(n={n},r={r})",
-        expected_mu=expected_mu,
-        expected_spectrum=spectrum,
+        expected_mu=-2.0 * math.tanh(2.0 * r),
+        expected_spectrum=tuple(sorted(spectrum)),
     )
 
 
@@ -827,7 +740,6 @@ def horosphere(n: int, r: float) -> HypersurfacePatch:
         r,
         lift,
         base_dim=2 * n - 2,
-        label=f"horosphere(n={n},r={r})",
         expected_mu=-2.0,
         expected_spectrum=((-2.0, 1), (-1.0, 2 * n - 2)),
     )

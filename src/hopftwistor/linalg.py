@@ -146,26 +146,25 @@ def _readonly_matrix(matrix, dim_n: int) -> np.ndarray:
 class GroupElement:
     """A validated element of U(1,n), or a stack (..., n+1, n+1) of them.
 
-    A stack is judged once: every matrix's residual against tol, and the
-    error names the worst matrix's row.
+    A stack is judged once against STRUCTURE_TOL; the error names the worst
+    matrix's row.
     """
 
     matrix: np.ndarray
     dim_n: int
-    tol: float = STRUCTURE_TOL
 
     def __post_init__(self):
         m = _readonly_matrix(self.matrix, self.dim_n)
         object.__setattr__(self, "matrix", m)
         _judge_rows(
             group_residual(m),
-            self.tol,
-            f"not in U(1,{self.dim_n}): residual {{:.3e}} > tol {self.tol:.1e}",
+            STRUCTURE_TOL,
+            f"not in U(1,{self.dim_n}): residual {{:.3e}} > tol {STRUCTURE_TOL:.1e}",
         )
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         """The product, matrix by matrix for stacks."""
-        return GroupElement(self.matrix @ other.matrix, self.dim_n, max(self.tol, other.tol))
+        return GroupElement(self.matrix @ other.matrix, self.dim_n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,4 +241,4 @@ def matrix_exp(x: AlgebraElement, t=1.0) -> GroupElement:
         for _ in range(squarings):
             result = result @ result
         out[rows] = result
-    return GroupElement(out.reshape(a.shape), x.dim_n, STRUCTURE_TOL)
+    return GroupElement(out.reshape(a.shape), x.dim_n)

@@ -17,11 +17,10 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import DegenerateCurveError, InputError, ValidationError
-from .fibration import FD_STEP, ParamCurve
 from .linalg import STRUCTURE_TOL, _judge_rows, herm_form
 
 SIGNS = ("plus", "minus", "zero")
-HORIZONTAL_TOL = 1e-8
+HORIZONTAL_TOL = 1e-6
 
 __all__ = [
     "SIGNS",
@@ -34,7 +33,6 @@ __all__ = [
     "curve_coefficients",
     "unit_tangent_lift",
     "parallel_shift_residual",
-    "lift_coefficients",
     "is_horizontal",
 ]
 
@@ -49,13 +47,12 @@ def _check_sign(sign: str) -> str:
 class StiefelPoint:
     """An orthonormal pair: u_minus timelike (norm -1), u_plus spacelike (norm +1).
 
-    u_minus and u_plus may be stacks (..., n+1) of pairs, judged once: every
-    pair's residual against tol, and the error names the worst pair's row.
+    u_minus and u_plus may be stacks (..., n+1) of pairs, judged once against
+    STRUCTURE_TOL; the error names the worst pair's row.
     """
 
     u_minus: np.ndarray
     u_plus: np.ndarray
-    tol: float = STRUCTURE_TOL
 
     def __post_init__(self):
         um = np.asarray(self.u_minus, dtype=complex)
@@ -73,7 +70,7 @@ class StiefelPoint:
                 np.abs(gram[..., 0, 1]),
             ]
         )
-        _judge_rows(res, self.tol, "not an orthonormal (-,+) pair: residual {:.3e}")
+        _judge_rows(res, STRUCTURE_TOL, "not an orthonormal (-,+) pair: residual {:.3e}")
 
     @property
     def dim_n(self) -> int:
@@ -82,12 +79,11 @@ class StiefelPoint:
 
 @dataclass(frozen=True, eq=False)
 class TangentPair:
-    """A pair (X_-, X_+), each complex-orthogonal to both base vectors."""
+    """A pair (X_-, X_+), each complex-orthogonal to both base vectors (1e-8)."""
 
     x_minus: np.ndarray
     x_plus: np.ndarray
     base: StiefelPoint
-    tol: float = 1e-8
 
     def __post_init__(self):
         xm = np.asarray(self.x_minus, dtype=complex)
@@ -98,7 +94,7 @@ class TangentPair:
         object.__setattr__(self, "x_plus", xp)
         base = np.array([self.base.u_minus, self.base.u_plus])
         res = float(np.abs(herm_form(np.array([xm, xp])[:, None], base[None])).max())
-        if not (res <= self.tol):
+        if not (res <= 1e-8):
             raise ValidationError(
                 f"pair not orthogonal to the base: residual {res:.3e}", residual=res
             )
@@ -110,11 +106,11 @@ def para_apply(k: int, v: TangentPair) -> TangentPair:
     1: (X-, X+) -> (iX-, -iX+); 2: swap; 3: (X-, X+) -> (iX+, -iX-).
     """
     if k == 1:
-        return TangentPair(1j * v.x_minus, -1j * v.x_plus, v.base, v.tol)
+        return TangentPair(1j * v.x_minus, -1j * v.x_plus, v.base)
     if k == 2:
-        return TangentPair(v.x_plus, v.x_minus, v.base, v.tol)
+        return TangentPair(v.x_plus, v.x_minus, v.base)
     if k == 3:
-        return TangentPair(1j * v.x_plus, -1j * v.x_minus, v.base, v.tol)
+        return TangentPair(1j * v.x_plus, -1j * v.x_minus, v.base)
     raise InputError(f"frame index must be 1, 2 or 3, got {k}")
 
 
@@ -137,8 +133,8 @@ def curve_coefficients(sign: str, r: float, t: float) -> Tuple[complex, complex]
     )
 
 
-def model_curve(sign: str, r: float, p: StiefelPoint) -> ParamCurve:
-    """The constant-curvature model curve of the given sign and radius.
+def model_curve(sign: str, r: float, p: StiefelPoint) -> Callable[[float], np.ndarray]:
+    """The constant-curvature model curve t -> c(t) of the given sign and radius.
 
     Values stay on the hyperquadric inside the complex span of the pair.
     """
@@ -148,7 +144,7 @@ def model_curve(sign: str, r: float, p: StiefelPoint) -> ParamCurve:
         cm, cp = curve_coefficients(sign, r, t)
         return cm * p.u_minus + cp * p.u_plus
 
-    return ParamCurve(func)
+    return func
 
 
 def _tangent_coefficients(sign: str, r: float, t: float) -> Tuple[complex, complex]:
@@ -186,9 +182,9 @@ def parallel_shift_residual(
 
     Vanishes identically: the model curves form parallel families.
     """
-    base = model_curve(sign, r, p).at(t)
+    base = model_curve(sign, r, p)(t)
     tangent = unit_tangent_lift(sign, r, p, t)
-    shifted = model_curve(sign, r + r_prime, p).at(t)
+    shifted = model_curve(sign, r + r_prime, p)(t)
     diff = math.cosh(r_prime) * base + math.sinh(r_prime) * (1j * tangent) - shifted
     return float(np.linalg.norm(diff))
 
@@ -212,42 +208,22 @@ class LiftCoefficients:
     residual: float
 
 
-def lift_coefficients(
-    lift: Callable[[float], StiefelPoint],
-    x: float,
-    step: float = FD_STEP,
-    recon_tol: float = 1e-8,
-) -> LiftCoefficients:
-    """Differentiate a one-parameter lift and split off the connection part.
+def _connection(here: np.ndarray, derivative: np.ndarray) -> LiftCoefficients:
+    """Split the derivative (du_minus, du_plus) of a lift at the pair
+    here = (u_minus, u_plus) into its connection part and the rest; both
+    are arrays (2, n+1).
 
-    Central differences at x from the lifts at x, x + step and x - step;
-    raises InputError when the reconstruction residual shows the input does
-    not stay on the Stiefel manifold.  _connection holds the arithmetic, for
-    callers that lift those three points as rows of one stack.
+    Raises InputError when the reconstruction residual (above 1e-8, or NaN)
+    shows the lift does not stay on the Stiefel manifold.
     """
-    pairs = [(p.u_minus, p.u_plus) for p in (lift(x), lift(x + step), lift(x - step))]
-    return _connection(*pairs, step, recon_tol)
-
-
-_Pair = Tuple[np.ndarray, np.ndarray]
-
-
-def _connection(
-    here: _Pair, plus: _Pair, minus: _Pair, step: float, recon_tol: float = 1e-8
-) -> LiftCoefficients:
-    """lift_coefficients from the (u_minus, u_plus) vectors at x, x + step
-    and x - step."""
-    dum = (plus[0] - minus[0]) / (2.0 * step)
-    dup = (plus[1] - minus[1]) / (2.0 * step)
     um, up = here
+    dum, dup = derivative
     # c[a, b] = ((d u_a, u_b)) with a, b in (minus, plus)
-    (c_mm, c_mp), (c_pm, c_pp) = herm_form(
-        np.array([dum, dup])[:, None], np.array([um, up])[None]
-    ).tolist()
+    (c_mm, c_mp), (c_pm, c_pp) = herm_form(derivative[:, None], here[None]).tolist()
     w_minus = dum + c_mm * um - c_mp * up
     w_plus = dup + c_pm * um - c_pp * up
     residual = max(abs(c_mm.real), abs(c_pp.real), abs(c_pm + np.conj(c_mp)))
-    if not (residual <= recon_tol):
+    if not (residual <= 1e-8):
         raise InputError(
             f"lift leaves the Stiefel manifold: residual {residual:.3e}",
             residual=residual,
@@ -262,8 +238,9 @@ def _connection(
     )
 
 
-def is_horizontal(sign: str, c: LiftCoefficients, tol: float = HORIZONTAL_TOL) -> bool:
-    """Horizontality of a lift direction with respect to the twistor fibration.
+def is_horizontal(sign: str, c: LiftCoefficients) -> bool:
+    """Horizontality of a lift direction with respect to the twistor
+    fibration, each condition within HORIZONTAL_TOL.
 
     plus:  beta = 0
     minus: alpha- = alpha+ and Im beta = 0
@@ -271,12 +248,13 @@ def is_horizontal(sign: str, c: LiftCoefficients, tol: float = HORIZONTAL_TOL) -
     """
     _check_sign(sign)
     if sign == "plus":
-        return abs(c.beta) <= tol
+        return abs(c.beta) <= HORIZONTAL_TOL
     if sign == "minus":
         return (
-            abs(c.alpha_minus - c.alpha_plus) <= tol and abs(c.beta.imag) <= tol
+            abs(c.alpha_minus - c.alpha_plus) <= HORIZONTAL_TOL
+            and abs(c.beta.imag) <= HORIZONTAL_TOL
         )
     return (
-        abs(c.alpha_minus - c.alpha_plus - 2.0 * c.beta.real) <= tol
-        and abs(c.beta.imag) <= tol
+        abs(c.alpha_minus - c.alpha_plus - 2.0 * c.beta.real) <= HORIZONTAL_TOL
+        and abs(c.beta.imag) <= HORIZONTAL_TOL
     )

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from hopftwistor import StiefelPoint
+from hopftwistor.fibration import FD_STEP
+from hopftwistor.hypersurface import _patch_from_lift
+from hopftwistor.twistor import _connection
 
 
 @pytest.fixture
@@ -42,3 +45,42 @@ def _loop_exp(a: np.ndarray) -> np.ndarray:
 def loop_exp():
     """The per-matrix exponential, the reference for stacked matrix_exp."""
     return _loop_exp
+
+
+def _lift_coefficients(lift, x: float, step: float = FD_STEP):
+    """Connection coefficients of a one-parameter lift at x: one lift each
+    at x, x + step and x - step (anything with u_minus and u_plus), their
+    central difference, then the connection split."""
+    here, plus, minus = (np.array([p.u_minus, p.u_plus]) for p in (lift(x), lift(x + step), lift(x - step)))
+    return _connection(here, (plus - minus) / (2.0 * step))
+
+
+@pytest.fixture
+def lift_coefficients():
+    """The per-point lift differentiation, the reference for the
+    horizontality gate's stencil."""
+    return _lift_coefficients
+
+
+def _build_patch(sign: str, r: float, lift, base_dim: int):
+    """A patch without closed forms from a lift of one base point
+    (base_dim,) to a StiefelPoint, applied to each row of a stack."""
+
+    def rows(q: np.ndarray) -> StiefelPoint:
+        if q.ndim == 1:
+            return lift(q)
+        pairs = [lift(row) for row in q.reshape(-1, q.shape[-1])]
+        shape = q.shape[:-1] + (-1,)
+        return StiefelPoint(
+            np.array([p.u_minus for p in pairs]).reshape(shape),
+            np.array([p.u_plus for p in pairs]).reshape(shape),
+        )
+
+    return _patch_from_lift(sign, r, rows, base_dim, expected_mu=None, expected_spectrum=None)
+
+
+@pytest.fixture
+def build_patch():
+    """The per-point patch builder, for lifts written one base point at a
+    time."""
+    return _build_patch

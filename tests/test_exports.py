@@ -38,6 +38,29 @@ def test_package_imports_only_exported_names():
     assert unlisted == []
 
 
+def _unused_imports(path: pathlib.Path) -> list:
+    """Names a module imports and never uses; a name in its __all__ and the
+    __future__ import count as used."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_keeps_an_unused_import():
+    # __init__ only re-exports, so every module but it is checked.
+    unused = {name: _unused_imports(PACKAGE / f"{name}.py") for name in MODULES}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
 def test_the_command_imports_numpy_alone():
     # scipy, mpmath and sympy are installed for tests and scripts; the
     # package and its start-up time depend on numpy only.

@@ -7,7 +7,6 @@ from hopftwistor import (
     AdSPoint,
     DegenerateCurveError,
     InputError,
-    ParamCurve,
     ValidationError,
     curve_curvature,
     horizontal_part,
@@ -77,9 +76,8 @@ def test_curvature_matches_closed_forms(canonical_pair):
 
 def test_curvature_fiber_curve_degenerate(canonical_pair):
     # the fiber itself projects to a point
-    curve = ParamCurve(lambda t: np.exp(1j * t) * canonical_pair.u_minus)
     with pytest.raises(DegenerateCurveError):
-        curve_curvature(curve, 0.0)
+        curve_curvature(lambda t: np.exp(1j * t) * canonical_pair.u_minus, 0.0)
 
 
 def test_space_norm_on_horizontal(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -11,12 +12,10 @@ from hopftwistor import (
     InputError,
     StiefelPoint,
     ValidationError,
-    build_patch,
     cluster_eigenvalues,
     horosphere,
     horosphere_defining_residual,
     is_horizontal,
-    lift_coefficients,
     pairing_residual,
     real_form,
     shape_operator,
@@ -34,6 +33,7 @@ from hopftwistor.fibration import (
 from hopftwistor.generator import GeneratorForm, orbit_patch_from_form
 from hopftwistor.hypersurface import _central_differences, _point_report, _realify
 from hopftwistor.linalg import GroupElement
+from hopftwistor.sampling import random_one_param
 from hopftwistor.twistor import curve_coefficients, unit_tangent_lift
 
 
@@ -82,10 +82,8 @@ def test_tube_real_certifies_and_pairs():
 
 
 def test_tube_real_r_zero_degenerate():
-    patch = tube_real(2, 0.0)
-    assert patch.degenerate
     with pytest.raises(ImmersionError):
-        shape_operator(patch, patch.center)
+        tube_real(2, 0.0)
 
 
 def test_horosphere_defining_relation():
@@ -107,7 +105,7 @@ def test_horosphere_spectrum_orientation():
     assert flipped[vals[1]] == 1
 
 
-def test_build_patch_horizontality_gate(canonical_pair):
+def test_build_patch_horizontality_gate(canonical_pair, build_patch):
     e0, e1 = canonical_pair.u_minus, canonical_pair.u_plus
 
     def boost_span(q: np.ndarray) -> StiefelPoint:
@@ -142,7 +140,7 @@ def test_pairing_residual_closed_form():
 
 
 def test_cluster_eigenvalues_buckets():
-    got = cluster_eigenvalues([1.0, 1.0001, 2.0], tol=5e-4)
+    got = cluster_eigenvalues([1.0, 1.0001, 2.0])
     assert [(round(v, 6), m) for v, m in got] == [(1.00005, 2), (2.0, 1)]
     got = cluster_eigenvalues([3.0])
     assert got == [(3.0, 1)]
@@ -304,7 +302,7 @@ def _horosphere_lift(q: np.ndarray) -> StiefelPoint:
     return StiefelPoint(um, up)
 
 
-def test_redundant_coordinate_is_skipped_by_the_frame():
+def test_redundant_coordinate_is_skipped_by_the_frame(build_patch):
     # q1 is ignored: its column vanishes, the sweep skips it, and the other
     # columns give horosphere(2, 0.5)'s frame and matrix bit for bit.
     horo = horosphere(2, 0.5)
@@ -400,7 +398,7 @@ def test_shape_operator_on_orbit_patches_equals_the_point_by_point_path(rng):
             _assert_shape_operator_is_the_point_path(patch, at)
 
 
-def test_shape_operator_on_a_redundant_coordinate_equals_the_point_by_point_path():
+def test_shape_operator_on_a_redundant_coordinate_equals_the_point_by_point_path(build_patch):
     redundant = build_patch(
         "zero", 0.5, lambda q: _horosphere_lift(q[[0, 2]]), base_dim=3
     )
@@ -419,7 +417,7 @@ def test_shape_operator_validates_the_center_as_patch_point():
     assert stencil_error.value.residual == point_error.value.residual
 
 
-def test_single_coordinate_lift_collapses_the_frame():
+def test_single_coordinate_lift_collapses_the_frame(build_patch):
     one = build_patch(
         "zero", 0.5, lambda q: _horosphere_lift(np.array([q[0], 0.0])), base_dim=2
     )
@@ -427,15 +425,9 @@ def test_single_coordinate_lift_collapses_the_frame():
         shape_operator(one, one.center, rank_tol=0)
 
 
-def test_verify_hopf_flags_wrong_closed_form(canonical_pair):
+def test_verify_hopf_flags_wrong_closed_form(canonical_pair, build_patch):
     base = tube_complex(2, 0, 0.5)
-    wrong = build_patch(
-        "plus",
-        0.5,
-        lambda q: _tube_lift(q),
-        base_dim=2,
-        expected_mu=-3.0,
-    )
+    wrong = dataclasses.replace(build_patch("plus", 0.5, _tube_lift, base_dim=2), expected_mu=-3.0)
     rep = verify_hopf(wrong, grid=[wrong.center])
     assert not rep.certified
     assert "mu" in rep.failures
@@ -558,9 +550,9 @@ def _gate_coefficients(monkeypatch, build):
     axis order."""
     seen = []
 
-    def recording(sign, co, tol):
+    def recording(sign, co):
         seen.append(co)
-        return is_horizontal(sign, co, tol)
+        return is_horizontal(sign, co)
 
     monkeypatch.setattr(hypersurface, "is_horizontal", recording)
     build()
@@ -568,31 +560,35 @@ def _gate_coefficients(monkeypatch, build):
     return seen
 
 
-def _assert_gate_is_the_per_axis_loop(seen, point_lift, q_center):
-    assert len(seen) == q_center.size
+def _assert_gate_is_the_per_axis_loop(seen, point_lift, base_dim, lift_coefficients):
+    assert len(seen) == base_dim
     for axis, got in enumerate(seen):
-        d = np.eye(q_center.size)[axis]
-        want = lift_coefficients(lambda x: point_lift(q_center + x * d), 0.0)
+        d = np.eye(base_dim)[axis]
+        want = lift_coefficients(lambda x: point_lift(x * d), 0.0)
         for field in ("alpha_minus", "alpha_plus", "beta", "w_minus", "w_plus", "residual"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 @pytest.mark.parametrize("sign", sorted(FAMILIES))
-def test_horizontality_gate_equals_per_axis_lift_coefficients(sign, monkeypatch, loop_exp):
+def test_horizontality_gate_equals_per_axis_lift_coefficients(
+    sign, monkeypatch, loop_exp, lift_coefficients
+):
     build, point_lift = FAMILIES[sign]
     for n in range(2, 7):
         seen = _gate_coefficients(monkeypatch, lambda: build(n, 0.7))
         _assert_gate_is_the_per_axis_loop(
-            seen, lambda q: StiefelPoint(*point_lift(n, q, loop_exp)), np.zeros(2 * n - 2)
+            seen, lambda q: StiefelPoint(*point_lift(n, q, loop_exp)), 2 * n - 2, lift_coefficients
         )
 
 
-def test_horizontality_gate_of_build_patch_equals_per_axis_lift_coefficients(monkeypatch):
-    center = np.array([0.1, -0.2])
+def test_horizontality_gate_of_build_patch_equals_per_axis_lift_coefficients(
+    monkeypatch, build_patch, lift_coefficients
+):
+    # The gate sits at q = 0, for a lift written one base point at a time.
     seen = _gate_coefficients(
-        monkeypatch, lambda: build_patch("zero", 0.5, _horosphere_lift, base_dim=2, center=center)
+        monkeypatch, lambda: build_patch("zero", 0.5, _horosphere_lift, base_dim=2)
     )
-    _assert_gate_is_the_per_axis_loop(seen, _horosphere_lift, center)
+    _assert_gate_is_the_per_axis_loop(seen, _horosphere_lift, 2, lift_coefficients)
 
 
 # One least-squares solve with every frame vector as a right-hand side,
@@ -691,3 +687,103 @@ def test_tube_real_lift_validates_wherever_the_group_element_does(n, rng, loop_e
             accepted += 1
             StiefelPoint(*hypersurface._tube_real_columns(row))
     assert accepted >= 80
+
+
+# ---------------------------------------------------------------- negatives
+
+
+def _ruled_patch(n: int, delta: float) -> hypersurface.HypersurfacePatch:
+    """Reference non-Hopf patch: the real hypersurface of CH^n ruled by the
+    totally geodesic CH^(n-1)s through the points of the geodesic w(t).
+
+    z(theta, t, s) = e^{i theta} (cosh|s| w(t) + (sinh|s|/|s|) zeta(s)) with
+    w(t) = cosh t e0 + sinh t e1 and zeta(s) = (0, 0, s_1 + i s_n, ...,
+    s_{n-1} + i s_{2n-2}), s in the box (-delta, delta)^(2n-2); the normal
+    lift e^{i theta} i w'(t) is constant along each ruling.  Ruled real
+    hypersurfaces are never Hopf (Lohnherr and Reckziegel, Geom. Dedicata
+    74, 1999): the Hopf residual at the grid corner is tanh(delta sqrt(2n-2)).
+    At delta = 1e-6 that defect, 1.4e-6 at n = 2, lies below the "hopf"
+    tolerance 1e-4 and the patch certifies: the certifier's resolution, not
+    a property of the patch, so no test pins it.
+    """
+    m = n - 1
+
+    def parts(at: np.ndarray):
+        theta, t, s = at[..., 0], at[..., 1], at[..., 2:]
+        size = np.sqrt((s * s).sum(axis=-1))
+        ratio = np.where(size > 0, np.sinh(size) / np.where(size > 0, size, 1.0), 1.0)
+        w = np.zeros(at.shape[:-1] + (n + 1,), dtype=complex)
+        w[..., 0], w[..., 1] = np.cosh(t), np.sinh(t)
+        velocity = np.zeros_like(w)
+        velocity[..., 0], velocity[..., 1] = np.sinh(t), np.cosh(t)
+        zeta = np.zeros_like(w)
+        zeta[..., 2:] = s[..., :m] + 1j * s[..., m:]
+        phase = np.exp(1j * theta)[..., None]
+        return phase, np.cosh(size)[..., None] * w + ratio[..., None] * zeta, velocity
+
+    def eval_func(at: np.ndarray) -> np.ndarray:
+        phase, point, _ = parts(at)
+        return phase * point
+
+    def normal_func(at: np.ndarray) -> np.ndarray:
+        phase, _, velocity = parts(at)
+        return phase * (1j * velocity)
+
+    return hypersurface.HypersurfacePatch(
+        sign="ruled",
+        r=None,
+        dim_n=n,
+        param_names=("theta", "t") + tuple(f"s{i}" for i in range(2 * m)),
+        ranges=((-1.0, 1.0), (-0.8, 0.8)) + ((-delta, delta),) * (2 * m),
+        center=np.zeros(2 * n),
+        eval_func=eval_func,
+        normal_func=normal_func,
+        t_index=1,
+    )
+
+
+@pytest.mark.parametrize("delta", [0.3, 1e-2, 1e-4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_ruled_patch_fails_the_hopf_rows(n, delta):
+    patch = _ruled_patch(n, delta)
+    rep = verify_hopf(patch, grid=patch.grid(3))
+    assert rep.hopf_residual == pytest.approx(math.tanh(delta * math.sqrt(2 * n - 2)), rel=1e-3)
+    want = {"hopf-residual"}
+    if delta >= 1e-2:
+        want |= {"pairing-max", "multiplicity-pattern"}
+    assert set(rep.failures) == want
+
+
+# Each tolerance that verify_hopf judges, and the rows it judges.
+TOLERANCE_ROWS = {
+    "hopf": {"hopf-residual"},
+    "symmetry": {"symmetry-residual"},
+    "lsq": {"lsq-residual"},
+    "mu": {"mu", "mu-pointwise"},
+    "mu-constancy": {"mu-constancy"},
+    "pairing": {"pairing-max"},
+    "unit": {"unit-multiplicity"},
+}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: tube_complex(2, 0, 0.5),
+        lambda: tube_real(3, 0.5),
+        lambda: horosphere(2, 0.3),
+        lambda: orbit_patch_from_form(random_one_param(np.random.default_rng(0))),
+    ],
+    ids=["plus", "minus", "zero", "orbit"],
+)
+def test_a_zero_tolerance_fails_exactly_its_rows(build):
+    """A certifying patch with one tolerance set to 0 fails the rows that
+    tolerance judges and no other (none when the patch has no such row)."""
+    patch = build()
+    grid = patch.grid(2)
+    rep = verify_hopf(patch, grid=grid)
+    assert rep.certified, rep.failures
+    rows = {c["name"] for c in rep.checks}
+    for name, judged in TOLERANCE_ROWS.items():
+        failures = verify_hopf(patch, grid=grid, tolerances={name: 0.0}).failures
+        assert set(failures) == rows & judged, name

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from hopftwistor import (
     StiefelPoint,
     TangentPair,
     ValidationError,
+    AdSPoint,
     is_horizontal,
-    lift_coefficients,
     model_curve,
     pair_form,
     para_apply,
@@ -26,7 +28,7 @@ def pairs_close(a, b, tol=1e-12):
 
 
 def scaled(v, s):
-    return type(v)(s * v.x_minus, s * v.x_plus, v.base, v.tol)
+    return type(v)(s * v.x_minus, s * v.x_plus, v.base)
 
 
 def test_stiefel_validation(canonical_pair):
@@ -92,10 +94,10 @@ def test_model_curves_stay_on_quadric(canonical_pair):
     for sign in SIGNS:
         curve = model_curve(sign, 0.4, canonical_pair)
         for t in (-1.0, 0.0, 0.6):
-            curve.point(t)  # membership check inside
+            AdSPoint(curve(t))  # membership check inside
 
 
-def test_is_horizontal_predicates(canonical_pair):
+def test_is_horizontal_predicates(canonical_pair, lift_coefficients):
     """Boost lifts are 'minus'-horizontal, phase lifts 'plus'-horizontal."""
     e0, e1 = canonical_pair.u_minus, canonical_pair.u_plus
 
@@ -121,7 +123,7 @@ def test_is_horizontal_predicates(canonical_pair):
 def test_unit_tangent_lift_is_unit(canonical_pair):
     for sign in SIGNS:
         for t in (-0.5, 0.3):
-            c = model_curve(sign, 0.7, canonical_pair).at(t)
+            c = model_curve(sign, 0.7, canonical_pair)(t)
             tv = unit_tangent_lift(sign, 0.7, canonical_pair, t)
             from hopftwistor import real_form
             assert real_form(tv, tv) == pytest.approx(1.0, abs=1e-12)
@@ -144,10 +146,7 @@ def test_parallel_shift_identity(canonical_pair):
     assert worst <= 1e-10
 
 
-def test_lift_coefficients_refuse_a_nan_reconstruction(canonical_pair):
-    from hopftwistor.twistor import _connection
-
-    here = (canonical_pair.u_minus, canonical_pair.u_plus)
-    plus = (np.full(3, np.nan, dtype=complex), canonical_pair.u_plus)
+def test_lift_coefficients_refuse_a_nan_reconstruction(canonical_pair, lift_coefficients):
+    nan_pair = types.SimpleNamespace(u_minus=np.full(3, np.nan, dtype=complex), u_plus=canonical_pair.u_plus)
     with pytest.raises(InputError, match=r"leaves the Stiefel manifold: residual nan$"):
-        _connection(here, plus, here, 1e-4)
+        lift_coefficients(lambda x: nan_pair if x > 0 else canonical_pair, 0.0)
