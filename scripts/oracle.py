@@ -81,7 +81,7 @@ SHAPE_ROWS = (
     "mu-pointwise", "pairing-max", "multiplicity-pattern", "unit-multiplicity",
     "trichotomy-margin", "spectrum-size", "eigenvalue", "multiplicity",
     "eigenvalue-opposite", "multiplicity-opposite", "sample-eigenvalue",
-    "rho", "rho-constancy", "rho-horosphere",
+    "rho", "rho-constancy",
 )
 # One grid point per family at n = 4 (the first of the CLI's grid), whose
 # per-point values the test suite recomputes.

@@ -28,10 +28,12 @@ moved and the largest absolute and relative change of `value`, over the
 JSON and CSV reports on stdout and in --out files; then the stderr lines
 that differ only in numbers.
 
-The command set (460 commands):
+The command set (461 commands):
 - the first 4 cycles of each benchmark workload (perfbench/inputs.py,
   seed 1) and the 24 commands of its full-range probe (seed 1);
 - the README commands;
+- cko-run on the y0 = y1 constants of
+  random_one_param(default_rng(0), horosphere=True);
 - verify-hopf and build-example for n = 2..5, each family (--k n-1 for
   plus), r in {0.02, 0.1, 0.5, 1.5, 4};
 - cko-run --n 2 --seed 0..39;
@@ -70,6 +72,17 @@ FLAT_FORM = {
     "w2": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
 }
 
+# random_one_param(np.random.default_rng(0), horosphere=True): y0 = y1.
+HOROSPHERE_CONSTANTS = {
+    "kind": "one-param",
+    "alpha0": 0.7148085531751387,
+    "alpha1": -0.9328288493890713,
+    "x": 0.45931089285988813,
+    "y0": -0.648688758794882,
+    "y1": -0.648688758794882,
+    "w": 0.08292244049818343,
+}
+
 
 def _classical(command: str, n: int, s: str, r: float) -> list:
     argv = [command, "--n", str(n), "--s", s, "--r", repr(r)]
@@ -104,6 +117,7 @@ def commands(work: str) -> list:
         ["cko-run", "--n", "2", "--seed", "7"],
         ["cko-run", "--constants", form],
         ["mc-check", "--constants", form],
+        ["cko-run", "--constants", doc_file("horosphere.json", HOROSPHERE_CONSTANTS)],
     ]
     for n in (2, 3, 4, 5):
         for s in FAMILIES:

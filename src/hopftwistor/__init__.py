@@ -25,7 +25,6 @@ from .generator import (
     commutator_residual,
     extra_curvature,
     form_value,
-    is_horosphere_data,
     maurer_cartan_residual,
     orbit_patch_from_form,
     parse_constants,

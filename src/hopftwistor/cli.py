@@ -22,14 +22,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, GeometryError, InputError, NonFiniteCheckError
-from .fibration import AdSPoint, curve_curvature
+from .fibration import FD_STEP, AdSPoint, curve_curvature
 from .generator import (
     RHO_HEIGHTS,
     GeneratorForm,
     _basis_values,
     commutator_residual,
     extra_curvature,
-    is_horosphere_data,
     maurer_cartan_residual,
     orbit_patch_from_form,
     parse_constants,
@@ -38,6 +37,7 @@ from .generator import (
 from .hypersurface import (
     DEFAULT_TOLERANCES,
     GRID_CAP,
+    GRID_DENSITY,
     HypersurfacePatch,
     ShapeReport,
     grid_key,
@@ -103,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--r", type=float, default=None, help="radius parameter")
         p.add_argument("--k", type=int, default=0, help="complex subspace dimension")
-        p.add_argument("--grid", type=int, default=3, help="grid density per axis")
-        p.add_argument("--step", type=float, default=1e-4, help="finite-difference step")
+        p.add_argument("--grid", type=int, default=GRID_DENSITY, help="grid density per axis")
+        p.add_argument("--step", type=float, default=FD_STEP, help="finite-difference step")
         p.add_argument(
             "--tol", action="append", metavar="NAME=VAL", help="override a tolerance"
         )
@@ -278,8 +278,6 @@ def _cmd_verify_curves(args: argparse.Namespace) -> dict:
 
 
 def _build_classical(args: argparse.Namespace) -> HypersurfacePatch:
-    if args.s is None:
-        raise ConfigError("--s is required for this command")
     if args.s == "zero":
         r = 0.0 if args.r is None else args.r
         return horosphere(args.n, r)
@@ -381,39 +379,22 @@ def _construction_checks(
     return checks
 
 
-def _cmd_build_example(args: argparse.Namespace) -> dict:
-    patch = _build_classical(args)
-    grid = _grid(patch, args.grid)
-    checks = _construction_checks(args, patch, grid)
-    rep = verify_hopf(patch, grid, step=args.step, tolerances=args.tol)
-    checks += rep.checks
-    checks += _spectrum_checks(args, patch, rep)
-    return make_envelope(args.command, _echo(args), checks)
-
-
-def _cmd_verify_hopf(args: argparse.Namespace) -> dict:
+def _cmd_classical(args: argparse.Namespace) -> dict:
+    """build-example and verify-hopf: the Hopf battery and the construction
+    rows; build-example adds the spectrum table, verify-hopf the trichotomy
+    row."""
     patch = _build_classical(args)
     grid = _grid(patch, args.grid)
     rep = verify_hopf(patch, grid, step=args.step, tolerances=args.tol)
-    checks = _construction_checks(args, patch, grid)
-    checks += rep.checks
+    checks = _construction_checks(args, patch, grid) + list(rep.checks)
     mu_abs = abs(rep.mu)
-    if args.s == "plus":
-        checks.append(
-            make_check(
-                "trichotomy-margin", mu_abs - 2.0, 0.0, 0.0, passed=mu_abs - 2.0 > 0
-            )
-        )
-    elif args.s == "minus":
-        checks.append(
-            make_check(
-                "trichotomy-margin", 2.0 - mu_abs, 0.0, 0.0, passed=2.0 - mu_abs > 0
-            )
-        )
+    if args.command == "build-example":
+        checks += _spectrum_checks(args, patch, rep)
+    elif args.s == "zero":
+        checks.append(make_check("trichotomy-margin", abs(mu_abs - 2.0), 0.0, args.tol["mu"]))
     else:
-        checks.append(
-            make_check("trichotomy-margin", abs(mu_abs - 2.0), 0.0, args.tol["mu"])
-        )
+        margin = mu_abs - 2.0 if args.s == "plus" else 2.0 - mu_abs
+        checks.append(make_check("trichotomy-margin", margin, 0.0, 0.0, passed=margin > 0))
     return make_envelope(args.command, _echo(args), checks)
 
 
@@ -475,18 +456,6 @@ def _one_param_checks(args: argparse.Namespace, form: GeneratorForm) -> List[dic
     checks.append(
         make_check("horosphere-data", abs(y0 - y1), 0.0, 0.0, passed=True)
     )
-    if is_horosphere_data(form):
-        for lam in sorted(by_height):
-            for rho in by_height[lam]:
-                checks.append(
-                    make_check(
-                        "rho-horosphere",
-                        rho,
-                        1.0,
-                        args.tol["rho"],
-                        grid_point=f"lam={_g(lam)}",
-                    )
-                )
     return checks
 
 
@@ -545,8 +514,8 @@ def _closed_forms(command):
 
 _COMMANDS = {
     "verify-curves": _closed_forms(_cmd_verify_curves),
-    "build-example": _closed_forms(_cmd_build_example),
-    "verify-hopf": _closed_forms(_cmd_verify_hopf),
+    "build-example": _closed_forms(_cmd_classical),
+    "verify-hopf": _closed_forms(_cmd_classical),
     "cko-run": _cmd_cko_run,
     "mc-check": _cmd_mc_check,
 }

@@ -15,8 +15,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCurveError, InputError, ValidationError
-from .linalg import STRUCTURE_TOL, herm_form, real_form
+from .errors import DegenerateCurveError, InputError
+from .linalg import STRUCTURE_TOL, _judge_rows, herm_form, real_form
 
 FD_STEP = 1e-4
 
@@ -41,10 +41,7 @@ class AdSPoint:
         v = np.asarray(self.vec, dtype=complex)
         object.__setattr__(self, "vec", v)
         res = abs(herm_form(v, v) + 1.0)
-        if not (res <= STRUCTURE_TOL):
-            raise ValidationError(
-                f"not on the hyperquadric: |((w,w))+1| = {res:.3e}", residual=res
-            )
+        _judge_rows(res, STRUCTURE_TOL, "not on the hyperquadric: |((w,w))+1| = {:.3e}")
 
 
 class CurvatureResult(NamedTuple):
@@ -52,8 +49,8 @@ class CurvatureResult(NamedTuple):
     residual: float
 
 
-def space_norm(x, w) -> float:
-    """Norm of a tangent vector x at w via the real scalar product.
+def space_norm(x) -> float:
+    """Norm sqrt(<x, x>) of a tangent vector x; it needs no base point.
 
     Valid on horizontal vectors (the restriction there is positive definite).
     """
@@ -72,12 +69,8 @@ def horizontal_part(x, w, tol: float = 1e-8) -> np.ndarray:
     """
     wv = np.asarray(w, dtype=complex)
     xv = np.asarray(x, dtype=complex)
-    tangency = float(np.abs(real_form(xv, wv)).max())
-    if not (tangency <= tol):
-        raise InputError(
-            f"not tangent to the hyperquadric: <X,w> = {tangency:.3e}",
-            residual=tangency,
-        )
+    tangency = np.abs(real_form(xv, wv)).max()
+    _judge_rows(tangency, tol, "not tangent to the hyperquadric: <X,w> = {:.3e}", InputError)
     iw = 1j * wv
     return xv + np.asarray(real_form(xv, iw))[..., None] * iw
 
@@ -118,22 +111,22 @@ def curve_curvature(
         return c, hvel, a
 
     c0, hvel0, a0 = tangent_data(t)
-    v = space_norm(hvel0, c0)
+    v = space_norm(hvel0)
     if v <= 1e-10:
         raise DegenerateCurveError(
             f"vanishing horizontal speed at t = {t}: ||Hc'|| = {v:.3e}"
         )
 
     def unit_tangent(tau: float) -> np.ndarray:
-        c, hvel, _ = tangent_data(tau)
-        return hvel / space_norm(hvel, c)
+        _, hvel, _ = tangent_data(tau)
+        return hvel / space_norm(hvel)
 
     t0 = unit_tangent(t)
     dt_vec = (unit_tangent(t + step) - unit_tangent(t - step)) / (2.0 * step)
     deriv = (dt_vec + a0 * (1j * t0)) / v
     w = horizontal_part(tangent_project_ads(deriv, c0), c0, tol=1e-5)
-    kappa = space_norm(w, c0)
+    kappa = space_norm(w)
     it0 = 1j * t0
-    res_plus = space_norm(w - kappa * it0, c0)
-    res_minus = space_norm(w + kappa * it0, c0)
+    res_plus = space_norm(w - kappa * it0)
+    res_minus = space_norm(w + kappa * it0)
     return CurvatureResult(kappa, res_plus if res_plus <= res_minus else res_minus)

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, ImmersionError, InputError, ValidationError
 from .fibration import FD_STEP
 from .hypersurface import HypersurfacePatch, _central_differences
-from .linalg import AlgebraElement, GroupElement, matrix_exp, real_form
+from .linalg import AlgebraElement, GroupElement, _judge_rows, matrix_exp, real_form
 
 FORM_TOL = 1e-12
 
@@ -43,7 +43,6 @@ __all__ = [
     "orbit_patch_from_form",
     "RHO_HEIGHTS",
     "extra_curvature",
-    "is_horosphere_data",
     "parse_constants",
 ]
 
@@ -102,25 +101,13 @@ class GeneratorForm:
             got = getattr(self, name).shape
             if got != want:
                 raise InputError(f"{name} has shape {got}, expected {want}")
-        alt = float(np.abs(self.w1 + np.transpose(self.w1, (0, 2, 1))).max())
-        if alt > FORM_TOL:
-            raise ValidationError(
-                f"rotation block is not alternating: residual {alt:.3e}",
-                residual=alt,
-            )
-        sym = float(np.abs(self.w2 - np.transpose(self.w2, (0, 2, 1))).max())
-        if sym > FORM_TOL:
-            raise ValidationError(
-                f"symmetric block is not symmetric: residual {sym:.3e}",
-                residual=sym,
-            )
         gram = self.y0.T @ self.y1
-        wedge = float(np.abs(gram - gram.T).max())
-        if wedge > FORM_TOL:
-            raise ValidationError(
-                f"y-blocks violate the wedge constraint: residual {wedge:.3e}",
-                residual=wedge,
-            )
+        for defect, what in (
+            (self.w1 + np.transpose(self.w1, (0, 2, 1)), "rotation block is not alternating"),
+            (self.w2 - np.transpose(self.w2, (0, 2, 1)), "symmetric block is not symmetric"),
+            (gram - gram.T, "y-blocks violate the wedge constraint"),
+        ):
+            _judge_rows(np.abs(defect).max(), FORM_TOL, what + ": residual {:.3e}")
 
     @property
     def dim_g(self) -> int:
@@ -298,12 +285,12 @@ def two_path_residual(f: GeneratorForm) -> float:
 
 
 def _require_flat(f: GeneratorForm, flat_tol: float) -> None:
-    res = maurer_cartan_residual(f)
-    if not (res <= flat_tol):
-        raise InputError(
-            f"form is not flat (residual {res:.3e}); the product map is "
-            f"path dependent"
-        )
+    _judge_rows(
+        maurer_cartan_residual(f),
+        flat_tol,
+        "form is not flat (residual {:.3e}); the product map is path dependent",
+        InputError,
+    )
 
 
 def _chart_group(values: Sequence[AlgebraElement], coords) -> GroupElement:
@@ -318,15 +305,6 @@ def _chart_group(values: Sequence[AlgebraElement], coords) -> GroupElement:
     for k, x in enumerate(values[1:], 1):
         total = total + coords[..., k, :, :] * x.matrix
     return matrix_exp(AlgebraElement(total, values[0].dim_n))
-
-
-def is_horosphere_data(f: GeneratorForm) -> bool:
-    """Exact test y0 == y1 on the constants of an n = 2 form; equivalent to
-    the patch being an open piece of a horosphere, and to a constant
-    transverse curvature.
-    """
-    _, _, _, y0, y1, _ = f.scalars()
-    return y0 == y1
 
 
 # The heights lam at which the one-parameter battery checks rho.
@@ -346,6 +324,7 @@ def extra_curvature(f: GeneratorForm, lam: float) -> float:
 
     rho = a/b with a = lam(2w - a0 - a1) + 2 y1 + 3 lam^2 (y0 - y1) and
     b = a + 2(y0 - y1); b = 0 means the transverse direction collapses.
+    Horosphere data y0 = y1 gives rho = a/(a + 0.0) = 1 exactly.
     """
     lam = float(lam)
     a, b = _transverse_terms(f, lam)
@@ -404,11 +383,9 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
     nx = f.dim_g
     names = ("theta",) + tuple(f"x{i}" for i in range(nx)) + ("h", "lam")
     ranges = ((-0.8, 0.8),) + ((-0.5, 0.5),) * nx + ((-0.8, 0.8), _LAM_RANGE)
-    center = [0.0] * (2 + nx) + [0.5 * (_LAM_RANGE[0] + _LAM_RANGE[1])]
     if n >= 3:
         names = names + tuple(f"c{i}" for i in range(n - 2))
         ranges = ranges + ((-0.25, 0.25),) * (n - 2)
-        center = center + [0.0] * (n - 2)
 
     def chart(at: np.ndarray, profile) -> np.ndarray:
         # Chart points (..., d) in one call: one exponential per stack.
@@ -435,19 +412,20 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
         dim_n=n,
         param_names=names,
         ranges=ranges,
-        center=np.array(center),
         eval_func=eval_func,
         normal_func=normal_func,
         t_index=1 + nx,
         expected_mu=2.0,
     )
-    columns, _ = _central_differences(eval_func, patch.center, np.eye(len(names)), FD_STEP)
-    res = float(np.abs(real_form(columns[1:], patch.normal(patch.center))).max())
-    if res > 1e-6:
-        raise InputError(
-            f"normal is not orthogonal to the chart directions (residual "
-            f"{res:.3e}); the generator violates the tangency identity"
-        )
+    center = patch.center
+    columns, _ = _central_differences(eval_func, center, np.eye(len(names)), FD_STEP)
+    _judge_rows(
+        np.abs(real_form(columns[1:], patch.normal(center))).max(),
+        1e-6,
+        "normal is not orthogonal to the chart directions (residual {:.3e}); "
+        "the generator violates the tangency identity",
+        InputError,
+    )
     return patch
 
 

@@ -109,12 +109,17 @@ class HypersurfacePatch:
     dim_n: int
     param_names: Tuple[str, ...]
     ranges: Tuple[Tuple[float, float], ...]
-    center: np.ndarray
     eval_func: Callable[[np.ndarray], np.ndarray]
     normal_func: Callable[[np.ndarray], np.ndarray]
     t_index: int
     expected_mu: Optional[float] = None
     expected_spectrum: Optional[Tuple[Tuple[float, int], ...]] = None
+
+    @property
+    def center(self) -> np.ndarray:
+        """The midpoint 0.5 (lo + hi) of every chart range: 0 on the
+        symmetric ranges, 1.0 for the orbit height lam."""
+        return np.array([0.5 * (lo + hi) for lo, hi in self.ranges])
 
     def point(self, at) -> np.ndarray:
         vec = np.asarray(self.eval_func(np.asarray(at, dtype=float)), dtype=complex)
@@ -287,7 +292,6 @@ def _patch_from_lift(
         dim_n=here.shape[-1] - 1,
         param_names=("theta", "t") + tuple(f"q{i}" for i in range(base_dim)),
         ranges=((-1.0, 1.0), (-0.8, 0.8)) + ((-0.3, 0.3),) * base_dim,
-        center=np.zeros(base_dim + 2),
         eval_func=eval_func,
         normal_func=normal_func,
         t_index=1,
@@ -359,11 +363,11 @@ def shape_operator(
         )
 
     seed = projected[patch.t_index - 1]
-    frame = [seed / space_norm(seed, psi0)]
+    frame = [seed / space_norm(seed)]
     rest = np.delete(projected, patch.t_index - 1, axis=0)
     rest -= real_form(rest, frame[0])[:, None] * frame[0]
     for i, vec in enumerate(rest):
-        norm = space_norm(vec, psi0)
+        norm = space_norm(vec)
         if norm < 1e-8:
             continue
         e = vec / norm

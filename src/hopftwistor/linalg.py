@@ -13,7 +13,10 @@ S = diag(-1, 1, ..., 1) represents it; the isometry group U(1,n) is
 
 Tolerance conventions: structural membership defaults to 1e-10 (double
 precision roundoff scale), finite-difference residuals elsewhere default to
-1e-5 (O(h^2) truncation at h = 1e-4).
+1e-5 (O(h^2) truncation at h = 1e-4).  Every gate of the form "residual <=
+tol, else raise" in the package is judged by _judge_rows: a residual passes
+only when it is <= tol, so a NaN fails, and the error carries the residual
+as a float.
 """
 
 from __future__ import annotations
@@ -104,13 +107,19 @@ def algebra_residual(matrix):
     return np.abs(np.swapaxes(x.conj(), -1, -2) @ s + s @ x).max(axis=(-2, -1))
 
 
-def _judge_rows(residuals, tol: float, message: str) -> None:
-    """Judge a stack of residuals, one per row, against tol at once.
+def _judge_rows(residuals, tol: float, message: str, error=ValidationError) -> None:
+    """Judge one residual, or a stack of residuals one per row, against tol.
 
-    Raises ValidationError(message.format(residual)) for the largest residual
-    above tol, naming its row when residuals is a stack.  A row passes only
-    when its residual is <= tol, so a NaN residual fails (and is named first).
+    Raises error(message.format(residual)) for the largest residual above
+    tol, naming its row when residuals is a stack; the error's residual is
+    that value as a float.  A row passes only when its residual is <= tol,
+    so a NaN residual fails (and is named first).
     """
+    if isinstance(residuals, float):
+        # One residual that passes, the frequent case, does no array work.
+        if residuals <= tol:
+            return
+        residuals = np.float64(residuals)
     over = ~(residuals <= tol)
     if not over.any():
         return
@@ -121,7 +130,7 @@ def _judge_rows(residuals, tol: float, message: str) -> None:
         index = np.unravel_index(flat, residuals.shape)
         row = int(index[0]) if len(index) == 1 else tuple(map(int, index))
         where = f" at stack row {row}"
-    raise ValidationError(message.format(res) + where, residual=res)
+    raise error(message.format(res) + where, residual=res)
 
 
 def _check_square(matrix) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DegenerateCurveError, InputError, ValidationError
+from .errors import DegenerateCurveError, InputError
 from .linalg import STRUCTURE_TOL, _judge_rows, herm_form
 
 SIGNS = ("plus", "minus", "zero")
@@ -93,11 +93,8 @@ class TangentPair:
         object.__setattr__(self, "x_minus", xm)
         object.__setattr__(self, "x_plus", xp)
         base = np.array([self.base.u_minus, self.base.u_plus])
-        res = float(np.abs(herm_form(np.array([xm, xp])[:, None], base[None])).max())
-        if not (res <= 1e-8):
-            raise ValidationError(
-                f"pair not orthogonal to the base: residual {res:.3e}", residual=res
-            )
+        res = np.abs(herm_form(np.array([xm, xp])[:, None], base[None])).max()
+        _judge_rows(res, 1e-8, "pair not orthogonal to the base: residual {:.3e}")
 
 
 def para_apply(k: int, v: TangentPair) -> TangentPair:
@@ -191,51 +188,34 @@ def parallel_shift_residual(
 
 @dataclass(frozen=True, eq=False)
 class LiftCoefficients:
-    """Connection coefficients of a Stiefel lift at one parameter value.
+    """Connection coefficients of a Stiefel lift at one parameter value,
+    the parts of
 
-    du- = i alpha_minus u- + beta u+ + w_minus
-    du+ = conj(beta) u- + i alpha_plus u+ + w_plus
+    du- = i alpha_minus u- + beta u+ + (rest orthogonal to u-, u+)
+    du+ = conj(beta) u- + i alpha_plus u+ + (rest orthogonal to u-, u+)
 
-    residual collects the failures of these shapes (vectors leaving the
-    Stiefel manifold make the diagonal pairings grow real parts).
+    that the horizontality conditions of is_horizontal read.
     """
 
     alpha_minus: float
     alpha_plus: float
     beta: complex
-    w_minus: np.ndarray
-    w_plus: np.ndarray
-    residual: float
 
 
 def _connection(here: np.ndarray, derivative: np.ndarray) -> LiftCoefficients:
-    """Split the derivative (du_minus, du_plus) of a lift at the pair
-    here = (u_minus, u_plus) into its connection part and the rest; both
-    are arrays (2, n+1).
+    """The connection coefficients of the derivative (du_minus, du_plus) of
+    a lift at the pair here = (u_minus, u_plus); both are arrays (2, n+1).
 
-    Raises InputError when the reconstruction residual (above 1e-8, or NaN)
-    shows the lift does not stay on the Stiefel manifold.
+    Raises InputError when the coefficients fail their shapes (above 1e-8,
+    or NaN): the lift does not stay on the Stiefel manifold, which makes the
+    diagonal pairings grow real parts.
     """
-    um, up = here
-    dum, dup = derivative
     # c[a, b] = ((d u_a, u_b)) with a, b in (minus, plus)
     (c_mm, c_mp), (c_pm, c_pp) = herm_form(derivative[:, None], here[None]).tolist()
-    w_minus = dum + c_mm * um - c_mp * up
-    w_plus = dup + c_pm * um - c_pp * up
-    residual = max(abs(c_mm.real), abs(c_pp.real), abs(c_pm + np.conj(c_mp)))
-    if not (residual <= 1e-8):
-        raise InputError(
-            f"lift leaves the Stiefel manifold: residual {residual:.3e}",
-            residual=residual,
-        )
-    return LiftCoefficients(
-        alpha_minus=-c_mm.imag,
-        alpha_plus=c_pp.imag,
-        beta=c_mp,
-        w_minus=w_minus,
-        w_plus=w_plus,
-        residual=float(residual),
-    )
+    # np.max, not max: a NaN anywhere must reach the judge.
+    residual = np.max([abs(c_mm.real), abs(c_pp.real), abs(c_pm + np.conj(c_mp))])
+    _judge_rows(residual, 1e-8, "lift leaves the Stiefel manifold: residual {:.3e}", InputError)
+    return LiftCoefficients(alpha_minus=-c_mm.imag, alpha_plus=c_pp.imag, beta=c_mp)
 
 
 def is_horizontal(sign: str, c: LiftCoefficients) -> bool:

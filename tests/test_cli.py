@@ -24,6 +24,7 @@ from hopftwistor import (
 from hopftwistor import cli
 from hopftwistor.cli import main
 from hopftwistor.hypersurface import DEFAULT_TOLERANCES
+from hopftwistor.sampling import random_one_param
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -165,6 +166,28 @@ def test_cko_run_seeded(tmp_path):
     assert doc["config"]["constants"]["kind"] == "one-param"
     names = base_names(doc)
     assert {"immersion", "unit-multiplicity", "rho", "rho-constancy"} <= names
+
+
+def test_cko_run_horosphere_constants(tmp_path):
+    # y0 = y1: the transverse curvature is 1 at every height, and the rho
+    # rows carry that value; no row repeats them.
+    form = random_one_param(np.random.default_rng(0), horosphere=True)
+    keys = ("alpha0", "alpha1", "x", "y0", "y1", "w")
+    doc = {"kind": "one-param", **dict(zip(keys, form.scalars()))}
+    assert doc["y0"] == doc["y1"]
+    path = write_doc(tmp_path, "horosphere.json", doc)
+    code, out = run_to_file(tmp_path, ["cko-run", "--constants", path])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["certified"]
+    assert base_names(report) == {
+        "immersion", *cli.ONE_PARAM_ROWS, "rho", "rho-constancy", "horosphere-data"
+    }
+    names = [c["name"].split("@")[0] for c in report["checks"]]
+    rho = [c for c, name in zip(report["checks"], names) if name == "rho"]
+    assert len(rho) == 9
+    assert all(c["expected"] == 1.0 for c in rho)
+    assert "rho-horosphere" not in names
 
 
 def test_cko_run_degenerate_constants(tmp_path, capsys):

@@ -76,3 +76,26 @@ def test_the_command_imports_numpy_alone():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _calls_passing_a_residual() -> list:
+    """module:line of every call in the package that passes residual=,
+    outside linalg._judge_rows."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside_judge = set()
+        if path.stem == "linalg":
+            judge = next(n for n in tree.body if getattr(n, "name", None) == "_judge_rows")
+            inside_judge = {id(n) for n in ast.walk(judge)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in inside_judge:
+                if any(k.arg == "residual" for k in node.keywords):
+                    sites.append(f"{path.stem}:{node.lineno}")
+    return sites
+
+
+def test_only_the_judge_raises_with_a_residual():
+    # Every "residual <= tol, else raise" gate goes through linalg._judge_rows,
+    # so that each judges a NaN and words its error the same way.
+    assert _calls_passing_a_residual() == []

@@ -85,4 +85,4 @@ def test_space_norm_on_horizontal(rng):
     w = p.u_minus
     raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     h = horizontal_part(tangent_project_ads(raw, w), w)
-    assert space_norm(h, w) == pytest.approx(math.sqrt(real_form(h, h)))
+    assert space_norm(h) == pytest.approx(math.sqrt(real_form(h, h)))

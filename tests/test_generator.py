@@ -16,7 +16,6 @@ from hopftwistor import (
     extra_curvature,
     form_value,
     group_residual,
-    is_horosphere_data,
     matrix_exp,
     maurer_cartan_residual,
     orbit_patch_from_form,
@@ -169,7 +168,7 @@ def test_extra_curvature_reference_values():
 
 def test_extra_curvature_horosphere_constant():
     gen = one_param(0.2, -0.1, 0.4, 0.7, 0.7, 0.5)
-    assert is_horosphere_data(gen)
+    assert gen.y0[0, 0] == gen.y1[0, 0]
     for lam in (0.5, 1.0, 2.0):
         assert extra_curvature(gen, lam) == pytest.approx(1.0, abs=1e-15)
 

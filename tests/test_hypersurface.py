@@ -265,13 +265,13 @@ def _loop_frame(patch, at, step=FD_STEP):
     )
     projected = horizontal_part(tangent_project_ads(columns[1:], psi0), psi0, tol=1e-5)
     seed = projected[patch.t_index - 1]
-    frame = [seed / space_norm(seed, psi0)]
+    frame = [seed / space_norm(seed)]
     for k, vec in enumerate(projected, start=1):
         if k == patch.t_index:
             continue
         for e in frame:
             vec = vec - real_form(vec, e) * e
-        norm = space_norm(vec, psi0)
+        norm = space_norm(vec)
         if norm >= 1e-8:
             frame.append(vec / norm)
     return np.array(frame)
@@ -336,11 +336,11 @@ def _point_shape_operator(patch, at, step=FD_STEP, rank_tol=1e-6):
     min_singular = float(np.linalg.svd(_realify(projected), compute_uv=False)[-1])
     assert min_singular >= rank_tol
     seed = projected[patch.t_index - 1]
-    frame = [seed / space_norm(seed, psi0)]
+    frame = [seed / space_norm(seed)]
     rest = np.delete(projected, patch.t_index - 1, axis=0)
     rest -= real_form(rest, frame[0])[:, None] * frame[0]
     for i, vec in enumerate(rest):
-        norm = space_norm(vec, psi0)
+        norm = space_norm(vec)
         if norm < 1e-8:
             continue
         e = vec / norm
@@ -565,7 +565,7 @@ def _assert_gate_is_the_per_axis_loop(seen, point_lift, base_dim, lift_coefficie
     for axis, got in enumerate(seen):
         d = np.eye(base_dim)[axis]
         want = lift_coefficients(lambda x: point_lift(x * d), 0.0)
-        for field in ("alpha_minus", "alpha_plus", "beta", "w_minus", "w_plus", "residual"):
+        for field in ("alpha_minus", "alpha_plus", "beta"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
@@ -735,7 +735,6 @@ def _ruled_patch(n: int, delta: float) -> hypersurface.HypersurfacePatch:
         dim_n=n,
         param_names=("theta", "t") + tuple(f"s{i}" for i in range(2 * m)),
         ranges=((-1.0, 1.0), (-0.8, 0.8)) + ((-delta, delta),) * (2 * m),
-        center=np.zeros(2 * n),
         eval_func=eval_func,
         normal_func=normal_func,
         t_index=1,

@@ -242,3 +242,112 @@ def test_nan_residual_fails_and_is_named():
     with pytest.raises(InputError, match="non-finite"):
         GroupElement(bad, 2)
     assert math.isnan(group_residual(bad)[1])
+
+
+def _gate_cases():
+    """(trigger, error class, message template, residual) per residual gate
+    of the package; residual None when only the message is pinned."""
+    from hopftwistor import AdSPoint, GeneratorForm, TangentPair, horizontal_part
+    from hopftwistor import generator, orbit_patch_from_form
+    from hopftwistor.twistor import _connection
+
+    e = np.eye(3, dtype=complex)
+    base = StiefelPoint(e[0], e[1])
+    z2, z3 = np.zeros((2, 2)), np.zeros((2, 2, 2))
+
+    def form(**kw):
+        blocks = dict(alpha0=np.zeros(2), alpha1=np.zeros(2), x_form=z2, y0=z2, y1=z2, w1=z3, w2=z3)
+        return GeneratorForm(**{**blocks, **kw})
+
+    def bent_normal(monkeypatch):
+        normal = generator._profile_normal
+        monkeypatch.setattr(generator, "_profile_normal", lambda h, lam, p: normal(h, lam, p) + 1.0)
+        orbit_patch_from_form(form(y0=np.eye(2), y1=np.eye(2)))
+
+    corner = np.array([[0.0, 2.0], [0.0, 0.0]])  # not symmetric, not alternating
+    slices = np.array([corner, np.zeros((2, 2))])
+    return {
+        "AdSPoint": (
+            lambda mp: AdSPoint(2.0 * e[0]),
+            ValidationError,
+            "not on the hyperquadric: |((w,w))+1| = {:.3e}",
+            3.0,
+        ),
+        "TangentPair": (
+            lambda mp: TangentPair(2.0 * e[0], 0.0 * e[0], base),
+            ValidationError,
+            "pair not orthogonal to the base: residual {:.3e}",
+            2.0,
+        ),
+        "alternating": (
+            lambda mp: form(w1=slices),
+            ValidationError,
+            "rotation block is not alternating: residual {:.3e}",
+            2.0,
+        ),
+        "symmetric": (
+            lambda mp: form(w2=slices),
+            ValidationError,
+            "symmetric block is not symmetric: residual {:.3e}",
+            2.0,
+        ),
+        "wedge": (
+            lambda mp: form(y0=np.eye(2), y1=corner),
+            ValidationError,
+            "y-blocks violate the wedge constraint: residual {:.3e}",
+            2.0,
+        ),
+        "connection": (
+            lambda mp: _connection(e[:2], np.array([2.0 * e[0], 0.0 * e[0]])),
+            InputError,
+            "lift leaves the Stiefel manifold: residual {:.3e}",
+            2.0,
+        ),
+        "horizontal_part": (
+            # A stack is judged by its largest defect, without a row suffix.
+            lambda mp: horizontal_part(np.array([0.0 * e[0], 2.0 * e[0]]), e[0]),
+            InputError,
+            "not tangent to the hyperquadric: <X,w> = {:.3e}",
+            2.0,
+        ),
+        "flatness": (
+            # x(e_0) = y0(e_1) = (1, 0): 2 (x_0.y0_1 - x_1.y0_0) = 2.
+            lambda mp: orbit_patch_from_form(form(x_form=np.diag([1.0, 0.0]), y0=corner / 2)),
+            InputError,
+            "form is not flat (residual {:.3e}); the product map is path dependent",
+            2.0,
+        ),
+        "orbit-tangency": (
+            bent_normal,
+            InputError,
+            "normal is not orthogonal to the chart directions (residual {:.3e}); "
+            "the generator violates the tangency identity",
+            None,
+        ),
+    }
+
+
+@pytest.mark.parametrize("gate", sorted(_gate_cases()))
+def test_every_residual_gate_raises_through_the_judge(gate, monkeypatch):
+    trigger, error, template, residual = _gate_cases()[gate]
+    with pytest.raises(error) as exc:
+        trigger(monkeypatch)
+    assert type(exc.value) is error
+    assert type(exc.value.residual) is float
+    assert str(exc.value) == template.format(exc.value.residual)
+    if residual is None:
+        assert exc.value.residual > 1e-6
+    else:
+        assert exc.value.residual == residual
+
+
+@pytest.mark.parametrize("error", [ValidationError, InputError])
+def test_a_single_nan_residual_fails_the_judge(error):
+    from hopftwistor.linalg import _judge_rows
+
+    for nan in (math.nan, np.float64(np.nan), np.array(np.nan)):
+        with pytest.raises(error, match=r"^bad nan$") as exc:
+            _judge_rows(nan, 1.0, "bad {:.3e}", error)
+        assert type(exc.value.residual) is float and math.isnan(exc.value.residual)
+    _judge_rows(1.0, 1.0, "bad {:.3e}", error)
+    _judge_rows(np.array(0.5), 1.0, "bad {:.3e}", error)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from hopftwistor import herm_form, is_horosphere_data
+from hopftwistor import herm_form
 from hopftwistor.generator import extra_curvature
 from hopftwistor.sampling import (
     random_algebra,
@@ -43,7 +43,7 @@ def test_random_one_param_avoids_degeneracies(rng):
 
 def test_random_one_param_horosphere_flag(rng):
     gen = random_one_param(rng, horosphere=True)
-    assert is_horosphere_data(gen)
+    assert gen.y0[0, 0] == gen.y1[0, 0]
     assert extra_curvature(gen, 1.3) == 1.0
 
 

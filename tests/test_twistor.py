@@ -150,3 +150,11 @@ def test_lift_coefficients_refuse_a_nan_reconstruction(canonical_pair, lift_coef
     nan_pair = types.SimpleNamespace(u_minus=np.full(3, np.nan, dtype=complex), u_plus=canonical_pair.u_plus)
     with pytest.raises(InputError, match=r"leaves the Stiefel manifold: residual nan$"):
         lift_coefficients(lambda x: nan_pair if x > 0 else canonical_pair, 0.0)
+
+
+def test_lift_coefficients_refuse_a_nan_in_the_spacelike_derivative(canonical_pair, lift_coefficients):
+    # A NaN in du+ alone makes c_pp and c_pm NaN while c_mm stays finite; the
+    # gate must still fail, whichever coefficient carries the NaN.
+    nan_pair = types.SimpleNamespace(u_minus=canonical_pair.u_minus, u_plus=np.full(3, np.nan, dtype=complex))
+    with pytest.raises(InputError, match=r"leaves the Stiefel manifold: residual nan$"):
+        lift_coefficients(lambda x: nan_pair if x > 0 else canonical_pair, 0.0)
