@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, GeometryError, InputError, NonFiniteCheckError
 from .fibration import FD_STEP, AdSPoint, curve_curvature
 from .generator import (
+    _ONE_PARAM_KEYS,
     RHO_HEIGHTS,
     GeneratorForm,
     _basis_values,
@@ -43,6 +44,7 @@ from .hypersurface import (
     grid_key,
     horosphere,
     horosphere_defining_residual,
+    pick_extra_eigenvalue,
     tube_complex,
     tube_real,
     verify_hopf,
@@ -170,8 +172,7 @@ def _echo(args: argparse.Namespace, constants: Optional[dict] = None) -> dict:
 
 def _constants_doc(kind: str, form: GeneratorForm) -> dict:
     if kind == "one-param":
-        keys = ("alpha0", "alpha1", "x", "y0", "y1", "w")
-        return {"kind": kind, **dict(zip(keys, form.scalars()))}
+        return {"kind": kind, **dict(zip(_ONE_PARAM_KEYS, form.scalars()))}
     return {
         "kind": kind,
         "alpha0": form.alpha0.tolist(),
@@ -308,23 +309,16 @@ def _grid(patch: HypersurfacePatch, density: int, cap: int = GRID_CAP) -> list:
 def _spectrum_checks(
     args: argparse.Namespace, patch: HypersurfacePatch, rep: ShapeReport
 ) -> List[dict]:
-    checks: List[dict] = []
     expected = patch.expected_spectrum
     if not expected:
-        return checks
-    checks.append(
-        make_check(
-            "spectrum-size",
-            float(len(rep.eigenvalues)),
-            float(len(expected)),
-            0.0,
-        )
-    )
-    if len(rep.eigenvalues) == len(expected):
-        opposite = tuple((-v, m) for v, m in reversed(expected))
+        return []
+    measured = rep.eigenvalues
+    checks = [make_check("spectrum-size", float(len(measured)), float(len(expected)), 0.0)]
+    if len(measured) == len(expected):
+        flip = lambda table: tuple((-v, m) for v, m in reversed(table))
         tables = (
-            ("eigenvalue", "multiplicity", rep.eigenvalues, expected),
-            ("eigenvalue-opposite", "multiplicity-opposite", rep.eigenvalues_opposite, opposite),
+            ("eigenvalue", "multiplicity", measured, expected),
+            ("eigenvalue-opposite", "multiplicity-opposite", flip(measured), flip(expected)),
         )
         for vname, mname, got, want in tables:
             for i, ((gv, gm), (wv, wm)) in enumerate(zip(got, want)):
@@ -434,12 +428,11 @@ def _one_param_checks(args: argparse.Namespace, form: GeneratorForm) -> List[dic
     except GeometryError as exc:
         print(f"non-immersion: {exc}", file=sys.stderr)
         return [make_check("immersion", 1.0, 0.0, 0.0, passed=False)]
+    # rho: the transverse eigenvalue of each sampled spectrum (grid column 3 is lam).
     by_height: Dict[float, List[float]] = {}
-    for at, (lam, rho) in zip(grid, rep.rho_values):
-        gp = grid_key(at)
-        checks.append(
-            make_check("rho", rho, predicted[lam], args.tol["rho"], grid_point=gp)
-        )
+    for at, (gp, eigs) in zip(grid, rep.samples):
+        lam, rho = float(at[3]), pick_extra_eigenvalue(eigs, 2.0)
+        checks.append(make_check("rho", rho, predicted[lam], args.tol["rho"], grid_point=gp))
         by_height.setdefault(lam, []).append(rho)
     for lam in sorted(by_height):
         vals = by_height[lam]

@@ -121,7 +121,7 @@ def curve_curvature(
         _, hvel, _ = tangent_data(tau)
         return hvel / space_norm(hvel)
 
-    t0 = unit_tangent(t)
+    t0 = hvel0 / v
     dt_vec = (unit_tangent(t + step) - unit_tangent(t - step)) / (2.0 * step)
     deriv = (dt_vec + a0 * (1j * t0)) / v
     w = horizontal_part(tangent_project_ads(deriv, c0), c0, tol=1e-5)

@@ -362,16 +362,17 @@ _LAM_RANGE = (0.4, 1.6)
 
 
 def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
-    """Chart (theta, x_1..x_{dim_g}, h, lam, sphere coords) for flat forms.
+    """Chart (theta, x_1..x_{dim_g}, h, lam, c_1..c_{n-2}) for flat forms:
+    the height lam, at index dim_g + 2, over [0.4, 1.6], and n - 2 sphere
+    coordinates over (-0.25, 0.25), none at n = 2.
 
     The group map is g(x) = exp(sum_k x_k X_k), one exponential per chart
     point.  It is a primitive of the form only because the coordinate images
     commute, [X_i, X_j] = 0, which is what flatness of a constant-coefficient
     form means; so a form that is not flat is refused here, before any chart
-    exists.  The coordinate images are built once, here.  For n >= 3 the
-    chart adds n - 2 sphere coordinates and the height lam stays in
-    [0.4, 1.6].  At n = 2 the documented non-immersion y0 = y1 = 0 with
-    alpha0 + alpha1 = 2w != 0 is rejected.
+    exists.  The coordinate images are built once, here.  At n = 2 the
+    documented non-immersion y0 = y1 = 0 with alpha0 + alpha1 = 2w != 0 is
+    rejected.
     """
     if _documented_degeneracy(f):
         raise ImmersionError(
@@ -381,11 +382,8 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
     values = _basis_values(f)
     n = f.dim_n
     nx = f.dim_g
-    names = ("theta",) + tuple(f"x{i}" for i in range(nx)) + ("h", "lam")
     ranges = ((-0.8, 0.8),) + ((-0.5, 0.5),) * nx + ((-0.8, 0.8), _LAM_RANGE)
-    if n >= 3:
-        names = names + tuple(f"c{i}" for i in range(n - 2))
-        ranges = ranges + ((-0.25, 0.25),) * (n - 2)
+    ranges += ((-0.25, 0.25),) * (n - 2)
 
     def chart(at: np.ndarray, profile) -> np.ndarray:
         # Chart points (..., d) in one call: one exponential per stack.
@@ -410,7 +408,6 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
         sign="orbit",
         r=None,
         dim_n=n,
-        param_names=names,
         ranges=ranges,
         eval_func=eval_func,
         normal_func=normal_func,
@@ -418,7 +415,7 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
         expected_mu=2.0,
     )
     center = patch.center
-    columns, _ = _central_differences(eval_func, center, np.eye(len(names)), FD_STEP)
+    columns, _ = _central_differences(eval_func, center, np.eye(len(ranges)), FD_STEP)
     _judge_rows(
         np.abs(real_form(columns[1:], patch.normal(center))).max(),
         1e-6,

@@ -9,9 +9,8 @@ are orthonormalized greedily; the frame choice affects only presentation,
 never eigenvalues.
 
 Orientation: the classical patches carry the normal e^{i theta} i T, for which
-the structure eigenvalue is -2coth 2r / -2tanh 2r / -2.  Reports also carry
-the eigenvalue table of the opposite normal, since both sign conventions are
-in circulation for these examples.
+the structure eigenvalue is -2coth 2r / -2tanh 2r / -2.  The table of the
+opposite normal is the negated, reversed table.
 """
 
 from __future__ import annotations
@@ -107,7 +106,6 @@ class HypersurfacePatch:
     sign: str
     r: Optional[float]
     dim_n: int
-    param_names: Tuple[str, ...]
     ranges: Tuple[Tuple[float, float], ...]
     eval_func: Callable[[np.ndarray], np.ndarray]
     normal_func: Callable[[np.ndarray], np.ndarray]
@@ -161,29 +159,27 @@ class ShapeResult(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ShapeReport:
-    """Aggregated shape-operator data over a chart grid.
-
-    eigenvalues holds (value, multiplicity) clusters for the stored normal;
-    eigenvalues_opposite is the same table for the negated normal.
-    unit_multiplicity and rho_values are filled only for orbit patches
-    (minimum unit-cluster size, and (lam, transverse eigenvalue) per grid
-    point).  checks holds one report.make_check record per judged tolerance;
-    certified is all(pass) and failures names the failing records.
+    """What verify_hopf judged and measured over a chart grid: the median
+    structure eigenvalue mu, the (value, multiplicity) clusters of the stored
+    normal (negated and reversed for the opposite normal), the count of
+    pairs with 2 lam = mu that the pairing skipped, one report.make_check
+    record per judged tolerance, and the sorted spectrum at each grid point
+    by grid_key.  certified and failures are read from checks.
     """
 
     mu: float
-    mu_deviation: float
     eigenvalues: Tuple[Tuple[float, int], ...]
-    eigenvalues_opposite: Tuple[Tuple[float, int], ...]
-    hopf_residual: float
-    pairing_residuals: Tuple[float, ...]
     exceptional_pairs: int
     checks: Tuple[dict, ...]
-    certified: bool
-    failures: Tuple[str, ...]
     samples: Tuple[Tuple[str, Tuple[float, ...]], ...]
-    unit_multiplicity: int = -1
-    rho_values: Tuple[Tuple[float, float], ...] = ()
+
+    @property
+    def failures(self) -> Tuple[str, ...]:
+        return tuple(c["name"] for c in self.checks if not c["pass"])
+
+    @property
+    def certified(self) -> bool:
+        return not self.failures
 
 
 def grid_key(at) -> str:
@@ -290,7 +286,6 @@ def _patch_from_lift(
         sign=sign,
         r=r,
         dim_n=here.shape[-1] - 1,
-        param_names=("theta", "t") + tuple(f"q{i}" for i in range(base_dim)),
         ranges=((-1.0, 1.0), (-0.8, 0.8)) + ((-0.3, 0.3),) * base_dim,
         eval_func=eval_func,
         normal_func=normal_func,
@@ -448,8 +443,10 @@ def verify_hopf(
     cluster multiplicities at every grid point.  Orbit patches (sign "orbit")
     instead require the structure eigenvalue at every grid point
     ("mu-pointwise") and the unit eigenvalue with multiplicity >= n-1.  Each
-    condition is one make_check record in the report's checks.  Shape
-    operators use the "rank" tolerance as their rank gate.
+    condition is one make_check record in the report's checks.  Besides
+    them the report keeps the median mu, the mean cluster table, the count of
+    exceptional pairs and the spectrum at each grid point.  Shape operators
+    use the "rank" tolerance as their rank gate.
     """
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -463,11 +460,9 @@ def verify_hopf(
 
     mus = [p["mu"] for p in points]
     mu = float(np.median(mus))
-    mu_dev = max(abs(m - mu) for m in mus)
     hopf = max(p["hopf"] for p in points)
     symmetry = max(p["symmetry"] for p in points)
     lsq = max(p["lsq"] for p in points)
-    pairings = tuple(r for p in points for r in p["pairings"])
 
     per_point = [cluster_eigenvalues(p["eigvals"]) for p in points]
     pattern = tuple(m for _, m in per_point[0])
@@ -485,17 +480,10 @@ def verify_hopf(
     ]
     if patch.expected_mu is not None:
         checks.append(make_check("mu", mu, patch.expected_mu, tols["mu"]))
-    unit_mult = -1
-    rho_values: Tuple[Tuple[float, float], ...] = ()
     if patch.sign == "orbit":
         need = patch.dim_n - 1
         unit_mult = min(
             sum(1 for v in p["eigvals"] if abs(v - 1.0) <= tols["unit"])
-            for p in points
-        )
-        lam_slot = patch.param_names.index("lam")
-        rho_values = tuple(
-            (float(p["at"][lam_slot]), pick_extra_eigenvalue(p["eigvals"], 2.0))
             for p in points
         )
         worst = max(abs(m - patch.expected_mu) for m in mus)
@@ -510,11 +498,11 @@ def verify_hopf(
             ),
         ]
     else:
+        mu_dev = max(abs(m - mu) for m in mus)
         checks.append(make_check("mu-constancy", mu_dev, 0.0, tols["mu-constancy"]))
+        pairings = [r for p in points for r in p["pairings"]]
         if pairings:
-            checks.append(
-                make_check("pairing-max", max(pairings), 0.0, tols["pairing"])
-            )
+            checks.append(make_check("pairing-max", max(pairings), 0.0, tols["pairing"]))
         checks.append(
             make_check(
                 "multiplicity-pattern",
@@ -525,21 +513,12 @@ def verify_hopf(
             )
         )
 
-    failures = tuple(c["name"] for c in checks if not c["pass"])
     return ShapeReport(
         mu=mu,
-        mu_deviation=mu_dev,
         eigenvalues=clusters,
-        eigenvalues_opposite=tuple((-v, m) for v, m in reversed(clusters)),
-        hopf_residual=hopf,
-        pairing_residuals=pairings,
         exceptional_pairs=sum(p["exceptional"] for p in points),
         checks=tuple(checks),
-        certified=not failures,
-        failures=failures,
         samples=tuple((grid_key(p["at"]), tuple(p["eigvals"])) for p in points),
-        unit_multiplicity=unit_mult,
-        rho_values=rho_values,
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from hopftwistor import StiefelPoint
 from hopftwistor.fibration import FD_STEP
-from hopftwistor.hypersurface import _patch_from_lift
+from hopftwistor.hypersurface import _patch_from_lift, grid_key, pick_extra_eigenvalue
 from hopftwistor.twistor import _connection
 
 
@@ -84,3 +84,32 @@ def build_patch():
     """The per-point patch builder, for lifts written one base point at a
     time."""
     return _build_patch
+
+
+def _row_value(rep, name: str) -> float:
+    """The value of the one check row of rep named name."""
+    (value,) = [c["value"] for c in rep.checks if c["name"] == name]
+    return value
+
+
+@pytest.fixture
+def row_value():
+    """The value of a verifier row, read from the report's checks."""
+    return _row_value
+
+
+def _rho_values(rep, grid, lam_slot: int):
+    """(lam, rho) at each point of the grid rep was measured on: lam is the
+    chart coordinate lam_slot, rho the transverse eigenvalue of the point's
+    sampled spectrum, as the one-parameter battery of the CLI picks it."""
+    assert [gp for gp, _ in rep.samples] == [grid_key(at) for at in grid]
+    return tuple(
+        (float(at[lam_slot]), pick_extra_eigenvalue(eigs, 2.0))
+        for at, (_, eigs) in zip(grid, rep.samples)
+    )
+
+
+@pytest.fixture
+def rho_values():
+    """The reference per-point transverse eigenvalues of an orbit report."""
+    return _rho_values

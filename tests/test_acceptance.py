@@ -65,21 +65,25 @@ def announce(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
+# The chart points (theta, x, h, lam) of the one-parameter battery.
+BATTERY_GRID = (
+    np.array([0.0, 0.0, 0.0, 0.5]),
+    np.array([0.0, 0.0, 0.0, 1.0]),
+    np.array([0.0, 0.0, 0.0, 2.0]),
+    np.array([0.1, -0.2, 0.15, 1.0]),
+    np.array([-0.05, 0.1, -0.1, 0.8]),
+)
+
+
 @functools.lru_cache(maxsize=1)
 def one_param_battery():
-    """Ten seeded draws with their orbit reports; shared by criteria 8-10."""
+    """Ten seeded draws with their orbit reports on BATTERY_GRID; shared by
+    criteria 8-10."""
     rng = np.random.default_rng(814)
-    grid = [
-        np.array([0.0, 0.0, 0.0, 0.5]),
-        np.array([0.0, 0.0, 0.0, 1.0]),
-        np.array([0.0, 0.0, 0.0, 2.0]),
-        np.array([0.1, -0.2, 0.15, 1.0]),
-        np.array([-0.05, 0.1, -0.1, 0.8]),
-    ]
     out = []
     for _ in range(10):
         gen = random_one_param(rng)
-        rep = verify_hopf(orbit_patch_from_form(gen), grid)
+        rep = verify_hopf(orbit_patch_from_form(gen), list(BATTERY_GRID))
         out.append((gen, rep))
     return out
 
@@ -203,23 +207,18 @@ def test_criterion_04_complex_tube_spectra():
     )
 
 
-def test_criterion_05_real_tube_pairing():
+def test_criterion_05_real_tube_pairing(row_value):
     rep = verify_hopf(tube_real(2, 0.3))
     mu_dev = abs(abs(rep.mu) - 2.0 * math.tanh(0.6))
-    pair_max = max(rep.pairing_residuals) if rep.pairing_residuals else math.inf
+    # The pairing-max row exists exactly when the tube produced phi-pairs.
+    pair_max = row_value(rep, "pairing-max")
     ok = (
         rep.certified
         and mu_dev <= 1e-4
-        and bool(rep.pairing_residuals)
         and pair_max <= 1e-4
         and rep.exceptional_pairs == 0
     )
-    announce(
-        5,
-        ok,
-        f"|mu| dev {mu_dev:.2e}, {len(rep.pairing_residuals)} phi-pairs, "
-        f"max pairing residual {pair_max:.2e}",
-    )
+    announce(5, ok, f"|mu| dev {mu_dev:.2e}, max pairing residual {pair_max:.2e}")
 
 
 def test_criterion_06_horosphere():
@@ -234,7 +233,7 @@ def test_criterion_06_horosphere():
             )
         rep = verify_hopf(patch, grid)
         ok = ok and rep.certified
-        flipped = dict(rep.eigenvalues_opposite)
+        flipped = {-v: m for v, m in rep.eigenvalues}
         vals = sorted(flipped)
         if len(vals) != 2 or flipped[vals[0]] != 2 * n - 2 or flipped[vals[1]] != 1:
             ok = False
@@ -249,7 +248,7 @@ def test_criterion_06_horosphere():
     )
 
 
-def test_criterion_07_trichotomy():
+def test_criterion_07_trichotomy(row_value):
     reps = {
         "plus": verify_hopf(tube_complex(2, 0, 0.5), tube_complex(2, 0, 0.5).grid(2)),
         "minus": verify_hopf(tube_real(2, 0.3), tube_real(2, 0.3).grid(2)),
@@ -258,7 +257,7 @@ def test_criterion_07_trichotomy():
     margin_plus = abs(reps["plus"].mu) - 2.0
     margin_minus = 2.0 - abs(reps["minus"].mu)
     gap_zero = abs(abs(reps["zero"].mu) - 2.0)
-    const_dev = max(rep.mu_deviation for rep in reps.values())
+    const_dev = max(row_value(rep, "mu-constancy") for rep in reps.values())
     ok = (
         margin_plus > 0
         and margin_minus > 0
@@ -275,12 +274,12 @@ def test_criterion_07_trichotomy():
     )
 
 
-def test_criterion_08_structure_eigenvalue_two():
+def test_criterion_08_structure_eigenvalue_two(row_value):
     start = time.perf_counter()
     battery = one_param_battery()
-    worst_hopf = max(rep.hopf_residual for _, rep in battery)
+    worst_hopf = max(row_value(rep, "hopf-residual") for _, rep in battery)
     worst_mu = max(abs(rep.mu - 2.0) for _, rep in battery)
-    min_unit = min(rep.unit_multiplicity for _, rep in battery)
+    min_unit = min(row_value(rep, "unit-multiplicity") for _, rep in battery)
     elapsed = time.perf_counter() - start
     ok = (
         all(rep.certified for _, rep in battery)
@@ -293,21 +292,22 @@ def test_criterion_08_structure_eigenvalue_two():
         8,
         ok,
         f"10 draws x 5 points: structure residual {worst_hopf:.2e}, "
-        f"mu dev {worst_mu:.2e}, unit multiplicity >= {min_unit}, {elapsed:.1f}s",
+        f"mu dev {worst_mu:.2e}, unit multiplicity >= {min_unit:g}, {elapsed:.1f}s",
     )
 
 
-def test_criterion_09_transverse_curvature_formula():
+def test_criterion_09_transverse_curvature_formula(rho_values):
     battery = one_param_battery()
     worst = 0.0
     for gen, rep in battery:
-        for lam, measured in rep.rho_values:
+        for lam, measured in rho_values(rep, BATTERY_GRID, lam_slot=3):
             if lam not in (0.5, 1.0, 2.0):
                 continue
             worst = max(worst, abs(measured - extra_curvature(gen, lam)))
     reference = parse_constants({"kind": "one-param", "x": 1.0, "y0": 1.0})
-    rep = verify_hopf(orbit_patch_from_form(reference), [np.array([0.0, 0.0, 0.0, 1.0])])
-    measured_ref = rep.rho_values[0][1]
+    grid = [np.array([0.0, 0.0, 0.0, 1.0])]
+    rep = verify_hopf(orbit_patch_from_form(reference), grid)
+    measured_ref = rho_values(rep, grid, lam_slot=3)[0][1]
     ref_dev = abs(measured_ref - 0.6)
     ok = worst <= 1e-4 and ref_dev <= 1e-4
     announce(
@@ -318,7 +318,7 @@ def test_criterion_09_transverse_curvature_formula():
     )
 
 
-def test_criterion_10_horosphere_dichotomy():
+def test_criterion_10_horosphere_dichotomy(rho_values):
     rng = np.random.default_rng(815)
     grid = [
         np.array([0.0, 0.0, 0.0, 0.5]),
@@ -329,11 +329,11 @@ def test_criterion_10_horosphere_dichotomy():
     for _ in range(3):
         gen = random_one_param(rng, horosphere=True)
         rep = verify_hopf(orbit_patch_from_form(gen), grid)
-        for _, measured in rep.rho_values:
+        for _, measured in rho_values(rep, grid, lam_slot=3):
             worst_const = max(worst_const, abs(measured - 1.0))
     reference = parse_constants({"kind": "one-param", "x": 1.0, "y0": 1.0})
     rep = verify_hopf(orbit_patch_from_form(reference), grid)
-    by_lam = dict(rep.rho_values)
+    by_lam = dict(rho_values(rep, grid, lam_slot=3))
     contrast = abs(by_lam[1.0] - by_lam[2.0])
     ok = worst_const <= 1e-4 and contrast > 0.1
     announce(

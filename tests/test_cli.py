@@ -624,3 +624,47 @@ def test_construction_checks_raise_for_the_first_point_off_the_quadric():
         cli._construction_checks(_construction_args(), bent, grid)
     assert str(got.value) == str(want.value)
     assert got.value.residual == want.value.residual
+
+
+# One injected fault per construction row: the certifying patch, the fault,
+# and tolerance overrides.  A point off the hyperquadric by more than
+# STRUCTURE_TOL = 1e-10 is refused by AdSPoint before any row is judged, so
+# the quadric fault stays below it (2e-11) under a "structure" tolerance of
+# 1e-12.  It is put on a tube: on the horosphere, scaling the point also
+# moves |z_0 - z_1| and fails the defining relation.
+CONSTRUCTION_FAULTS = {
+    "normal-unit": (
+        horosphere(2, 0.3),
+        lambda p: dataclasses.replace(p, normal_func=lambda at: p.normal_func(at) * (1 + 1e-6)),
+        {},
+    ),
+    "normal-orthogonal": (
+        horosphere(2, 0.3),
+        lambda p: dataclasses.replace(
+            p, normal_func=lambda at: p.normal_func(at) + 1e-6 * p.eval_func(at)
+        ),
+        {},
+    ),
+    "defining-relation": (horosphere(2, 0.3), lambda p: dataclasses.replace(p, r=p.r + 1e-6), {}),
+    "quadric-residual": (
+        tube_complex(2, 0, 0.5),
+        lambda p: dataclasses.replace(p, eval_func=lambda at: p.eval_func(at) * (1 + 1e-11)),
+        {"structure": 1e-12},
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(CONSTRUCTION_FAULTS))
+def test_each_construction_row_fails_its_own_fault(row):
+    """The certifying patch passes every construction row; its fault fails
+    exactly the named row."""
+    patch, fault, overrides = CONSTRUCTION_FAULTS[row]
+    args = _construction_args()
+    args.tol.update(overrides)
+    grid = patch.grid()
+
+    def failing(p):
+        return {c["name"] for c in cli._construction_checks(args, p, grid) if not c["pass"]}
+
+    assert failing(patch) == set()
+    assert failing(fault(patch)) == {row}

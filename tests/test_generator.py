@@ -191,7 +191,7 @@ def test_orbit_patch_documented_degeneracy():
         orbit_patch_from_form(gen)
 
 
-def test_orbit_patch_certifies_reference():
+def test_orbit_patch_certifies_reference(row_value, rho_values):
     patch = orbit_patch_from_form(REFERENCE)
     grid = [
         np.array([0.0, 0.0, 0.0, 0.5]),
@@ -201,8 +201,8 @@ def test_orbit_patch_certifies_reference():
     rep = verify_hopf(patch, grid)
     assert rep.certified, rep.failures
     assert rep.mu == pytest.approx(2.0, abs=1e-4)
-    assert rep.unit_multiplicity >= patch.dim_n - 1
-    for lam, rho in rep.rho_values:
+    assert row_value(rep, "unit-multiplicity") >= patch.dim_n - 1
+    for lam, rho in rho_values(rep, grid, lam_slot=3):
         assert rho == pytest.approx(extra_curvature(REFERENCE, lam), abs=1e-4)
 
 

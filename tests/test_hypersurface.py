@@ -60,24 +60,24 @@ def test_tube_complex_center_spectrum():
     assert sr.min_singular >= 1e-6
 
 
-def test_tube_complex_verify_certifies():
+def test_tube_complex_verify_certifies(row_value):
     patch = tube_complex(2, 0, 0.5)
     rep = verify_hopf(patch)
     assert rep.certified, rep.failures
     assert rep.mu == pytest.approx(-2.0 * coth(1.0), abs=1e-4)
-    assert rep.mu_deviation <= 1e-4
+    assert row_value(rep, "mu-constancy") <= 1e-4
     table = dict(rep.eigenvalues)
     assert len(table) == 2
     assert set(table.values()) == {1, 2}
 
 
-def test_tube_real_certifies_and_pairs():
+def test_tube_real_certifies_and_pairs(row_value):
     patch = tube_real(2, 0.3)
     rep = verify_hopf(patch)
     assert rep.certified, rep.failures
     assert abs(rep.mu) == pytest.approx(2.0 * math.tanh(0.6), abs=1e-4)
-    assert rep.pairing_residuals, "tube spectra must produce phi-pairs"
-    assert max(rep.pairing_residuals) <= 1e-4
+    # The pairing-max row exists exactly when the tube produced phi-pairs.
+    assert row_value(rep, "pairing-max") <= 1e-4
     assert rep.exceptional_pairs == 0
 
 
@@ -97,7 +97,7 @@ def test_horosphere_spectrum_orientation():
     rep = verify_hopf(patch)
     assert rep.certified, rep.failures
     assert rep.mu == pytest.approx(-2.0, abs=1e-4)
-    flipped = dict(rep.eigenvalues_opposite)
+    flipped = {-v: m for v, m in rep.eigenvalues}
     vals = sorted(flipped)
     assert vals[0] == pytest.approx(1.0, abs=1e-4)
     assert vals[1] == pytest.approx(2.0, abs=1e-4)
@@ -150,7 +150,7 @@ def test_grid_respects_cap():
     patch = tube_complex(3, 1, 0.4)
     pts = patch.grid(3, cap=50)
     assert len(pts) <= 50
-    assert all(p.shape == (len(patch.param_names),) for p in pts)
+    assert all(p.shape == (len(patch.ranges),) for p in pts)
 
 
 def _product_grid(patch, density, cap):
@@ -733,7 +733,6 @@ def _ruled_patch(n: int, delta: float) -> hypersurface.HypersurfacePatch:
         sign="ruled",
         r=None,
         dim_n=n,
-        param_names=("theta", "t") + tuple(f"s{i}" for i in range(2 * m)),
         ranges=((-1.0, 1.0), (-0.8, 0.8)) + ((-delta, delta),) * (2 * m),
         eval_func=eval_func,
         normal_func=normal_func,
@@ -743,10 +742,10 @@ def _ruled_patch(n: int, delta: float) -> hypersurface.HypersurfacePatch:
 
 @pytest.mark.parametrize("delta", [0.3, 1e-2, 1e-4])
 @pytest.mark.parametrize("n", [2, 3])
-def test_ruled_patch_fails_the_hopf_rows(n, delta):
+def test_ruled_patch_fails_the_hopf_rows(n, delta, row_value):
     patch = _ruled_patch(n, delta)
     rep = verify_hopf(patch, grid=patch.grid(3))
-    assert rep.hopf_residual == pytest.approx(math.tanh(delta * math.sqrt(2 * n - 2)), rel=1e-3)
+    assert row_value(rep, "hopf-residual") == pytest.approx(math.tanh(delta * math.sqrt(2 * n - 2)), rel=1e-3)
     want = {"hopf-residual"}
     if delta >= 1e-2:
         want |= {"pairing-max", "multiplicity-pattern"}
