@@ -78,7 +78,7 @@ PERTURBED_RUNS = 8
 CONSTRUCTION_ROWS = ("quadric-residual", "normal-unit", "normal-orthogonal", "defining-relation")
 SHAPE_ROWS = (
     "hopf-residual", "symmetry-residual", "lsq-residual", "mu", "mu-constancy",
-    "mu-pointwise", "pairing-max", "multiplicity-pattern", "unit-multiplicity",
+    "pairing-max", "multiplicity-pattern", "unit-multiplicity",
     "trichotomy-margin", "spectrum-size", "eigenvalue", "multiplicity",
     "eigenvalue-opposite", "multiplicity-opposite", "sample-eigenvalue",
     "rho", "rho-constancy",

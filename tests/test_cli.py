@@ -23,10 +23,12 @@ from hopftwistor import (
 )
 from hopftwistor import cli
 from hopftwistor.cli import main
-from hopftwistor.hypersurface import DEFAULT_TOLERANCES
+from hopftwistor.generator import orbit_patch_from_form, parse_constants
+from hopftwistor.hypersurface import DEFAULT_TOLERANCES, shape_operator, verify_hopf
 from hopftwistor.sampling import random_one_param
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+GOLDEN = json.loads((pathlib.Path(__file__).with_name("golden_reports.json")).read_text())
 
 
 FLAT_FORM_DOC = {
@@ -181,13 +183,65 @@ def test_cko_run_horosphere_constants(tmp_path):
     report = json.loads(out.read_text())
     assert report["certified"]
     assert base_names(report) == {
-        "immersion", *cli.ONE_PARAM_ROWS, "rho", "rho-constancy", "horosphere-data"
+        "immersion", "hopf-residual", "symmetry-residual", "lsq-residual", "mu",
+        "unit-multiplicity", "rho", "rho-constancy", "horosphere-data",
     }
     names = [c["name"].split("@")[0] for c in report["checks"]]
     rho = [c for c, name in zip(report["checks"], names) if name == "rho"]
     assert len(rho) == 9
     assert all(c["expected"] == 1.0 for c in rho)
     assert "rho-horosphere" not in names
+
+
+def test_cko_run_one_param_prints_every_verifier_row(tmp_path, monkeypatch):
+    judged = []
+
+    def spy(*args, **kwargs):
+        judged.append(verify_hopf(*args, **kwargs))
+        return judged[-1]
+
+    monkeypatch.setattr(cli, "verify_hopf", spy)
+    code, out = run_to_file(tmp_path, ["cko-run", "--n", "2", "--seed", "3"])
+    assert code == 0
+    (rep,) = judged
+    printed = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    fields = ("value", "expected", "tolerance", "pass")
+    for row in rep.checks:
+        got = printed[row["name"]]
+        assert [got[k] for k in fields] == [row[k] for k in fields], row["name"]
+
+
+def test_cko_run_fails_the_mu_row_off_the_closed_form_at_one_point(tmp_path):
+    # The median of this draw's nine structure eigenvalues lies inside the
+    # tolerance and one grid point lies outside it.
+    code, out = run_to_file(
+        tmp_path, ["cko-run", "--n", "2", "--seed", "7", "--tol", "mu=5.0007542551355755e-09"]
+    )
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert not report["certified"]
+    (row,) = [c for c in report["checks"] if c["name"] == "mu"]
+    assert not row["pass"]
+    assert abs(row["value"] - 2.0) == pytest.approx(5.0015e-09, rel=1e-4)
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["mu"]
+
+
+def test_cko_run_block_form_judges_mu_at_every_grid_point(tmp_path):
+    constants = GOLDEN["cko-run-flat-form-n6"]["constants"]
+    patch = orbit_patch_from_form(parse_constants(constants))
+    mus = [shape_operator(patch, at).matrix[0, 0] for at in patch.grid(2, 4)]
+    median_dev = abs(float(np.median(mus)) - 2.0)
+    worst_dev = max(abs(m - 2.0) for m in mus)
+    assert median_dev < worst_dev
+    tol = float(0.5 * (median_dev + worst_dev))
+    path = write_doc(tmp_path, "n6.json", constants)
+    code, out = run_to_file(
+        tmp_path, ["cko-run", "--constants", path, "--tol", f"mu={tol!r}"]
+    )
+    assert code == 1
+    failing = [c for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+    assert [c["name"] for c in failing] == ["mu"]
+    assert failing[0]["value"] == max(mus, key=lambda m: abs(m - 2.0))
 
 
 def test_cko_run_degenerate_constants(tmp_path, capsys):

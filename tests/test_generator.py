@@ -223,10 +223,10 @@ def test_orbit_certification_is_pointwise():
     tol = 0.5 * (median_dev + worst_dev)
     rep = verify_hopf(patch, grid, tolerances={"mu": tol})
     assert not rep.certified
-    assert rep.failures == ("mu-pointwise",)
+    assert rep.failures == ("mu",)
     (mu_row,) = [c for c in rep.checks if c["name"] == "mu"]
-    assert mu_row["pass"]
-    assert mu_row["value"] == rep.mu
+    assert mu_row["value"] == max(mus, key=lambda m: abs(m - 2.0))
+    assert mu_row["value"] != rep.mu
 
 
 def test_orbit_patch_from_form_flat_only():

@@ -757,14 +757,14 @@ TOLERANCE_ROWS = {
     "hopf": {"hopf-residual"},
     "symmetry": {"symmetry-residual"},
     "lsq": {"lsq-residual"},
-    "mu": {"mu", "mu-pointwise"},
+    "mu": {"mu"},
     "mu-constancy": {"mu-constancy"},
     "pairing": {"pairing-max"},
     "unit": {"unit-multiplicity"},
 }
 
 
-@pytest.mark.parametrize(
+CERTIFYING_PATCHES = pytest.mark.parametrize(
     "build",
     [
         lambda: tube_complex(2, 0, 0.5),
@@ -774,6 +774,23 @@ TOLERANCE_ROWS = {
     ],
     ids=["plus", "minus", "zero", "orbit"],
 )
+
+
+@CERTIFYING_PATCHES
+def test_mu_row_is_the_grid_point_farthest_from_the_closed_form(build):
+    """The mu row judges the closed form at every grid point: its value is
+    A[0, 0] where that lies farthest from expected_mu, not the median."""
+    patch = build()
+    grid = patch.grid(2)
+    mus = [shape_operator(patch, at).matrix[0, 0] for at in grid]
+    rep = verify_hopf(patch, grid=grid)
+    (row,) = [c for c in rep.checks if c["name"] == "mu"]
+    assert row["value"] == max(mus, key=lambda m: abs(m - patch.expected_mu))
+    assert row["expected"] == patch.expected_mu
+    assert rep.mu == float(np.median(mus))
+
+
+@CERTIFYING_PATCHES
 def test_a_zero_tolerance_fails_exactly_its_rows(build):
     """A certifying patch with one tolerance set to 0 fails the rows that
     tolerance judges and no other (none when the patch has no such row)."""
