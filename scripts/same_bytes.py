@@ -28,12 +28,15 @@ moved and the largest absolute and relative change of `value`, over the
 JSON and CSV reports on stdout and in --out files; then the stderr lines
 that differ only in numbers.
 
-The command set (461 commands):
+The command set (463 commands):
 - the first 4 cycles of each benchmark workload (perfbench/inputs.py,
   seed 1) and the 24 commands of its full-range probe (seed 1);
 - the README commands;
 - cko-run on the y0 = y1 constants of
   random_one_param(default_rng(0), horosphere=True);
+- cko-run on two one-parameter forms that are not immersions, one refused
+  by its constants and one by the rank gate, which print only a failing
+  immersion row;
 - verify-hopf and build-example for n = 2..5, each family (--k n-1 for
   plus), r in {0.02, 0.1, 0.5, 1.5, 4};
 - cko-run --n 2 --seed 0..39;
@@ -83,6 +86,12 @@ HOROSPHERE_CONSTANTS = {
     "w": 0.08292244049818343,
 }
 
+# The documented non-immersion: y0 = y1 = 0 with alpha0 + alpha1 = 2w != 0.
+FLAT_Y_CONSTANTS = {"kind": "one-param", "alpha0": 1, "alpha1": 1, "w": 1}
+# An immersion in its constants whose orbit chart is rank deficient at
+# (0, 0, 0, 1).
+RANK_DEFICIENT_CONSTANTS = {"kind": "one-param", "alpha0": 1, "alpha1": 1, "y0": 1, "y1": 1}
+
 
 def _classical(command: str, n: int, s: str, r: float) -> list:
     argv = [command, "--n", str(n), "--s", s, "--r", repr(r)]
@@ -118,6 +127,8 @@ def commands(work: str) -> list:
         ["cko-run", "--constants", form],
         ["mc-check", "--constants", form],
         ["cko-run", "--constants", doc_file("horosphere.json", HOROSPHERE_CONSTANTS)],
+        ["cko-run", "--constants", doc_file("flat-y.json", FLAT_Y_CONSTANTS)],
+        ["cko-run", "--constants", doc_file("rank-deficient.json", RANK_DEFICIENT_CONSTANTS)],
     ]
     for n in (2, 3, 4, 5):
         for s in FAMILIES:

@@ -56,10 +56,9 @@ from .linalg import (
     signature_matrix,
 )
 from .twistor import (
-    LiftCoefficients,
     StiefelPoint,
     TangentPair,
-    is_horizontal,
+    horizontality_residual,
     model_curve,
     para_apply,
     parallel_shift_residual,

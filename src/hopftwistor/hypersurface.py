@@ -31,14 +31,14 @@ from .fibration import (
     space_norm,
     tangent_project_ads,
 )
-from .linalg import real_form
+from .linalg import _judge_rows, real_form
 from .report import make_check
 from .twistor import (
+    HORIZONTAL_TOL,
     StiefelPoint,
-    _connection,
     _tangent_coefficients,
     curve_coefficients,
-    is_horizontal,
+    horizontality_residual,
 )
 
 GRID_DENSITY = 3
@@ -248,23 +248,35 @@ def _patch_from_lift(
     lift maps base points (..., base_dim) to stacked pairs (..., n+1) in one
     call.  Chart is (theta, t, q_0 ... q_{base_dim-1}) on the box
     (-1, 1) x (-0.8, 0.8) x (-0.3, 0.3)^base_dim, centered at 0; the curve
-    parameter t seeds the structure direction.  The lift is checked for
-    horizontality along every base axis at q = 0 and rejected otherwise.
+    parameter t seeds the structure direction.
+
+    The lift must be horizontal for its own sign along every base axis, at
+    q = 0 and at q1 = 0.3/sqrt(base_dim) (1, ..., 1), where |q1| = 0.3; the
+    largest defect of each axis is judged against HORIZONTAL_TOL, and the
+    error names the axis as its stack row.  q = 0 alone cannot tell the
+    signs apart: there every tube and horosphere lift moves u- and u+ only
+    into their orthogonal complement, so alpha- = alpha+ = beta = 0 and the
+    conditions of all three signs hold.  At q1 the coefficients no longer
+    vanish and satisfy only the lift's own sign.
     """
 
     def pairs(q: np.ndarray) -> np.ndarray:
         p = lift(q)
         return np.stack([p.u_minus, p.u_plus], axis=-2)
 
-    # One lift of the stencil at q = 0 +- FD_STEP along every base axis and
-    # of q = 0 itself, which also gives the dimension.
-    derivatives, here = _central_differences(pairs, np.zeros(base_dim), np.eye(base_dim), FD_STEP)
-    for axis, derivative in enumerate(derivatives):
-        if not is_horizontal(sign, _connection(here, derivative)):
-            raise InputError(
-                f"lift fails the {sign!r} horizontality condition on base "
-                f"axis {axis}"
-            )
+    # One lift per stencil point, of the point +- FD_STEP along every base
+    # axis and of the point itself, which also gives the dimension.
+    stencils = [
+        _central_differences(pairs, at, np.eye(base_dim), FD_STEP)
+        for at in (np.zeros(base_dim), np.full(base_dim, 0.3 / math.sqrt(base_dim)))
+    ]
+    derivatives, here = (np.array(parts) for parts in zip(*stencils))
+    _judge_rows(
+        horizontality_residual(sign, here, derivatives).max(axis=0),
+        HORIZONTAL_TOL,
+        f"lift fails the {sign!r} horizontality condition: residual {{:.3e}}",
+        InputError,
+    )
 
     def chart(at: np.ndarray, coefficients) -> np.ndarray:
         # e^{i theta} (c_- u_- + c_+ u_+): the lift takes the whole stack;

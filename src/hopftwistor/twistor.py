@@ -27,13 +27,12 @@ __all__ = [
     "HORIZONTAL_TOL",
     "StiefelPoint",
     "TangentPair",
-    "LiftCoefficients",
     "para_apply",
     "model_curve",
     "curve_coefficients",
     "unit_tangent_lift",
     "parallel_shift_residual",
-    "is_horizontal",
+    "horizontality_residual",
 ]
 
 
@@ -186,55 +185,35 @@ def parallel_shift_residual(
     return float(np.linalg.norm(diff))
 
 
-@dataclass(frozen=True, eq=False)
-class LiftCoefficients:
-    """Connection coefficients of a Stiefel lift at one parameter value,
-    the parts of
+def horizontality_residual(sign: str, here: np.ndarray, derivatives: np.ndarray) -> np.ndarray:
+    """The largest defect of the sign's horizontality conditions for each
+    derivative (du_minus, du_plus) in a stack (..., m, 2, n+1) of a lift's
+    derivatives at the pairs here = (u_minus, u_plus), (..., 2, n+1); the
+    result has shape (..., m).  With the coefficients
 
     du- = i alpha_minus u- + beta u+ + (rest orthogonal to u-, u+)
     du+ = conj(beta) u- + i alpha_plus u+ + (rest orthogonal to u-, u+)
 
-    that the horizontality conditions of is_horizontal read.
-    """
-
-    alpha_minus: float
-    alpha_plus: float
-    beta: complex
-
-
-def _connection(here: np.ndarray, derivative: np.ndarray) -> LiftCoefficients:
-    """The connection coefficients of the derivative (du_minus, du_plus) of
-    a lift at the pair here = (u_minus, u_plus); both are arrays (2, n+1).
+    the conditions are
+    plus:  beta = 0
+    minus: alpha- = alpha+ and Im beta = 0
+    zero:  alpha- - alpha+ = 2 Re beta and Im beta = 0
 
     Raises InputError when the coefficients fail their shapes (above 1e-8,
     or NaN): the lift does not stay on the Stiefel manifold, which makes the
     diagonal pairings grow real parts.
     """
-    # c[a, b] = ((d u_a, u_b)) with a, b in (minus, plus)
-    (c_mm, c_mp), (c_pm, c_pp) = herm_form(derivative[:, None], here[None]).tolist()
-    # np.max, not max: a NaN anywhere must reach the judge.
-    residual = np.max([abs(c_mm.real), abs(c_pp.real), abs(c_pm + np.conj(c_mp))])
-    _judge_rows(residual, 1e-8, "lift leaves the Stiefel manifold: residual {:.3e}", InputError)
-    return LiftCoefficients(alpha_minus=-c_mm.imag, alpha_plus=c_pp.imag, beta=c_mp)
-
-
-def is_horizontal(sign: str, c: LiftCoefficients) -> bool:
-    """Horizontality of a lift direction with respect to the twistor
-    fibration, each condition within HORIZONTAL_TOL.
-
-    plus:  beta = 0
-    minus: alpha- = alpha+ and Im beta = 0
-    zero:  alpha- - alpha+ = 2 Re beta and Im beta = 0
-    """
     _check_sign(sign)
+    # c[..., a, b] = ((d u_a, u_b)) with a, b in (minus, plus)
+    c = herm_form(derivatives[..., :, None, :], here[..., None, None, :, :])
+    c_mm, c_mp, c_pm, c_pp = c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1]
+    # np.max of np.maximum: a NaN anywhere reaches the judge.
+    stiefel = np.maximum.reduce([np.abs(c_mm.real), np.abs(c_pp.real), np.abs(c_pm + np.conj(c_mp))])
+    _judge_rows(np.max(stiefel), 1e-8, "lift leaves the Stiefel manifold: residual {:.3e}", InputError)
     if sign == "plus":
-        return abs(c.beta) <= HORIZONTAL_TOL
-    if sign == "minus":
-        return (
-            abs(c.alpha_minus - c.alpha_plus) <= HORIZONTAL_TOL
-            and abs(c.beta.imag) <= HORIZONTAL_TOL
-        )
-    return (
-        abs(c.alpha_minus - c.alpha_plus - 2.0 * c.beta.real) <= HORIZONTAL_TOL
-        and abs(c.beta.imag) <= HORIZONTAL_TOL
-    )
+        return np.abs(c_mp)
+    # alpha- - alpha+ = -Im c_mm - Im c_pp
+    alpha_gap = -c_mm.imag - c_pp.imag
+    if sign == "zero":
+        alpha_gap = alpha_gap - 2.0 * c_mp.real
+    return np.maximum(np.abs(alpha_gap), np.abs(c_mp.imag))

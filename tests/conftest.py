@@ -6,7 +6,7 @@ import pytest
 from hopftwistor import StiefelPoint
 from hopftwistor.fibration import FD_STEP
 from hopftwistor.hypersurface import _patch_from_lift, grid_key, pick_extra_eigenvalue
-from hopftwistor.twistor import _connection
+from hopftwistor.twistor import horizontality_residual
 
 
 @pytest.fixture
@@ -47,19 +47,21 @@ def loop_exp():
     return _loop_exp
 
 
-def _lift_coefficients(lift, x: float, step: float = FD_STEP):
-    """Connection coefficients of a one-parameter lift at x: one lift each
-    at x, x + step and x - step (anything with u_minus and u_plus), their
-    central difference, then the connection split."""
+def _lift_residual(sign: str, lift, x: float, step: float = FD_STEP) -> float:
+    """The horizontality residual of a one-parameter lift at x: one lift
+    each at x, x + step and x - step (anything with u_minus and u_plus),
+    their central difference, then horizontality_residual on a stack of
+    one derivative."""
     here, plus, minus = (np.array([p.u_minus, p.u_plus]) for p in (lift(x), lift(x + step), lift(x - step)))
-    return _connection(here, (plus - minus) / (2.0 * step))
+    (residual,) = horizontality_residual(sign, here, ((plus - minus) / (2.0 * step))[None])
+    return residual
 
 
 @pytest.fixture
-def lift_coefficients():
-    """The per-point lift differentiation, the reference for the
-    horizontality gate's stencil."""
-    return _lift_coefficients
+def lift_residual():
+    """The per-point lift differentiation and residual, the reference for
+    the horizontality gate's stacked stencil."""
+    return _lift_residual
 
 
 def _build_patch(sign: str, r: float, lift, base_dim: int):

@@ -15,7 +15,6 @@ from hopftwistor import (
     cluster_eigenvalues,
     horosphere,
     horosphere_defining_residual,
-    is_horizontal,
     pairing_residual,
     real_form,
     shape_operator,
@@ -34,7 +33,7 @@ from hopftwistor.generator import GeneratorForm, orbit_patch_from_form
 from hopftwistor.hypersurface import _central_differences, _point_report, _realify
 from hopftwistor.linalg import GroupElement
 from hopftwistor.sampling import random_one_param
-from hopftwistor.twistor import curve_coefficients, unit_tangent_lift
+from hopftwistor.twistor import SIGNS, curve_coefficients, unit_tangent_lift
 
 
 def coth(x: float) -> float:
@@ -545,50 +544,89 @@ def test_central_differences_equal_the_per_direction_loop(sign, rng):
         assert np.array_equal(center, func(at))
 
 
-def _gate_coefficients(monkeypatch, build):
-    """The LiftCoefficients that a patch's horizontality gate judges, in
-    axis order."""
+def _gate_residuals(monkeypatch, build):
+    """The residuals that a patch's horizontality gate judges, one per base
+    axis."""
     seen = []
+    judge = hypersurface._judge_rows
 
-    def recording(sign, co):
-        seen.append(co)
-        return is_horizontal(sign, co)
+    def recording(residuals, tol, message, error):
+        seen.append(residuals)
+        return judge(residuals, tol, message, error)
 
-    monkeypatch.setattr(hypersurface, "is_horizontal", recording)
+    monkeypatch.setattr(hypersurface, "_judge_rows", recording)
     build()
     monkeypatch.undo()
-    return seen
+    (residuals,) = seen
+    return residuals
 
 
-def _assert_gate_is_the_per_axis_loop(seen, point_lift, base_dim, lift_coefficients):
-    assert len(seen) == base_dim
-    for axis, got in enumerate(seen):
+def _assert_gate_is_the_per_axis_loop(sign, got, point_lift, base_dim, lift_residual):
+    """The gate's residual of each axis is the larger of the per-point
+    residuals at q = 0 and at q1 = 0.3/sqrt(base_dim) (1, ..., 1)."""
+    assert got.shape == (base_dim,)
+    points = (np.zeros(base_dim), np.full(base_dim, 0.3 / math.sqrt(base_dim)))
+    for axis in range(base_dim):
         d = np.eye(base_dim)[axis]
-        want = lift_coefficients(lambda x: point_lift(x * d), 0.0)
-        for field in ("alpha_minus", "alpha_plus", "beta"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        want = max(lift_residual(sign, lambda x: point_lift(at + x * d), 0.0) for at in points)
+        assert got[axis] == want, axis
 
 
 @pytest.mark.parametrize("sign", sorted(FAMILIES))
 def test_horizontality_gate_equals_per_axis_lift_coefficients(
-    sign, monkeypatch, loop_exp, lift_coefficients
+    sign, monkeypatch, loop_exp, lift_residual
 ):
     build, point_lift = FAMILIES[sign]
     for n in range(2, 7):
-        seen = _gate_coefficients(monkeypatch, lambda: build(n, 0.7))
+        got = _gate_residuals(monkeypatch, lambda: build(n, 0.7))
         _assert_gate_is_the_per_axis_loop(
-            seen, lambda q: StiefelPoint(*point_lift(n, q, loop_exp)), 2 * n - 2, lift_coefficients
+            sign, got, lambda q: StiefelPoint(*point_lift(n, q, loop_exp)), 2 * n - 2, lift_residual
         )
 
 
 def test_horizontality_gate_of_build_patch_equals_per_axis_lift_coefficients(
-    monkeypatch, build_patch, lift_coefficients
+    monkeypatch, build_patch, lift_residual
 ):
-    # The gate sits at q = 0, for a lift written one base point at a time.
-    seen = _gate_coefficients(
+    # The gate for a lift written one base point at a time.
+    got = _gate_residuals(
         monkeypatch, lambda: build_patch("zero", 0.5, _horosphere_lift, base_dim=2)
     )
-    _assert_gate_is_the_per_axis_loop(seen, _horosphere_lift, 2, lift_coefficients)
+    _assert_gate_is_the_per_axis_loop("zero", got, _horosphere_lift, 2, lift_residual)
+
+
+CLASSICAL_LIFTS = {
+    "tube_complex k=0": ("plus", lambda n: tube_complex(n, 0, 0.7)),
+    "tube_complex k=n-1": ("plus", lambda n: tube_complex(n, n - 1, 0.7)),
+    "tube_real": ("minus", lambda n: tube_real(n, 0.7)),
+    "horosphere": ("zero", lambda n: horosphere(n, 0.3)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_a_mis_signed_classical_lift_fails_the_horizontality_gate(n, monkeypatch):
+    """Each classical lift, given to _patch_from_lift under a sign not its
+    own, raises through the judge; under its own sign it builds."""
+    build = hypersurface._patch_from_lift
+    for name, (own, make) in CLASSICAL_LIFTS.items():
+        for sign in SIGNS:
+            monkeypatch.setattr(
+                hypersurface, "_patch_from_lift", lambda _, *a, **kw: build(sign, *a, **kw)
+            )
+            if sign == own:
+                assert make(n).sign == own
+                continue
+            with pytest.raises(InputError, match="horizontality condition") as exc:
+                make(n)
+            assert type(exc.value.residual) is float
+            assert exc.value.residual >= 1e-3, (name, sign)
+
+
+def test_every_classical_lift_passes_its_own_horizontality_gate():
+    for n in range(2, 21):
+        for k in range(n):
+            tube_complex(n, k, 0.7)
+        tube_real(n, 0.7)
+        horosphere(n, 0.3)
 
 
 # One least-squares solve with every frame vector as a right-hand side,
@@ -750,6 +788,31 @@ def test_ruled_patch_fails_the_hopf_rows(n, delta, row_value):
     if delta >= 1e-2:
         want |= {"pairing-max", "multiplicity-pattern"}
     assert set(rep.failures) == want
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: tube_complex(2, 0, 0.5),
+        lambda: tube_real(2, 0.5),
+        lambda: horosphere(2, 0.3),
+        lambda: tube_complex(3, 1, 0.5),
+        lambda: orbit_patch_from_form(random_one_param(np.random.default_rng(7))),
+    ],
+    ids=["plus", "minus", "zero", "plus-n3", "orbit"],
+)
+def test_a_rotated_normal_fails_the_symmetry_row(build, row_value):
+    """The normal e^{i 1e-3} N tilts toward the structure vector.  The
+    tilted shape operator stays Hopf (its hopf-residual is rounding) but is
+    not symmetric: symmetry-residual reads about 2e-3 to 4e-3 against its
+    tolerance 1e-5, and it is the only failing row."""
+    patch = build()
+    normal = patch.normal_func
+    tilted = dataclasses.replace(patch, normal_func=lambda at: np.exp(1e-3j) * normal(at))
+    rep = verify_hopf(tilted, grid=tilted.grid(2))
+    assert rep.failures == ("symmetry-residual",)
+    assert row_value(rep, "symmetry-residual") >= 1e-3
+    assert row_value(rep, "hopf-residual") <= 1e-10
 
 
 # Each tolerance that verify_hopf judges, and the rows it judges.

@@ -248,8 +248,8 @@ def _gate_cases():
     """(trigger, error class, message template, residual) per residual gate
     of the package; residual None when only the message is pinned."""
     from hopftwistor import AdSPoint, GeneratorForm, TangentPair, horizontal_part
-    from hopftwistor import generator, orbit_patch_from_form
-    from hopftwistor.twistor import _connection
+    from hopftwistor import generator, hypersurface, orbit_patch_from_form, tube_real
+    from hopftwistor.twistor import horizontality_residual
 
     e = np.eye(3, dtype=complex)
     base = StiefelPoint(e[0], e[1])
@@ -263,6 +263,12 @@ def _gate_cases():
         normal = generator._profile_normal
         monkeypatch.setattr(generator, "_profile_normal", lambda h, lam, p: normal(h, lam, p) + 1.0)
         orbit_patch_from_form(form(y0=np.eye(2), y1=np.eye(2)))
+
+    def mis_signed_lift(monkeypatch):
+        # tube_real's lift is horizontal for "minus", not for "zero".
+        build = hypersurface._patch_from_lift
+        monkeypatch.setattr(hypersurface, "_patch_from_lift", lambda _, *a, **kw: build("zero", *a, **kw))
+        tube_real(2, 0.5)
 
     corner = np.array([[0.0, 2.0], [0.0, 0.0]])  # not symmetric, not alternating
     slices = np.array([corner, np.zeros((2, 2))])
@@ -298,10 +304,17 @@ def _gate_cases():
             2.0,
         ),
         "connection": (
-            lambda mp: _connection(e[:2], np.array([2.0 * e[0], 0.0 * e[0]])),
+            lambda mp: horizontality_residual("plus", e[:2], np.array([[2.0 * e[0], 0.0 * e[0]]])),
             InputError,
             "lift leaves the Stiefel manifold: residual {:.3e}",
             2.0,
+        ),
+        "horizontality": (
+            # The error names the worst base axis as its stack row.
+            mis_signed_lift,
+            InputError,
+            "lift fails the 'zero' horizontality condition: residual {:.3e} at stack row 0",
+            None,
         ),
         "horizontal_part": (
             # A stack is judged by its largest defect, without a row suffix.

@@ -9,14 +9,13 @@ from hopftwistor import (
     TangentPair,
     ValidationError,
     AdSPoint,
-    is_horizontal,
     model_curve,
     pair_form,
     para_apply,
     parallel_shift_residual,
     unit_tangent_lift,
 )
-from hopftwistor.twistor import SIGNS
+from hopftwistor.twistor import HORIZONTAL_TOL, SIGNS, horizontality_residual
 from hopftwistor.sampling import random_stiefel, random_tangent_pair
 
 
@@ -97,8 +96,9 @@ def test_model_curves_stay_on_quadric(canonical_pair):
             AdSPoint(curve(t))  # membership check inside
 
 
-def test_is_horizontal_predicates(canonical_pair, lift_coefficients):
-    """Boost lifts are 'minus'-horizontal, phase lifts 'plus'-horizontal."""
+def test_horizontality_residual_separates_the_signs(canonical_pair, lift_residual):
+    """Boost lifts are 'minus'-horizontal, phase lifts 'plus'-horizontal,
+    and neither is horizontal for another sign."""
     e0, e1 = canonical_pair.u_minus, canonical_pair.u_plus
 
     def boost(x: float) -> StiefelPoint:
@@ -110,14 +110,24 @@ def test_is_horizontal_predicates(canonical_pair, lift_coefficients):
     def phase(x: float) -> StiefelPoint:
         return StiefelPoint(np.exp(1j * x) * e0, np.exp(-1j * x) * e1)
 
-    cb = lift_coefficients(boost, 0.0)
-    assert is_horizontal("minus", cb)
-    assert not is_horizontal("plus", cb)
-    assert not is_horizontal("zero", cb)
-    cp = lift_coefficients(phase, 0.0)
-    assert is_horizontal("plus", cp)
-    assert not is_horizontal("minus", cp)
-    assert not is_horizontal("zero", cp)
+    for lift, own in ((boost, "minus"), (phase, "plus")):
+        for sign in SIGNS:
+            residual = lift_residual(sign, lift, 0.0)
+            assert (residual <= HORIZONTAL_TOL) == (sign == own), (own, sign, residual)
+
+
+def test_horizontality_residual_keeps_the_stack_shape(canonical_pair):
+    here = np.array([canonical_pair.u_minus, canonical_pair.u_plus])
+    derivatives = np.zeros((4, 3, 2, 3), dtype=complex)
+    derivatives[..., 0, 2] = 1.0  # du- along e2: every coefficient vanishes
+    # beta = 0.5i on one row: du- gains beta u+ and du+ gains conj(beta) u-.
+    derivatives[1, 2, 0, 1], derivatives[1, 2, 1, 0] = 0.5j, -0.5j
+    for sign in SIGNS:
+        residual = horizontality_residual(sign, here, derivatives)
+        assert residual.shape == (4, 3)
+        want = np.zeros((4, 3))
+        want[1, 2] = 0.5
+        assert np.array_equal(residual, want)
 
 
 def test_unit_tangent_lift_is_unit(canonical_pair):
@@ -146,15 +156,15 @@ def test_parallel_shift_identity(canonical_pair):
     assert worst <= 1e-10
 
 
-def test_lift_coefficients_refuse_a_nan_reconstruction(canonical_pair, lift_coefficients):
+def test_lift_coefficients_refuse_a_nan_reconstruction(canonical_pair, lift_residual):
     nan_pair = types.SimpleNamespace(u_minus=np.full(3, np.nan, dtype=complex), u_plus=canonical_pair.u_plus)
     with pytest.raises(InputError, match=r"leaves the Stiefel manifold: residual nan$"):
-        lift_coefficients(lambda x: nan_pair if x > 0 else canonical_pair, 0.0)
+        lift_residual("plus", lambda x: nan_pair if x > 0 else canonical_pair, 0.0)
 
 
-def test_lift_coefficients_refuse_a_nan_in_the_spacelike_derivative(canonical_pair, lift_coefficients):
+def test_lift_coefficients_refuse_a_nan_in_the_spacelike_derivative(canonical_pair, lift_residual):
     # A NaN in du+ alone makes c_pp and c_pm NaN while c_mm stays finite; the
     # gate must still fail, whichever coefficient carries the NaN.
     nan_pair = types.SimpleNamespace(u_minus=canonical_pair.u_minus, u_plus=np.full(3, np.nan, dtype=complex))
     with pytest.raises(InputError, match=r"leaves the Stiefel manifold: residual nan$"):
-        lift_coefficients(lambda x: nan_pair if x > 0 else canonical_pair, 0.0)
+        lift_residual("plus", lambda x: nan_pair if x > 0 else canonical_pair, 0.0)
