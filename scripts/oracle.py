@@ -218,10 +218,8 @@ def classical_model(sign, n, r, lift):
 def orbit_model(form):
     """generator.orbit_patch_from_form in mp: e^{i theta} g(x) profile(h,
     lam, p), g the ordered product of exp(x_k X_k)."""
-    from hopftwistor.generator import _basis_values
-
     basis = [mp.matrix([[mp.mpc(complex(v)) for v in row] for row in x.matrix.tolist()])
-             for x in _basis_values(form)]
+             for x in form.basis]
     nx = len(basis)
 
     def chart(at, normal):

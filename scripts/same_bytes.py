@@ -28,7 +28,7 @@ moved and the largest absolute and relative change of `value`, over the
 JSON and CSV reports on stdout and in --out files; then the stderr lines
 that differ only in numbers.
 
-The command set (463 commands):
+The command set (465 commands):
 - the first 4 cycles of each benchmark workload (perfbench/inputs.py,
   seed 1) and the 24 commands of its full-range probe (seed 1);
 - the README commands;
@@ -40,7 +40,8 @@ The command set (463 commands):
 - verify-hopf and build-example for n = 2..5, each family (--k n-1 for
   plus), r in {0.02, 0.1, 0.5, 1.5, 4};
 - cko-run --n 2 --seed 0..39;
-- 26 commands that exercise flag validation and the output paths;
+- 28 commands that exercise flag validation, the output paths, the
+  degenerate-radius row and the closed-form overflow;
 - verify-hopf / build-example --n 6 --s minus --r 2.3, verify-hopf --n 6
   --r 0.7 in each family, and cko-run (json and csv) and mc-check on the
   n = 6 form of tests/golden_reports.json;
@@ -165,6 +166,8 @@ def commands(work: str) -> list:
         hopf + ["--tol", "mu=1e-3", "--tol", "hopf=1e-6"],
         ["cko-run", "--n", "2", "--seed", "3", "--tol", "rho=1e-9", "--tol", "lsq=1"],
         ["verify-curves", "--n", "3", "--format", "csv"],
+        ["verify-curves", "--n", "2", "--s", "plus", "--r", "0"],
+        ["verify-hopf", "--n", "2", "--s", "plus", "--r", "400"],
     ]
 
     with open(os.path.join(ROOT, "tests", "golden_reports.json"), encoding="utf-8") as fh:

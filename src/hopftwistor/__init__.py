@@ -23,6 +23,7 @@ from .fibration import (
 from .generator import (
     GeneratorForm,
     commutator_residual,
+    constants_document,
     extra_curvature,
     form_value,
     maurer_cartan_residual,

@@ -2,27 +2,20 @@
 
 
 class GeometryError(Exception):
-    """Base class for all geometric failures."""
-
-
-class ValidationError(GeometryError):
-    """Structural membership failed (group, algebra, Stiefel, form shape).
-
-    Carries the max-norm residual that exceeded the tolerance.
-    """
+    """Base class for all geometric failures; a gate's error carries its residual."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+class ValidationError(GeometryError):
+    """Structural membership failed (group, algebra, Stiefel, form shape)."""
 
 
 class InputError(GeometryError):
     """Malformed or inadmissible input: dimension mismatch, non-tangency,
     non-horizontal lift, values leaving the required manifold."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class DegenerateCurveError(GeometryError):

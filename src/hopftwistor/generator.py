@@ -44,6 +44,7 @@ __all__ = [
     "RHO_HEIGHTS",
     "extra_curvature",
     "parse_constants",
+    "constants_document",
 ]
 
 
@@ -63,9 +64,9 @@ class GeneratorForm:
     y0 and y1 must satisfy the wedge constraint
     y0(e_i).y1(e_j) = y0(e_j).y1(e_i).  Every entry must be finite.
 
-    The data is read-only, so the flatness residual and the form's values on
-    the coordinate basis are computed once per form and kept on it (they go
-    with the form, no module-level cache holds it).
+    The data is read-only, so the flatness residual and the basis are
+    computed once per form and kept on it (they go with the form, no
+    module-level cache holds it).
     """
 
     alpha0: np.ndarray
@@ -122,7 +123,8 @@ class GeneratorForm:
         return _structure_residual(self)
 
     @cached_property
-    def _basis(self) -> Tuple[AlgebraElement, ...]:
+    def basis(self) -> Tuple[AlgebraElement, ...]:
+        """The form's values on the coordinate directions, in order."""
         return tuple(form_value(self, e) for e in np.eye(self.dim_g))
 
     def scalars(self) -> Tuple[float, float, float, float, float, float]:
@@ -192,8 +194,6 @@ def maurer_cartan_residual(f: GeneratorForm) -> float:
 
 def _structure_residual(f: GeneratorForm) -> float:
     g = f.dim_g
-    if g < 2:
-        return 0.0
     worst = 0.0
     for i in range(g):
         for j in range(i + 1, g):
@@ -249,19 +249,11 @@ def _structure_residual(f: GeneratorForm) -> float:
     return worst
 
 
-def _basis_values(f: GeneratorForm) -> Tuple[AlgebraElement, ...]:
-    """The form on each coordinate direction, in order; computed once per
-    form."""
-    return f._basis
-
-
 def commutator_residual(f: GeneratorForm) -> float:
     """Max-abs commutator of the coordinate images; an independent route to
     the same flatness condition for constant coefficients.
     """
-    if f.dim_g < 2:
-        return 0.0
-    mats = [x.matrix for x in _basis_values(f)]
+    mats = [x.matrix for x in f.basis]
     worst = 0.0
     for i in range(f.dim_g):
         for j in range(i + 1, f.dim_g):
@@ -276,7 +268,7 @@ def two_path_residual(f: GeneratorForm) -> float:
     """
     if f.dim_g < 2:
         return 0.0
-    x1, x2 = _basis_values(f)[:2]
+    x1, x2 = f.basis[:2]
     g1 = matrix_exp(x1, 0.5)
     g2 = matrix_exp(x2, 0.5)
     a = g1.compose(g2)
@@ -379,7 +371,7 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
             "not an immersion: y0 = y1 = 0 with alpha0 + alpha1 = 2w != 0"
         )
     _require_flat(f, 1e-9)
-    values = _basis_values(f)
+    values = f.basis
     n = f.dim_n
     nx = f.dim_g
     ranges = ((-0.8, 0.8),) + ((-0.5, 0.5),) * nx + ((-0.8, 0.8), _LAM_RANGE)
@@ -486,3 +478,10 @@ def parse_constants(data) -> GeneratorForm:
         except (ValidationError, InputError) as exc:
             raise ConfigError(f"invalid block-form constants: {exc}") from exc
     raise ConfigError("constants need kind 'one-param' or 'block-form'")
+
+
+def constants_document(kind: str, f: GeneratorForm) -> dict:
+    """The constants document of kind for f; the inverse of parse_constants."""
+    if kind == "one-param":
+        return {"kind": kind, **dict(zip(_ONE_PARAM_KEYS, f.scalars()))}
+    return {"kind": kind, **{key: getattr(f, key).tolist() for key in _FORM_KEYS}}

@@ -227,7 +227,8 @@ def matrix_exp(x: AlgebraElement, t=1.0) -> GroupElement:
     exponentials, validated once as a GroupElement.  Each matrix keeps its
     own number of squarings: the stack is evaluated in groups of equal
     count, so every matrix gets the arithmetic of a call on it alone, bit
-    for bit.  For ||t X|| <= 10 the group residual stays below 1e-10.
+    for bit.  For ||t X|| <= 10 the group residual stays below 1e-10; a
+    1-norm of t X beyond 2^1022 raises InputError.
     In the package, the generator-form orbit chart (one exponential per
     evaluation) and the two-path witness are its only callers (the tube_real
     lift has a closed form).
@@ -237,7 +238,11 @@ def matrix_exp(x: AlgebraElement, t=1.0) -> GroupElement:
         raise InputError("t must be finite")
     a = x.scaled(t)
     stack = a.reshape((-1,) + a.shape[-2:])
-    counts = np.array([_squarings(v) for v in np.abs(stack).sum(axis=-2).max(axis=-1).tolist()])
+    norms = np.abs(stack).sum(axis=-2).max(axis=-1).tolist()
+    # Beyond a 1-norm of 2^1022, 2.0**squarings overflows.
+    too_large = "t X has 1-norm {:.3e}, too large to scale and square"
+    _judge_rows(max(norms, default=0.0), 2.0**1022, too_large, InputError)
+    counts = np.array([_squarings(v) for v in norms])
     eye = np.eye(a.shape[-1], dtype=complex)
     out = np.empty_like(stack)
     for squarings in np.unique(counts).tolist():

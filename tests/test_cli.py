@@ -577,6 +577,19 @@ def test_non_finite_check_value_is_a_verification_error(tmp_path, capsys, comman
     assert captured.out == ""
 
 
+# The two-path witness exponentiates 0.5 X for X = x(e_0), whose 1-norm 1e308
+# is past the 2^1022 that matrix_exp can scale and square.
+@pytest.mark.parametrize("command", ["mc-check", "cko-run"])
+def test_a_form_too_large_to_exponentiate_is_a_verification_error(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(FLAT_FORM_DOC))
+    doc.update(x_form=[[1e308, 0.0], [0.0, 0.0]], y0=[[0.0] * 2] * 2, y1=[[0.0] * 2] * 2)
+    path = write_doc(tmp_path, "form.json", doc)
+    assert main([command, "--constants", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verification error: t X has 1-norm 1.000e+308, too large to scale and square\n"
+    assert captured.out == ""
+
+
 def test_overflow_errors_print_one_line_and_no_traceback():
     for args in (
         ["verify-hopf", "--n", "2", "--s", "minus", "--r", "500"],

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import pathlib
 import weakref
 
 import numpy as np
@@ -13,6 +14,7 @@ from hopftwistor import (
     InputError,
     ValidationError,
     commutator_residual,
+    constants_document,
     extra_curvature,
     form_value,
     group_residual,
@@ -61,7 +63,7 @@ def product_group_map(f: GeneratorForm, coords, flat_tol: float = 1e-9):
     coords = np.asarray(coords, dtype=float)
     if coords.shape[-1:] != (f.dim_g,):
         raise InputError(f"coordinates must have length {f.dim_g}")
-    values = generator._basis_values(f)
+    values = f.basis
     group = matrix_exp(values[0], coords[..., 0])
     for k, x in enumerate(values[1:], 1):
         group = group.compose(matrix_exp(x, coords[..., k]))
@@ -273,6 +275,23 @@ def test_parse_constants_rejections():
         parse_constants(doc_bad)
 
 
+FORM_ARRAYS = ("alpha0", "alpha1", "x_form", "y0", "y1", "w1", "w2")
+
+
+def test_constants_document_is_the_inverse_of_parse_constants():
+    golden = json.loads((pathlib.Path(__file__).with_name("golden_reports.json")).read_text())
+    doc6 = golden["cko-run-flat-form-n6"]["constants"]
+    cases = [("block-form", parse_constants(doc6))]
+    cases += [("one-param", random_one_param(np.random.default_rng(seed))) for seed in range(10)]
+    for kind, f in cases:
+        doc = constants_document(kind, f)
+        assert doc["kind"] == kind
+        back = parse_constants(json.loads(json.dumps(doc)))
+        for name in FORM_ARRAYS:
+            assert np.array_equal(getattr(back, name), getattr(f, name)), (kind, name)
+    assert constants_document("block-form", parse_constants(doc6)) == doc6
+
+
 def _point_orbit_chart(f, at, normal, loop_exp):
     """orbit_patch_from_form's chart map at one point: the sum of the
     coordinate images left to right, then one exponential."""
@@ -338,7 +357,7 @@ def test_orbit_chart_is_within_rounding_of_the_ordered_product(x_scale, rng):
     for f in _flat_forms(rng, x_scale):
         assert maurer_cartan_residual(f) <= 1e-9
         coords = rng.uniform(-0.5001, 0.5001, size=(200, f.dim_g))
-        got = generator._chart_group(generator._basis_values(f), coords).matrix
+        got = generator._chart_group(f.basis, coords).matrix
         want = product_group_map(f, coords).matrix
         scale = np.abs(want).max(axis=(-2, -1))
         assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= CHART_PRODUCT_MULTIPLE * u * scale)
@@ -407,8 +426,8 @@ def test_form_cache_returns_the_uncached_value(rng):
         first = maurer_cartan_residual(f)
         assert first == generator._structure_residual(f)
         assert maurer_cartan_residual(f) == first
-        basis = generator._basis_values(f)
-        assert generator._basis_values(f) is basis
+        basis = f.basis
+        assert f.basis is basis
         for got, want in zip(basis, _fresh_basis(f), strict=True):
             assert np.array_equal(got.matrix, want)
 
@@ -416,7 +435,7 @@ def test_form_cache_returns_the_uncached_value(rng):
 def test_form_cache_goes_with_the_form():
     f = flat_form(x_form=np.eye(2))
     maurer_cartan_residual(f)
-    generator._basis_values(f)
+    f.basis
     ref = weakref.ref(f)
     del f
     gc.collect()

@@ -629,6 +629,37 @@ def test_every_classical_lift_passes_its_own_horizontality_gate():
         horosphere(n, 0.3)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_rescaled_base_coordinate_is_invisible(n, monkeypatch):
+    """A lift whose base coordinate q_0 is scaled by 1.5 reparametrizes the
+    same horizontal submanifold, so no check can see this fault: each
+    classical patch still builds and certifies on grid(2) with the same
+    multiplicities.  The grid points move, so the eigenvalues move by the
+    O(h^2) truncation of the two grids (measured at most 5.7e-9 against
+    2 h^2 = 2e-8) and mu by rounding (at most 2.7e-12 against ten times
+    u/h, the rounding of one central difference)."""
+    build = hypersurface._patch_from_lift
+
+    def rescaled(sign, r, lift, base_dim, **kw):
+        scale = np.ones(base_dim)
+        scale[0] = 1.5
+        return build(sign, r, lambda q: lift(q * scale), base_dim, **kw)
+
+    for name, (_, make) in CLASSICAL_LIFTS.items():
+        reports = []
+        for lift_builder in (build, rescaled):
+            monkeypatch.setattr(hypersurface, "_patch_from_lift", lift_builder)
+            patch = make(n)
+            reports.append(verify_hopf(patch, patch.grid(2)))
+        plain, moved = reports
+        assert moved.samples != plain.samples, name  # the fault is in place
+        assert plain.certified and moved.certified, (name, moved.failures)
+        assert [m for _, m in moved.eigenvalues] == [m for _, m in plain.eigenvalues]
+        for (got, _), (want, _) in zip(moved.eigenvalues, plain.eigenvalues):
+            assert abs(got - want) <= 2.0 * FD_STEP**2, name
+        assert abs(moved.mu - plain.mu) <= 10.0 * 2.0**-53 / FD_STEP, name
+
+
 # One least-squares solve with every frame vector as a right-hand side,
 # against a solve per vector: |v_multi - v_single| <= 32 u cond(jac) |v|,
 # u = 2^-53 (measured below 2 u cond(jac) |v| on these points).

@@ -330,6 +330,13 @@ def _gate_cases():
             "form is not flat (residual {:.3e}); the product map is path dependent",
             2.0,
         ),
+        "matrix-exp-norm": (
+            # A boost with 1-norm 1e308 > 2^1022: its squarings overflow.
+            lambda mp: matrix_exp(AlgebraElement(1e308 * (np.outer(e[0], e[1]) + np.outer(e[1], e[0])), 2)),
+            InputError,
+            "t X has 1-norm {:.3e}, too large to scale and square",
+            1e308,
+        ),
         "orbit-tangency": (
             bent_normal,
             InputError,
