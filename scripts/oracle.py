@@ -27,6 +27,8 @@ below the differences the rule measures.  Rows are then classed:
   shape operators) take the value of that run;
 - construction rows (quadric-residual, normal-unit, normal-orthogonal,
   defining-relation) are exactly 0 for these lifts;
+- two-path-witness rows take generator.two_path_residual evaluated with
+  mpmath.expm of the form's basis values (ORACLE_WITNESS);
 - every other row (flatness, immersion, constants echoes) has no oracle
   value (null).
 The file also keeps, per case, max|Psi| (the largest modulus of a point
@@ -40,13 +42,15 @@ without an oracle value is bitwise unchanged, and every value with one is
 no farther from it than the parent's distance plus max(u max|Psi| / h, 2 s)
 (u = 2^-53, h the finite-difference step).  u max|Psi| / h is the rounding
 of one central difference; carried through the least-squares solve and the
-eigenproblem it grows to about ten times that, which s measures.  compare
-runs the parent 8 more times (seeds 0-7), each time multiplying every entry
-of every lift output of the classical families (each StiefelPoint that
-hypersurface builds) by 1 + u eps, eps uniform in [-1, 1] + i[-1, 1]; s is
-the largest move, over those runs, of any value of the case with the same
-check name (grid point and index dropped).  Orbit patches are not perturbed, so their
-values keep the rounding bound alone.  compare prints the worst distances,
+eigenproblem it grows to about ten times that, which s measures.  The
+two-path witness takes no difference, so its bound is 2 s alone.  compare
+runs the parent 16 more times (seeds 0-15), each time multiplying every
+entry of every lift output of the classical families (each StiefelPoint that
+hypersurface builds) and of every generator.matrix_exp output (the orbit
+chart's group elements and the two-path witness's exponentials) by
+1 + u eps, eps uniform in [-1, 1] + i[-1, 1]; s is the largest move, over
+those runs, of any value of the case with the same check name (grid point
+and index dropped).  compare prints the worst distances,
 spreads and excesses per check name, and a tally of the values, and exits 1
 on any violation.
 """
@@ -72,9 +76,9 @@ GOLDEN = os.path.join(ROOT, "tests", "golden_reports.json")
 REFERENCE = os.path.join(ROOT, "tests", "oracle_reference.json")
 DIGITS = 50
 U = 2.0**-53
-# Seeded runs of the parent with perturbed lifts, from which compare takes
-# each check value's spread s.
-PERTURBED_RUNS = 8
+# Seeded runs of the parent with perturbed lifts and exponentials, from
+# which compare takes each check value's spread s.
+PERTURBED_RUNS = 16
 CONSTRUCTION_ROWS = ("quadric-residual", "normal-unit", "normal-orthogonal", "defining-relation")
 SHAPE_ROWS = (
     "hopf-residual", "symmetry-residual", "lsq-residual", "mu", "mu-constancy",
@@ -83,6 +87,8 @@ SHAPE_ROWS = (
     "eigenvalue-opposite", "multiplicity-opposite", "sample-eigenvalue",
     "rho", "rho-constancy",
 )
+# The one row outside the shape operators with an oracle value.
+ORACLE_WITNESS = "two-path-witness"
 # One grid point per family at n = 4 (the first of the CLI's grid), whose
 # per-point values the test suite recomputes.
 SPOT_CASES = ("verify-hopf-plus-n4", "verify-hopf-minus-n4", "verify-hopf-zero-n4")
@@ -218,8 +224,7 @@ def classical_model(sign, n, r, lift):
 def orbit_model(form):
     """generator.orbit_patch_from_form in mp: e^{i theta} g(x) profile(h,
     lam, p), g the ordered product of exp(x_k X_k)."""
-    basis = [mp.matrix([[mp.mpc(complex(v)) for v in row] for row in x.matrix.tolist()])
-             for x in form.basis]
+    basis = _mp_basis(form)
     nx = len(basis)
 
     def chart(at, normal):
@@ -238,6 +243,21 @@ def orbit_model(form):
         return [mp.expj(at[0]) * moved[i] for i in range(moved.rows)]
 
     return Model(lambda at: chart(at, False), lambda at: chart(at, True))
+
+
+def _mp_basis(form):
+    return [mp.matrix([[mp.mpc(complex(v)) for v in row] for row in x.matrix.tolist()])
+            for x in form.basis]
+
+
+def two_path_value(form):
+    """generator.two_path_residual in mp: max |e^{X_1/2} e^{X_2/2} -
+    e^{X_2/2} e^{X_1/2}| over the entries, 0 for dim_g < 2."""
+    if form.dim_g < 2:
+        return mp.mpf(0)
+    g1, g2 = (mp.expm(x / 2) for x in _mp_basis(form)[:2])
+    diff = g1 * g2 - g2 * g1
+    return max(abs(diff[i, j]) for i in range(diff.rows) for j in range(diff.cols))
 
 
 # ----------------------------------------------------------- shape operator
@@ -394,6 +414,7 @@ def _oracle_report(cli, hypersurface, case, work):
         for name, fn in _models_for_cli(cli, models).items():
             stack.enter_context(mock.patch.object(cli, name, fn))
         stack.enter_context(mock.patch.object(hypersurface, "_point_report", point_report))
+        stack.enter_context(mock.patch.object(cli, "two_path_residual", lambda f: float(two_path_value(f))))
         rc, report, err = _run_case(cli, case, work)
     return rc, report, err, (max(psi) if psi else None)
 
@@ -421,7 +442,7 @@ def record(out_path):
                 base = _base(c["name"])
                 if base in CONSTRUCTION_ROWS:
                     value = 0.0
-                elif base in SHAPE_ROWS and psi_max is not None:
+                elif (base in SHAPE_ROWS and psi_max is not None) or base == ORACLE_WITNESS:
                     value = c["value"]
                 else:
                     value = None
@@ -499,7 +520,7 @@ def spot_values(case, step=1e-4):
 
 def _tree_reports(src, reference, perturb=None):
     """Run the reference's cases on the tree at src, in a child process;
-    perturb is the seed of a run with perturbed lifts (_reports)."""
+    perturb is the seed of a run with perturbed outputs (perturb_outputs)."""
     argv = [sys.executable, os.path.abspath(__file__), "_reports", src, reference]
     if perturb is not None:
         argv += ["--perturb", str(perturb)]
@@ -513,30 +534,40 @@ def _tree_reports(src, reference, perturb=None):
     return json.loads(proc.stdout)
 
 
-def _perturb_lifts(hypersurface, seed):
+@contextlib.contextmanager
+def perturb_outputs(hypersurface, generator, seed):
     """Multiply every entry of every lift output of the classical families
-    (each StiefelPoint that hypersurface builds) by 1 + u eps, eps uniform in
-    the complex box [-1, 1] + i[-1, 1], drawn from a generator seeded with
-    seed."""
+    (each StiefelPoint that hypersurface builds) and of every
+    generator.matrix_exp output (the orbit chart's group elements and the
+    two-path witness's exponentials) by 1 + u eps, eps uniform in the
+    complex box [-1, 1] + i[-1, 1], drawn from a generator seeded with seed.
+    The perturbed exponentials are validated again as GroupElements."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    original = hypersurface.StiefelPoint
+    stiefel, exp = hypersurface.StiefelPoint, generator.matrix_exp
 
     def jitter(u):
         u = np.asarray(u, dtype=complex)
         eps = rng.uniform(-1.0, 1.0, u.shape) + 1j * rng.uniform(-1.0, 1.0, u.shape)
         return u + u * (U * eps)
 
-    def perturbed(u_minus, u_plus, *args, **kwargs):
-        return original(jitter(u_minus), jitter(u_plus), *args, **kwargs)
+    def perturbed_lift(u_minus, u_plus, *args, **kwargs):
+        return stiefel(jitter(u_minus), jitter(u_plus), *args, **kwargs)
 
-    return mock.patch.object(hypersurface, "StiefelPoint", perturbed)
+    def perturbed_exp(*args, **kwargs):
+        g = exp(*args, **kwargs)
+        return type(g)(jitter(g.matrix), g.dim_n)
+
+    with mock.patch.object(hypersurface, "StiefelPoint", perturbed_lift), mock.patch.object(
+        generator, "matrix_exp", perturbed_exp
+    ):
+        yield
 
 
 def _reports(src, reference, perturb=None):
     sys.path.insert(0, os.path.abspath(src))
-    from hopftwistor import cli, hypersurface
+    from hopftwistor import cli, generator, hypersurface
 
     with open(reference, encoding="utf-8") as fh:
         cases = json.load(fh)["cases"]
@@ -544,7 +575,7 @@ def _reports(src, reference, perturb=None):
     with contextlib.ExitStack() as stack:
         work = stack.enter_context(tempfile.TemporaryDirectory())
         if perturb is not None:
-            stack.enter_context(_perturb_lifts(hypersurface, perturb))
+            stack.enter_context(perturb_outputs(hypersurface, generator, perturb))
         for name, case in cases.items():
             rc, report, _ = _run_case(cli, case, work)
             out[name] = {"exit": rc, "report": report}
@@ -565,7 +596,7 @@ MOVED = "moved without an oracle value"
 def classify_row(parent, change, oracle, bound, spread):
     """The outcome of one check value: the parent's and the change's values,
     the oracle's (None when there is none), the rounding bound u max|Psi| / h
-    and the parent's spread s under perturbed lifts.  BEYOND and MOVED break
+    and the parent's spread s under perturbed outputs.  BEYOND and MOVED break
     the rule."""
     if oracle is None:
         return KEPT if parent == change else MOVED
@@ -634,10 +665,11 @@ def compare(parent_src, change_src, reference):
                 if spreads[name] is None:
                     print(f"{name}: a perturbed run of the parent changed its checks; s = 0")
                 spread = spreads[name] or [0.0] * len(names)
-                bound = U * case["psi_max"] / ra["config"]["fd_step"] if case["psi_max"] else 0.0
+                rounding = U * case["psi_max"] / ra["config"]["fd_step"] if case["psi_max"] else 0.0
                 for ca, cb, (row, oracle), s in zip(ra["checks"], rb["checks"], case["checks"], spread):
                     if ca["pass"] != cb["pass"]:
                         problems.append(f"{row}: pass {ca['pass']} -> {cb['pass']}")
+                    bound = 0.0 if _base(row) == ORACLE_WITNESS else rounding
                     outcome = classify_row(ca["value"], cb["value"], oracle, bound, s)
                     tally[outcome] += 1
                     if outcome == MOVED:

@@ -6,6 +6,7 @@ import pytest
 from hopftwistor import StiefelPoint
 from hopftwistor.fibration import FD_STEP
 from hopftwistor.hypersurface import _patch_from_lift, grid_key, pick_extra_eigenvalue
+from hopftwistor.linalg import _PADE_COEFFS, _PADE_THETA
 from hopftwistor.twistor import horizontality_residual
 
 
@@ -23,19 +24,34 @@ def canonical_pair():
 
 
 def _loop_exp(a: np.ndarray) -> np.ndarray:
-    """exp(a) for one matrix, as matrix_exp computed it one matrix per call:
-    the squarings from its own 1-norm, a degree-18 Taylor polynomial by
-    Horner's rule, then the squarings.  Unvalidated."""
+    """exp(a) for one matrix, as matrix_exp computes it one matrix per call:
+    the degree m and the squarings s from its own 1-norm and the theta_m
+    table, the diagonal Pade approximant r_m(2^-s a) = q^-1 p from the even
+    powers of 2^-s a, then s squarings.  Unvalidated."""
     a = np.asarray(a, dtype=complex)
     norm1 = float(np.abs(a).sum(axis=0).max())
-    squarings = 0
-    if norm1 > 0.5:
-        squarings = int(math.ceil(math.log2(norm1 / 0.5)))
-        a = a / (2.0**squarings)
+    degrees = [m for m, theta in _PADE_THETA if norm1 <= theta]
+    m = degrees[0] if degrees else 13
+    squarings = 0 if degrees else int(math.ceil(math.log2(norm1 / _PADE_THETA[-1][1])))
+    a = a / (2.0**squarings)
+    b = _PADE_COEFFS[m]
     eye = np.eye(a.shape[0], dtype=complex)
-    result = eye + a / 18
-    for m in range(17, 0, -1):
-        result = eye + (a @ result) / m
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        odd = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        odd = odd + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+        even = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        even = even + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    else:
+        odd, even, power = b[1] * eye, b[0] * eye, a2
+        for k in range(2, m, 2):
+            odd = odd + b[k + 1] * power
+            even = even + b[k] * power
+            power = power @ a2
+    u = a @ odd
+    result = np.linalg.solve(even - u, even + u)
     for _ in range(squarings):
         result = result @ result
     return result

@@ -332,8 +332,8 @@ def _flat_forms(rng, x_scale=0.0):
 
 
 def test_stacked_orbit_chart_equals_the_per_point_product(rng, loop_exp):
-    # The stacks mix several squaring counts; a one-parameter draw is the
-    # dim_g = 1 case.
+    # The stacks mix several Pade degrees and squaring counts; a
+    # one-parameter draw is the dim_g = 1 case.
     forms = [random_one_param(np.random.default_rng(7))] + _flat_forms(rng)
     for f in forms:
         patch = orbit_patch_from_form(f)
@@ -346,8 +346,8 @@ def test_stacked_orbit_chart_equals_the_per_point_product(rng, loop_exp):
 
 
 # The single exponential and the ordered product round differently; over 800
-# flat forms at n = 3..6 (x = c Y, c up to 2) they differed by at most 140
-# u max|g|, and by at most 51 u max|g| on the forms below.
+# flat forms at n = 3..6 (x = c Y, c up to 2) they differed by at most 120
+# u max|g|, and by at most 17 u max|g| on the forms below.
 CHART_PRODUCT_MULTIPLE = 256
 
 

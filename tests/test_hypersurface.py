@@ -695,11 +695,11 @@ def test_multi_rhs_velocities_equal_the_per_vector_solves(build, monkeypatch):
 
 
 # tube_real's lift is the closed form of the first two columns of exp(G);
-# against the Taylor exponential of the full generator it agrees to within
-# CLOSED_FORM_MULTIPLE u ||exp(G)||_2^2.  Measured over 20 seeds of these
-# rows: up to about 10 inside the chart, and up to about 370 at 10x it, on
-# rows with c parallel to b, where the basis e0, e1, (0,0,b), (0,0,c) of the
-# closed form degenerates.
+# against the Pade exponential of the full generator (conftest._loop_exp) it
+# agrees to within CLOSED_FORM_MULTIPLE u ||exp(G)||_2^2.  Measured over 20
+# seeds of these rows: up to about 5 inside the chart, and up to about 370
+# at 10x it, on rows with c parallel to b, where the basis e0, e1, (0,0,b),
+# (0,0,c) of the closed form degenerates.
 CLOSED_FORM_MULTIPLE = 1024
 
 

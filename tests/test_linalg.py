@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from hopftwistor import (
     real_form,
     signature_matrix,
 )
+from hopftwistor.linalg import STRUCTURE_TOL, _PADE_THETA, _pade_plan
 from hopftwistor.sampling import random_algebra, random_stiefel
 from hopftwistor.twistor import StiefelPoint
 
@@ -138,6 +140,10 @@ def test_matrix_exp_group_preservation_sweep(rng):
     assert worst <= 1e-10
 
 
+def _relative_group_residual(g: np.ndarray) -> float:
+    return group_residual(g) / max(1.0, float(np.abs(g).sum(axis=0).max()) ** 2)
+
+
 def test_matrix_exp_never_returns_off_group(rng):
     """Far beyond the guaranteed range the result is on-group or rejected."""
     x = random_algebra(rng, 2, scale=1.0)
@@ -145,7 +151,45 @@ def test_matrix_exp_never_returns_off_group(rng):
         g = matrix_exp(x, 40.0)
     except ValidationError:
         return
-    assert group_residual(g.matrix) <= 1e-10
+    assert _relative_group_residual(g.matrix) <= STRUCTURE_TOL
+
+
+@pytest.mark.parametrize("scale", [16.0, 20.0])
+def test_matrix_exp_output_is_a_group_element_at_large_norm(rng, scale):
+    # |G* S G - S| grows like u ||G||^2 from forming G* S G alone; at 1-norm
+    # 16 or 20, ||G||_1 reaches 5e4 and 8e5 in these draws, and GroupElement
+    # judges the residual relative to ||G||_1^2, so matrix_exp accepts its
+    # own output (an absolute 1e-10 would refuse 3 and 4 of the 10).
+    for _ in range(10):
+        g = matrix_exp(random_algebra(rng, 2, scale)).matrix
+        assert _relative_group_residual(g) <= 100 * 2.0**-53
+
+
+def _mp_expm(a: np.ndarray) -> np.ndarray:
+    with mpmath.workdps(30):
+        e = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array(e.tolist(), dtype=complex)
+
+
+# Each degree's theta_m, just below and just above it (1.001 theta_13 takes
+# one squaring), and degree 13 after 2 to 5 squarings.
+_BRANCH_NORMS = [theta * f for _, theta in _PADE_THETA for f in (0.999, 1.001)]
+_BRANCH_NORMS += [_PADE_THETA[-1][1] * 2.0**s * 0.9 for s in range(2, 6)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_matrix_exp_against_mpmath_on_every_degree_branch(rng, n):
+    # The relative condition number of exp at a normal X is ||X||, so the
+    # forward error is judged relative to max(1, ||X||_1) u ||exp X||_1;
+    # measured up to 4.0 u over n = 1..6 and ||X||_1 <= 175.
+    plans = set()
+    for norm in _BRANCH_NORMS:
+        x = random_algebra(rng, n, norm).matrix
+        plans.add(_pade_plan(float(np.abs(x).sum(axis=0).max())))
+        want = _mp_expm(x)
+        err = np.abs(matrix_exp(AlgebraElement(x, n)).matrix - want).sum(axis=0).max()
+        assert err <= 10 * 2.0**-53 * max(1.0, norm) * np.abs(want).sum(axis=0).max(), norm
+    assert plans == {(3, 0), (5, 0), (7, 0), (9, 0)} | {(13, s) for s in range(6)}
 
 
 def test_compose_with_inverse(rng):
@@ -156,23 +200,20 @@ def test_compose_with_inverse(rng):
     assert np.abs(prod.matrix - np.eye(3)).max() <= 1e-11
 
 
-def _squarings(a: np.ndarray) -> int:
-    norm1 = float(np.abs(a).sum(axis=0).max())
-    return int(math.ceil(math.log2(norm1 / 0.5))) if norm1 > 0.5 else 0
-
-
 def test_stacked_matrix_exp_equals_the_per_matrix_loop(rng, loop_exp):
-    # A zero matrix and 1-norms up to 12, shuffled: 0 to 5 squarings mixed
-    # in one stack, so every squaring group is interleaved with the others.
+    # A zero matrix and 1-norms up to 150, two of each, shuffled: every
+    # degree and 0 to 5 squarings mixed in one stack, so every (m, s) group
+    # is interleaved with the others.
     n = 6
-    norms = [0.3, 0.45, 0.8, 1.1, 1.5, 2.9, 3.1, 6.0, 7.5, 12.0, 0.2]
+    norms = [0.01, 0.2, 0.9, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0, 150.0] * 2
     mats = [np.zeros((n + 1, n + 1), dtype=complex)]
     mats += [random_algebra(rng, n, scale=v).matrix for v in norms]
     stack = np.array(mats)[rng.permutation(len(mats))]
-    assert {_squarings(x) for x in stack} == {0, 1, 2, 3, 4, 5}
+    plans = {_pade_plan(float(np.abs(x).sum(axis=0).max())) for x in stack}
+    assert plans == {(3, 0), (5, 0), (7, 0), (9, 0)} | {(13, s) for s in range(6)}
     want = np.array([loop_exp(x) for x in stack])
     assert np.array_equal(matrix_exp(AlgebraElement(stack, n)).matrix, want)
-    grid = matrix_exp(AlgebraElement(stack.reshape((3, 4) + stack.shape[1:]), n))
+    grid = matrix_exp(AlgebraElement(stack.reshape((3, 7) + stack.shape[1:]), n))
     assert np.array_equal(grid.matrix.reshape(want.shape), want)
     # One element, a stack of parameters: exp(t_i X), t = 0 included.
     x = random_algebra(rng, n, scale=1.0)

@@ -5,6 +5,8 @@ golden commands (written by `python3 scripts/oracle.py record`).  Here one
 grid point per family at n = 4 is recomputed at 50 digits and must give the
 recorded values; the package's float64 values at that point must lie within
 32 u max|Psi| / h of them (u = 2^-53, h the step; measured up to about 5).
+The n = 6 form's two-path witness is recomputed the same way, and compare's
+perturbation of the parent's outputs is checked on one orbit patch.
 """
 
 import importlib.util
@@ -16,8 +18,9 @@ import mpmath  # noqa: F401  (the oracle needs it; a missing mpmath fails here)
 import numpy as np
 import pytest
 
-from hopftwistor import hypersurface
+from hopftwistor import generator, hypersurface, linalg
 from hopftwistor.fibration import FD_STEP
+from hopftwistor.generator import parse_constants
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("oracle", ROOT / "scripts" / "oracle.py")
@@ -113,3 +116,41 @@ def test_spread_is_pooled_per_check_name_of_a_case():
     assert spread[1] == spread[2] == pytest.approx(4e-12, rel=1e-3)
     renamed = [{"case": _report(zip(["mu", "rho", "rho"], [1.0, 2.0, 3.0]))}]
     assert oracle._spreads(parent, renamed)["case"] is None
+
+
+def test_two_path_witness_is_judged_against_its_oracle_value():
+    # The n = 6 golden form's witness, recomputed with mpmath.expm: a value
+    # that moves toward it is closer, not a move of a value without one.
+    case = "cko-run-flat-form-n6"
+    truth = dict(REFERENCE["cases"][case]["checks"])[oracle.ORACLE_WITNESS]
+    form = parse_constants(GOLDEN[case]["constants"])
+    assert _close(float(oracle.two_path_value(form)), truth)
+    checks = GOLDEN[case]["report"]["checks"]
+    (value,) = [c["value"] for c in checks if c["name"] == oracle.ORACLE_WITNESS]
+    closer = 0.5 * (value + truth)
+    assert abs(closer - truth) < abs(value - truth)
+    assert oracle.classify_row(value, closer, truth, 0.0, 0.0) == oracle.CLOSER
+    assert oracle.classify_row(value, closer, None, 0.0, 0.0) == oracle.MOVED
+
+
+def test_perturbed_runs_move_orbit_chart_values_by_rounding():
+    # The perturbed runs multiply every matrix_exp output by 1 + u eps, so
+    # an orbit chart value moves by a few u of its largest entry (measured up
+    # to 4.1 u on the golden orbit forms).  An exactly representable group
+    # element, such as the identity, may round back to itself under one
+    # seed, so each value need only move under one of four.
+    form = parse_constants(GOLDEN["cko-run-flat-form-n6"]["constants"])
+    patch = generator.orbit_patch_from_form(form)
+    lo, hi = np.array(patch.ranges).T
+    inside = np.random.default_rng(0).uniform(lo, hi, (20, lo.size))
+    points = np.concatenate([patch.grid(2, cap=4), inside])
+    for func in (patch.eval_func, patch.normal_func):
+        plain = func(points)
+        moved = np.zeros(len(points), dtype=bool)
+        for seed in range(4):
+            with oracle.perturb_outputs(hypersurface, generator, seed):
+                change = np.abs(func(points) - plain)
+            assert np.all(change <= 8 * 2.0**-53 * np.abs(plain).max(axis=-1, keepdims=True))
+            moved |= change.max(axis=-1) > 0
+        assert moved.all()
+    assert generator.matrix_exp is linalg.matrix_exp
