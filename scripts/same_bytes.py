@@ -28,7 +28,7 @@ moved and the largest absolute and relative change of `value`, over the
 JSON and CSV reports on stdout and in --out files; then the stderr lines
 that differ only in numbers.
 
-The command set (465 commands):
+The command set (473 commands):
 - the first 4 cycles of each benchmark workload (perfbench/inputs.py,
   seed 1) and the 24 commands of its full-range probe (seed 1);
 - the README commands;
@@ -46,7 +46,10 @@ The command set (465 commands):
   --r 0.7 in each family, and cko-run (json and csv) and mc-check on the
   n = 6 form of tests/golden_reports.json;
 - verify-hopf and build-example at r = 8 for n = 2..5 in each family, which
-  fail on the hyperquadric check.
+  fail on the hyperquadric check;
+- verify-curves at n = 5 and 6, with --step 1e-3, at r = -0.5 in each
+  family, and at the two radii of sign plus that stop the run: r = 1e-12
+  (vanishing horizontal speed) and r = 150 (a NaN tangency defect).
 """
 
 from __future__ import annotations
@@ -185,6 +188,10 @@ def commands(work: str) -> list:
     for n in (2, 3, 4, 5):
         for s in FAMILIES:
             out += [_classical("verify-hopf", n, s, 8.0), _classical("build-example", n, s, 8.0)]
+    curves = ["verify-curves", "--n", "2"]
+    out += [["verify-curves", "--n", "5"], ["verify-curves", "--n", "6"], curves + ["--step", "1e-3"]]
+    out += [curves + ["--s", s, "--r=-0.5"] for s in FAMILIES]
+    out += [curves + ["--s", "plus", "--r", "1e-12"], curves + ["--s", "plus", "--r", "150"]]
     return out
 
 

@@ -204,19 +204,18 @@ def _cmd_verify_curves(args: argparse.Namespace) -> dict:
     )
     bases = [("b0", canonical), ("b1", random_stiefel(rng, n))]
 
+    def rows(name: str, where: str, suffix: str, values, expected: float, tol: str) -> List[dict]:
+        # One check per t of a stacked measurement.
+        return [
+            make_check(name, v, expected, args.tol[tol], grid_point=f"{where},t={_g(t)}{suffix}")
+            for t, v in zip(ts, values)
+        ]
+
     for s in signs:
         for r in radii:
+            where = f"s={s},r={_g(r)}"
             if s == "plus" and abs(r) < 1e-14:
-                checks.append(
-                    make_check(
-                        "degenerate-radius",
-                        0.0,
-                        0.0,
-                        0.0,
-                        passed=False,
-                        grid_point=f"s={s},r={_g(r)}",
-                    )
-                )
+                checks.append(make_check("degenerate-radius", 0.0, 0.0, 0.0, passed=False, grid_point=where))
                 continue
             expected = {
                 "plus": abs(2.0 / math.tanh(2.0 * r)) if r else float("inf"),
@@ -224,41 +223,12 @@ def _cmd_verify_curves(args: argparse.Namespace) -> dict:
                 "zero": 2.0,
             }[s]
             for bname, base in bases:
-                curve = model_curve(s, r, base)
-                for t in ts:
-                    gp = f"s={s},r={_g(r)},t={_g(t)},{bname}"
-                    res = curve_curvature(curve, float(t), step=args.step)
-                    checks.append(
-                        make_check(
-                            "curvature",
-                            res.kappa,
-                            expected,
-                            args.tol["curvature"],
-                            grid_point=gp,
-                        )
-                    )
-                    checks.append(
-                        make_check(
-                            "circle-residual",
-                            res.residual,
-                            0.0,
-                            args.tol["circle"],
-                            grid_point=gp,
-                        )
-                    )
+                res = curve_curvature(model_curve(s, r, base), ts, step=args.step)
+                checks += rows("curvature", where, f",{bname}", res.kappa, expected, "curvature")
+                checks += rows("circle-residual", where, f",{bname}", res.residual, 0.0, "circle")
             for rp in PARALLEL_SHIFTS:
-                for t in ts:
-                    gp = f"s={s},r={_g(r)},rp={_g(rp)},t={_g(t)}"
-                    val = parallel_shift_residual(s, r, rp, canonical, float(t))
-                    checks.append(
-                        make_check(
-                            "parallel-residual",
-                            val,
-                            0.0,
-                            args.tol["parallel"],
-                            grid_point=gp,
-                        )
-                    )
+                residuals = parallel_shift_residual(s, r, rp, canonical, ts)
+                checks += rows("parallel-residual", f"{where},rp={_g(rp)}", "", residuals, 0.0, "parallel")
     return make_envelope(args.command, _echo(args), checks)
 
 

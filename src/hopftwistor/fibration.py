@@ -1,5 +1,6 @@
 """The circle fibration of the anti-de Sitter hyperquadric over complex
-hyperbolic space: projections and finite-difference curve geometry.
+hyperbolic space: projections, the package's one central-difference stencil
+and finite-difference curve geometry.
 
 A point of the base is an S^1-orbit {e^{i theta} w}; we always compute on an
 explicit representative w with ((w,w)) = -1.  "Horizontal" means orthogonal
@@ -9,7 +10,6 @@ curvature is measured against the circle equation D_T T = kappa * (+-i) T.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -45,20 +45,22 @@ class AdSPoint:
 
 
 class CurvatureResult(NamedTuple):
+    """Floats for a float t; arrays of t's shape for a stack."""
+
     kappa: float
     residual: float
 
 
-def space_norm(x) -> float:
-    """Norm sqrt(<x, x>) of a tangent vector x; it needs no base point.
+def space_norm(x):
+    """Norm sqrt(<x, x>) of a tangent vector x; it needs no base point.  A
+    stack x (..., n+1) gives one norm per row, with real_form's broadcasting.
 
     Valid on horizontal vectors (the restriction there is positive definite).
     """
-    val = real_form(x, x)
-    return math.sqrt(max(val, 0.0))
+    return np.sqrt(np.maximum(real_form(x, x), 0.0))
 
 
-def horizontal_part(x, w, tol: float = 1e-8) -> np.ndarray:
+def horizontal_part(x, w, tol: float) -> np.ndarray:
     """Project a tangent vector at w onto the horizontal subspace.
 
     HX = X + <X, iw> iw.  Requires <X, w> = 0 within tol (tangency); the
@@ -85,8 +87,19 @@ def tangent_project_ads(x, w) -> np.ndarray:
     return xv + np.asarray(real_form(xv, wv))[..., None] * wv
 
 
+def _central_differences(func, at: np.ndarray, directions, step: float):
+    """One central difference (func(at + step*d) - func(at - step*d)) / (2*step)
+    per direction d, as the rows of a complex array, and func(at).  func takes
+    the whole stencil, the points at + step*D over at - step*D and then at
+    itself, in one call."""
+    steps = step * np.asarray(directions, dtype=float)
+    values = np.asarray(func(np.concatenate([at + steps, at - steps, at[None]])), dtype=complex)
+    m = len(steps)
+    return (values[:m] - values[m : 2 * m]) / (2 * step), values[-1]
+
+
 def curve_curvature(
-    curve: Callable[[float], np.ndarray], t: float, step: float = FD_STEP
+    curve: Callable[[np.ndarray], np.ndarray], t, step: float = FD_STEP
 ) -> CurvatureResult:
     """Geodesic curvature at t of the projected curve t -> curve(t).
 
@@ -101,32 +114,43 @@ def curve_curvature(
     then tangent + horizontal projection.  Returns kappa = ||D_T T|| and the
     circle-equation residual || D_T T - kappa sigma iT || of the better sign
     sigma = +-1.
+
+    t is a float or a 1-d stack of k parameters, which is one point of R^k
+    moved along (1, ..., 1): curve takes an array of t and returns one
+    vector per t, and both derivatives are _central_differences stencils of
+    it.  kappa and the residual have t's shape; each equals the value for
+    its t alone.
     """
 
-    def tangent_data(tau: float):
-        c = curve(tau)
-        dc = (curve(tau + step) - curve(tau - step)) / (2.0 * step)
-        a = real_form(dc, 1j * c)
-        hvel = dc + a * (1j * c)
-        return c, hvel, a
+    def velocity(tau: np.ndarray):
+        # c and Hc' at each parameter of a 1-d stack tau, and a.
+        dc, c = _central_differences(curve, tau, np.ones((1, tau.size)), step)
+        a = real_form(dc[0], 1j * c)
+        return c, dc[0] + a[:, None] * (1j * c), a
 
-    c0, hvel0, a0 = tangent_data(t)
+    def unit_tangent(tau: np.ndarray) -> np.ndarray:
+        _, hvel, _ = velocity(tau.ravel())
+        return (hvel / space_norm(hvel)[:, None]).reshape(tau.shape + hvel.shape[-1:])
+
+    at = np.asarray(t, dtype=float).reshape(-1)
+    c0, hvel0, a0 = velocity(at)
     v = space_norm(hvel0)
-    if v <= 1e-10:
+    slow = v <= 1e-10
+    if slow.any():
+        i = int(np.argmax(slow))
         raise DegenerateCurveError(
-            f"vanishing horizontal speed at t = {t}: ||Hc'|| = {v:.3e}"
+            f"vanishing horizontal speed at t = {at[i]}: ||Hc'|| = {v[i]:.3e}"
         )
 
-    def unit_tangent(tau: float) -> np.ndarray:
-        _, hvel, _ = tangent_data(tau)
-        return hvel / space_norm(hvel)
-
-    t0 = hvel0 / v
-    dt_vec = (unit_tangent(t + step) - unit_tangent(t - step)) / (2.0 * step)
-    deriv = (dt_vec + a0 * (1j * t0)) / v
+    # The stencil's center row is the unit tangent hvel0 / v.
+    dt_vec, t0 = _central_differences(unit_tangent, at, np.ones((1, at.size)), step)
+    deriv = (dt_vec[0] + a0[:, None] * (1j * t0)) / v[:, None]
     w = horizontal_part(tangent_project_ads(deriv, c0), c0, tol=1e-5)
     kappa = space_norm(w)
     it0 = 1j * t0
-    res_plus = space_norm(w - kappa * it0)
-    res_minus = space_norm(w + kappa * it0)
-    return CurvatureResult(kappa, res_plus if res_plus <= res_minus else res_minus)
+    res_plus = space_norm(w - kappa[:, None] * it0)
+    res_minus = space_norm(w + kappa[:, None] * it0)
+    residual = np.where(res_plus <= res_minus, res_plus, res_minus)
+    # [()] turns the 0-d results of a float t into scalars.
+    shape = np.shape(t)
+    return CurvatureResult(kappa.reshape(shape)[()], residual.reshape(shape)[()])

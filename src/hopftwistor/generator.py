@@ -27,8 +27,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, ImmersionError, InputError, ValidationError
-from .fibration import FD_STEP
-from .hypersurface import HypersurfacePatch, _central_differences
+from .fibration import FD_STEP, _central_differences
+from .hypersurface import HypersurfacePatch
 from .linalg import AlgebraElement, GroupElement, _judge_rows, matrix_exp, real_form
 
 FORM_TOL = 1e-12

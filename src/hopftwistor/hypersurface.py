@@ -27,19 +27,14 @@ from .errors import ExceptionalPairError, ImmersionError, InputError
 from .fibration import (
     FD_STEP,
     AdSPoint,
+    _central_differences,
     horizontal_part,
     space_norm,
     tangent_project_ads,
 )
 from .linalg import _judge_rows, real_form
 from .report import make_check
-from .twistor import (
-    HORIZONTAL_TOL,
-    StiefelPoint,
-    _tangent_coefficients,
-    curve_coefficients,
-    horizontality_residual,
-)
+from .twistor import HORIZONTAL_TOL, StiefelPoint, _curve_stack, horizontality_residual
 
 GRID_DENSITY = 3
 GRID_CAP = 81
@@ -278,23 +273,15 @@ def _patch_from_lift(
         InputError,
     )
 
-    def chart(at: np.ndarray, coefficients) -> np.ndarray:
-        # e^{i theta} (c_- u_- + c_+ u_+): the lift takes the whole stack;
-        # the coefficients stay scalar math, row by row (numpy's array
-        # cosh/sinh differ from math's in the last bit).
-        theta, t, q = at[..., 0], at[..., 1], at[..., 2:]
-        p = lift(q)
-        c = np.array([coefficients(sign, r, ti) for ti in t.ravel()], dtype=complex)
-        c = c.reshape(t.shape + (2,))
-        return np.exp(1j * theta)[..., None], c[..., :1] * p.u_minus + c[..., 1:] * p.u_plus
-
+    # e^{i theta} times the model curve of the lifted pairs, or i times its
+    # unit tangent; the lift and the curve take the whole stack.
     def eval_func(at: np.ndarray) -> np.ndarray:
-        phase, vec = chart(at, curve_coefficients)
-        return phase * vec
+        curve = _curve_stack(sign, r, at[..., 1], lift(at[..., 2:]), False)
+        return np.exp(1j * at[..., 0])[..., None] * curve
 
     def normal_func(at: np.ndarray) -> np.ndarray:
-        phase, tangent = chart(at, _tangent_coefficients)
-        return phase * (1j * tangent)
+        tangent = _curve_stack(sign, r, at[..., 1], lift(at[..., 2:]), True)
+        return np.exp(1j * at[..., 0])[..., None] * (1j * tangent)
 
     return HypersurfacePatch(
         sign=sign,
@@ -313,17 +300,6 @@ def _realify(vecs: np.ndarray) -> np.ndarray:
     """(Re, Im) coordinates of a vector, or of a stack as the columns of a
     C-contiguous matrix (the layout fixes the BLAS order of jac @ velocity)."""
     return np.ascontiguousarray(np.concatenate([vecs.real, vecs.imag], axis=-1).T)
-
-
-def _central_differences(func, at: np.ndarray, directions, step: float):
-    """One central difference (func(at + step*d) - func(at - step*d)) / (2*step)
-    per direction d, as the rows of a complex array, and func(at).  func takes
-    the whole stencil, the points at + step*D over at - step*D and then at
-    itself, in one call."""
-    steps = step * np.asarray(directions, dtype=float)
-    values = np.asarray(func(np.concatenate([at + steps, at - steps, at[None]])), dtype=complex)
-    m = len(steps)
-    return (values[:m] - values[m : 2 * m]) / (2 * step), values[-1]
 
 
 def shape_operator(

@@ -129,20 +129,6 @@ def curve_coefficients(sign: str, r: float, t: float) -> Tuple[complex, complex]
     )
 
 
-def model_curve(sign: str, r: float, p: StiefelPoint) -> Callable[[float], np.ndarray]:
-    """The constant-curvature model curve t -> c(t) of the given sign and radius.
-
-    Values stay on the hyperquadric inside the complex span of the pair.
-    """
-    _check_sign(sign)
-
-    def func(t: float) -> np.ndarray:
-        cm, cp = curve_coefficients(sign, r, t)
-        return cm * p.u_minus + cp * p.u_plus
-
-    return func
-
-
 def _tangent_coefficients(sign: str, r: float, t: float) -> Tuple[complex, complex]:
     if sign == "plus":
         if abs(r) < 1e-14:
@@ -164,25 +150,56 @@ def _tangent_coefficients(sign: str, r: float, t: float) -> Tuple[complex, compl
     )
 
 
-def unit_tangent_lift(sign: str, r: float, p: StiefelPoint, t: float) -> np.ndarray:
-    """Closed-form unit horizontal tangent along the model curve."""
+def _curve_stack(sign: str, r: float, t: np.ndarray, p: StiefelPoint, tangent: bool) -> np.ndarray:
+    """The model curve c_- u_- + c_+ u_+ of the sign and radius at an array t
+    of any shape, or with tangent its closed-form unit horizontal tangent,
+    against the pair p or a stack of pairs whose leading axes are t's; the
+    result is (t.shape..., n+1).  The coefficients stay scalar math, t by t
+    (numpy's array cosh and sinh differ from math's in the last bit), so each
+    row has the bits of a call on its t alone."""
+    coefficients = _tangent_coefficients if tangent else curve_coefficients
+    c = np.array([coefficients(sign, r, ti) for ti in t.ravel()], dtype=complex)
+    c = c.reshape(t.shape + (2,))
+    return c[..., :1] * p.u_minus + c[..., 1:] * p.u_plus
+
+
+def model_curve(sign: str, r: float, p: StiefelPoint) -> Callable[[float], np.ndarray]:
+    """The constant-curvature model curve t -> c(t) of the given sign and radius.
+
+    t may be a float or an array of t, with values (t.shape..., n+1); they
+    stay on the hyperquadric inside the complex span of the pair.
+    """
     _check_sign(sign)
-    cm, cp = _tangent_coefficients(sign, r, t)
-    return cm * p.u_minus + cp * p.u_plus
+
+    def func(t) -> np.ndarray:
+        return _curve_stack(sign, r, np.asarray(t, dtype=float), p, False)
+
+    return func
 
 
-def parallel_shift_residual(
-    sign: str, r: float, r_prime: float, p: StiefelPoint, t: float
-) -> float:
-    """|| cosh r' * c_r(t) + sinh r' * i T_r(t) - c_{r+r'}(t) ||.
+def unit_tangent_lift(sign: str, r: float, p: StiefelPoint, t) -> np.ndarray:
+    """Closed-form unit horizontal tangent along the model curve, at a float
+    t or at each t of an array."""
+    _check_sign(sign)
+    return _curve_stack(sign, r, np.asarray(t, dtype=float), p, True)
+
+
+def parallel_shift_residual(sign: str, r: float, r_prime: float, p: StiefelPoint, t):
+    """|| cosh r' * c_r(t) + sinh r' * i T_r(t) - c_{r+r'}(t) || at a float t,
+    or one per t of an array.
 
     Vanishes identically: the model curves form parallel families.
     """
-    base = model_curve(sign, r, p)(t)
-    tangent = unit_tangent_lift(sign, r, p, t)
-    shifted = model_curve(sign, r + r_prime, p)(t)
+    _check_sign(sign)
+    t = np.asarray(t, dtype=float)
+    base = _curve_stack(sign, r, t, p, False)
+    tangent = _curve_stack(sign, r, t, p, True)
+    shifted = _curve_stack(sign, r + r_prime, t, p, False)
     diff = math.cosh(r_prime) * base + math.sinh(r_prime) * (1j * tangent) - shifted
-    return float(np.linalg.norm(diff))
+    # Row-times-column sums of the real and imaginary parts, as np.linalg.norm
+    # takes them for one vector.
+    re, im = diff.real[..., None, :], diff.imag[..., None, :]
+    return np.sqrt((re @ re.mT + im @ im.mT)[..., 0, 0])
 
 
 def horizontality_residual(sign: str, here: np.ndarray, derivatives: np.ndarray) -> np.ndarray:

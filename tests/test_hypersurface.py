@@ -25,12 +25,13 @@ from hopftwistor import (
 from hopftwistor import hypersurface
 from hopftwistor.fibration import (
     FD_STEP,
+    _central_differences,
     horizontal_part,
     space_norm,
     tangent_project_ads,
 )
 from hopftwistor.generator import GeneratorForm, orbit_patch_from_form
-from hopftwistor.hypersurface import _central_differences, _point_report, _realify
+from hopftwistor.hypersurface import _point_report, _realify
 from hopftwistor.linalg import GroupElement
 from hopftwistor.sampling import random_one_param
 from hopftwistor.twistor import SIGNS, curve_coefficients, unit_tangent_lift
@@ -441,7 +442,7 @@ def _tube_lift(q: np.ndarray) -> StiefelPoint:
 
 
 # The per-point lifts as they were written before lifts took stacks.
-def _point_tube_complex_lift(n, k, q, loop_exp):
+def _point_tube_complex_lift(n, k, q):
     z = q[: 2 * k][0::2] + 1j * q[: 2 * k][1::2]
     w = q[2 * k :][0::2] + 1j * q[2 * k :][1::2]
     um = np.zeros(n + 1, dtype=complex)
@@ -457,7 +458,7 @@ def _product2(a, b):
     return [[a[i][0] * b[0][m] + a[i][1] * b[1][m] for m in (0, 1)] for i in (0, 1)]
 
 
-def _point_tube_real_lift(n, q, loop_exp):
+def _point_tube_real_lift(n, q):
     """The closed form of tube_real's lift on one base point, in Python
     floats, with the operations of the stacked lift in the same order."""
     b, c = [float(v) for v in q[: n - 1]], [float(v) for v in q[n - 1 :]]
@@ -484,7 +485,7 @@ def _point_tube_real_lift(n, q, loop_exp):
     return np.array(um, dtype=complex), np.array(up, dtype=complex)
 
 
-def _point_horosphere_lift(n, q, loop_exp):
+def _point_horosphere_lift(n, q):
     p = q[0::2] + 1j * q[1::2]
     a = float(np.vdot(p, p).real)
     um = np.zeros(n + 1, dtype=complex)
@@ -499,14 +500,14 @@ def _point_horosphere_lift(n, q, loop_exp):
 
 
 FAMILIES = {
-    "plus": (lambda n, r: tube_complex(n, n // 2, r), lambda n, q, e: _point_tube_complex_lift(n, n // 2, q, e)),
+    "plus": (lambda n, r: tube_complex(n, n // 2, r), lambda n, q: _point_tube_complex_lift(n, n // 2, q)),
     "minus": (tube_real, _point_tube_real_lift),
     "zero": (horosphere, _point_horosphere_lift),
 }
 
 
 @pytest.mark.parametrize("sign", sorted(FAMILIES))
-def test_stacked_chart_maps_equal_the_per_point_lifts(sign, rng, loop_exp):
+def test_stacked_chart_maps_equal_the_per_point_lifts(sign, rng):
     build, point_lift = FAMILIES[sign]
     for n in range(2, 7):
         for r in (0.7, 2.3):
@@ -515,7 +516,7 @@ def test_stacked_chart_maps_equal_the_per_point_lifts(sign, rng, loop_exp):
             points = np.array(patch.grid(2, cap=5) + list(rng.uniform(lo, hi, size=(20, lo.size))))
             want, want_normal = [], []
             for at in points:
-                um, up = point_lift(n, at[2:], loop_exp)
+                um, up = point_lift(n, at[2:])
                 cm, cp = curve_coefficients(sign, r, at[1])
                 want.append(np.exp(1j * at[0]) * (cm * um + cp * up))
                 tangent = unit_tangent_lift(sign, r, StiefelPoint(um, up), at[1])
@@ -573,14 +574,12 @@ def _assert_gate_is_the_per_axis_loop(sign, got, point_lift, base_dim, lift_resi
 
 
 @pytest.mark.parametrize("sign", sorted(FAMILIES))
-def test_horizontality_gate_equals_per_axis_lift_coefficients(
-    sign, monkeypatch, loop_exp, lift_residual
-):
+def test_horizontality_gate_equals_per_axis_lift_coefficients(sign, monkeypatch, lift_residual):
     build, point_lift = FAMILIES[sign]
     for n in range(2, 7):
         got = _gate_residuals(monkeypatch, lambda: build(n, 0.7))
         _assert_gate_is_the_per_axis_loop(
-            sign, got, lambda q: StiefelPoint(*point_lift(n, q, loop_exp)), 2 * n - 2, lift_residual
+            sign, got, lambda q: StiefelPoint(*point_lift(n, q)), 2 * n - 2, lift_residual
         )
 
 
@@ -735,7 +734,7 @@ def test_tube_real_closed_form_equals_the_generator_exponential(n, rng, loop_exp
             bound = CLOSED_FORM_MULTIPLE * U * np.linalg.norm(group, 2) ** 2
             assert np.abs(got_minus - group[:, 0]).max() <= bound, row
             assert np.abs(got_plus - group[:, 1]).max() <= bound, row
-            want_minus, want_plus = _point_tube_real_lift(n, row, loop_exp)
+            want_minus, want_plus = _point_tube_real_lift(n, row)
             assert np.array_equal(got_minus, want_minus) and np.array_equal(got_plus, want_plus)
     assert np.array_equal(um[-1], np.eye(n + 1)[0]) and np.array_equal(up[-1], np.eye(n + 1)[1])
 

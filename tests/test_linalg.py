@@ -359,7 +359,7 @@ def _gate_cases():
         ),
         "horizontal_part": (
             # A stack is judged by its largest defect, without a row suffix.
-            lambda mp: horizontal_part(np.array([0.0 * e[0], 2.0 * e[0]]), e[0]),
+            lambda mp: horizontal_part(np.array([0.0 * e[0], 2.0 * e[0]]), e[0], 1e-8),
             InputError,
             "not tangent to the hyperquadric: <X,w> = {:.3e}",
             2.0,

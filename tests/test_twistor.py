@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -15,7 +16,14 @@ from hopftwistor import (
     parallel_shift_residual,
     unit_tangent_lift,
 )
-from hopftwistor.twistor import HORIZONTAL_TOL, SIGNS, horizontality_residual
+from hopftwistor.cli import DEFAULT_RADII, PARALLEL_SHIFTS
+from hopftwistor.twistor import (
+    HORIZONTAL_TOL,
+    SIGNS,
+    _tangent_coefficients,
+    curve_coefficients,
+    horizontality_residual,
+)
 from hopftwistor.sampling import random_stiefel, random_tangent_pair
 
 
@@ -154,6 +162,30 @@ def test_parallel_shift_identity(canonical_pair):
                         parallel_shift_residual(sign, r, rp, canonical_pair, t),
                     )
     assert worst <= 1e-10
+
+
+def _point_parallel_shift_residual(sign, r, r_prime, p, t):
+    """Reference: parallel_shift_residual as it was before it took stacks of
+    t, at one float t."""
+    cm, cp = curve_coefficients(sign, r, t)
+    tm, tp = _tangent_coefficients(sign, r, t)
+    sm, sp = curve_coefficients(sign, r + r_prime, t)
+    base, tangent, shifted = (am * p.u_minus + ap * p.u_plus for am, ap in ((cm, cp), (tm, tp), (sm, sp)))
+    diff = math.cosh(r_prime) * base + math.sinh(r_prime) * (1j * tangent) - shifted
+    return float(np.linalg.norm(diff))
+
+
+def test_stacked_parallel_shift_residual_equals_the_point_path(canonical_pair, rng):
+    ts = np.linspace(-1.0, 1.0, 5)
+    for base in (canonical_pair, random_stiefel(rng, 2)):
+        for sign in SIGNS:
+            for r in DEFAULT_RADII + (1e-9,):
+                tangents = unit_tangent_lift(sign, r, base, ts)
+                assert np.array_equal(tangents, [unit_tangent_lift(sign, r, base, float(t)) for t in ts])
+                for rp in PARALLEL_SHIFTS:
+                    want = [_point_parallel_shift_residual(sign, r, rp, base, float(t)) for t in ts]
+                    assert np.array_equal(parallel_shift_residual(sign, r, rp, base, ts), want), (sign, r, rp)
+                    assert parallel_shift_residual(sign, r, rp, base, float(ts[3])) == want[3]
 
 
 def test_lift_coefficients_refuse_a_nan_reconstruction(canonical_pair, lift_residual):
