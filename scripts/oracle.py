@@ -44,11 +44,11 @@ no farther from it than the parent's distance plus max(u max|Psi| / h, 2 s)
 of one central difference; carried through the least-squares solve and the
 eigenproblem it grows to about ten times that, which s measures.  The
 two-path witness takes no difference, so its bound is 2 s alone.  compare
-runs the parent 16 more times (seeds 0-15), each time multiplying every
-entry of every lift output of the classical families (each StiefelPoint that
-hypersurface builds) and of every generator.matrix_exp output (the orbit
-chart's group elements and the two-path witness's exponentials) by
-1 + u eps, eps uniform in [-1, 1] + i[-1, 1]; s is the largest move, over
+runs the parent 16 more times (seeds 0-15), each time moving every non-zero
+real and imaginary part of every lift output of the classical families (each
+StiefelPoint that hypersurface builds) and of every generator.matrix_exp
+output (the orbit chart's group elements and the two-path witness's
+exponentials) one ulp up or down at random; s is the largest move, over
 those runs, of any value of the case with the same check name (grid point
 and index dropped).  compare prints the worst distances,
 spreads and excesses per check name, and a tally of the values, and exits 1
@@ -536,21 +536,24 @@ def _tree_reports(src, reference, perturb=None):
 
 @contextlib.contextmanager
 def perturb_outputs(hypersurface, generator, seed):
-    """Multiply every entry of every lift output of the classical families
-    (each StiefelPoint that hypersurface builds) and of every
-    generator.matrix_exp output (the orbit chart's group elements and the
-    two-path witness's exponentials) by 1 + u eps, eps uniform in the
-    complex box [-1, 1] + i[-1, 1], drawn from a generator seeded with seed.
-    The perturbed exponentials are validated again as GroupElements."""
+    """Move every non-zero real and imaginary part of every lift output of
+    the classical families (each StiefelPoint that hypersurface builds) and
+    of every generator.matrix_exp output (the orbit chart's group elements
+    and the two-path witness's exponentials) one ulp, up or down at random
+    from a generator seeded with seed, so that exactly representable entries
+    such as 1.0 move too.  The perturbed exponentials are validated again as
+    GroupElements."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
     stiefel, exp = hypersurface.StiefelPoint, generator.matrix_exp
 
+    def ulp(x):
+        return np.where(x != 0, np.nextafter(x, rng.choice([-np.inf, np.inf], x.shape)), x)
+
     def jitter(u):
         u = np.asarray(u, dtype=complex)
-        eps = rng.uniform(-1.0, 1.0, u.shape) + 1j * rng.uniform(-1.0, 1.0, u.shape)
-        return u + u * (U * eps)
+        return ulp(u.real) + 1j * ulp(u.imag)
 
     def perturbed_lift(u_minus, u_plus, *args, **kwargs):
         return stiefel(jitter(u_minus), jitter(u_plus), *args, **kwargs)

@@ -250,9 +250,9 @@ def _patch_from_lift(
     largest defect of each axis is judged against HORIZONTAL_TOL, and the
     error names the axis as its stack row.  q = 0 alone cannot tell the
     signs apart: there every tube and horosphere lift moves u- and u+ only
-    into their orthogonal complement, so alpha- = alpha+ = beta = 0 and the
-    conditions of all three signs hold.  At q1 the coefficients no longer
-    vanish and satisfy only the lift's own sign.
+    into their orthogonal complement, so the connection form vanishes and
+    commutes with all three structures.  At q1 it no longer vanishes and
+    commutes with the lift's own structure alone.
     """
 
     def pairs(q: np.ndarray) -> np.ndarray:
@@ -645,7 +645,8 @@ def tube_real(n: int, r: float) -> HypersurfacePatch:
 
     Lift: the first two columns of exp(G), G the real generator of n-1 boosts
     e0^ej (b = q[:n-1]) and n-1 rotations e1^ej (c = q[n-1:]).  Real matrices
-    give alpha = 0 and real beta, hence the "minus" horizontality.  G maps
+    give a real connection form, a multiple of J2, hence the "minus"
+    horizontality.  G maps
     e0 -> (0,0,b), e1 -> (0,0,c), (0,0,b) -> (b.b) e0 - (b.c) e1 and
     (0,0,c) -> (b.c) e0 - (c.c) e1, so on span{e0, e1, (0,0,b), (0,0,c)} it
     acts as M = [[0, K], [I, 0]] with K = [[b.b, b.c], [-b.c, -c.c]].  Since

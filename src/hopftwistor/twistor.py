@@ -5,7 +5,7 @@ A pair p = (u_minus, u_plus) satisfies ((u-,u-)) = -1, ((u+,u+)) = 1,
 ((u-,u+)) = 0.
 
 The sign argument below is one of the strings "plus", "minus", "zero",
-matching the three twistor bundles (fiber structures squaring to -1, +1, 0).
+naming the three twistor bundles (fiber STRUCTUREs squaring to -1, +1, 0).
 """
 
 from __future__ import annotations
@@ -19,10 +19,17 @@ import numpy as np
 from .errors import DegenerateCurveError, InputError
 from .linalg import STRUCTURE_TOL, _judge_rows, herm_form
 
-SIGNS = ("plus", "minus", "zero")
+# The para-quaternionic frame J1, J2, J3; each acts on a pair from the right,
+# (X-, X+) -> (X-, X+) J.
+FRAME = np.array([[[1j, 0], [0, -1j]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+# The fiber structure of each twistor bundle: J1, J2 and the null J1 + J2.
+STRUCTURE = {"plus": FRAME[0], "minus": FRAME[1], "zero": FRAME[0] + FRAME[1]}
+SIGNS = tuple(STRUCTURE)
 HORIZONTAL_TOL = 1e-6
 
 __all__ = [
+    "FRAME",
+    "STRUCTURE",
     "SIGNS",
     "HORIZONTAL_TOL",
     "StiefelPoint",
@@ -97,17 +104,15 @@ class TangentPair:
 
 
 def para_apply(k: int, v: TangentPair) -> TangentPair:
-    """Apply the k-th generator of the para-quaternionic frame, k in {1,2,3}.
+    """Apply the k-th generator of the para-quaternionic frame, k in {1,2,3}:
+    (X-, X+) -> (X-, X+) FRAME[k-1].
 
     1: (X-, X+) -> (iX-, -iX+); 2: swap; 3: (X-, X+) -> (iX+, -iX-).
     """
-    if k == 1:
-        return TangentPair(1j * v.x_minus, -1j * v.x_plus, v.base)
-    if k == 2:
-        return TangentPair(v.x_plus, v.x_minus, v.base)
-    if k == 3:
-        return TangentPair(1j * v.x_plus, -1j * v.x_minus, v.base)
-    raise InputError(f"frame index must be 1, 2 or 3, got {k}")
+    if k not in (1, 2, 3):
+        raise InputError(f"frame index must be 1, 2 or 3, got {k}")
+    x = np.stack([v.x_minus, v.x_plus], axis=-1) @ FRAME[k - 1]
+    return TangentPair(x[..., 0], x[..., 1], v.base)
 
 
 def curve_coefficients(sign: str, r: float, t: float) -> Tuple[complex, complex]:
@@ -203,22 +208,17 @@ def parallel_shift_residual(sign: str, r: float, r_prime: float, p: StiefelPoint
 
 
 def horizontality_residual(sign: str, here: np.ndarray, derivatives: np.ndarray) -> np.ndarray:
-    """The largest defect of the sign's horizontality conditions for each
+    """The defect max|[omega, J]|/2 of the sign's horizontality for each
     derivative (du_minus, du_plus) in a stack (..., m, 2, n+1) of a lift's
     derivatives at the pairs here = (u_minus, u_plus), (..., 2, n+1); the
-    result has shape (..., m).  With the coefficients
+    result has shape (..., m).  omega is the connection form of the frame,
+    (du-, du+) = (u-, u+) omega + (rest orthogonal to u-, u+), kept to its
+    u(1,1) part, and J = STRUCTURE[sign]: the lift is horizontal when omega
+    commutes with J.
 
-    du- = i alpha_minus u- + beta u+ + (rest orthogonal to u-, u+)
-    du+ = conj(beta) u- + i alpha_plus u+ + (rest orthogonal to u-, u+)
-
-    the conditions are
-    plus:  beta = 0
-    minus: alpha- = alpha+ and Im beta = 0
-    zero:  alpha- - alpha+ = 2 Re beta and Im beta = 0
-
-    Raises InputError when the coefficients fail their shapes (above 1e-8,
-    or NaN): the lift does not stay on the Stiefel manifold, which makes the
-    diagonal pairings grow real parts.
+    Raises InputError when omega is not in u(1,1) (a real diagonal part, or
+    ((du-, u+)) + conj((du+, u-)), above 1e-8, or NaN): the lift does not
+    stay on the Stiefel manifold.
     """
     _check_sign(sign)
     # c[..., a, b] = ((d u_a, u_b)) with a, b in (minus, plus)
@@ -227,10 +227,9 @@ def horizontality_residual(sign: str, here: np.ndarray, derivatives: np.ndarray)
     # np.max of np.maximum: a NaN anywhere reaches the judge.
     stiefel = np.maximum.reduce([np.abs(c_mm.real), np.abs(c_pp.real), np.abs(c_pm + np.conj(c_mp))])
     _judge_rows(np.max(stiefel), 1e-8, "lift leaves the Stiefel manifold: residual {:.3e}", InputError)
-    if sign == "plus":
-        return np.abs(c_mp)
-    # alpha- - alpha+ = -Im c_mm - Im c_pp
-    alpha_gap = -c_mm.imag - c_pp.imag
-    if sign == "zero":
-        alpha_gap = alpha_gap - 2.0 * c_mp.real
-    return np.maximum(np.abs(alpha_gap), np.abs(c_mp.imag))
+    # omega[b, a], the coefficient of u_b in du_a, is eta_b c[a, b].
+    eta = np.array([-1.0, 1.0])
+    omega = eta[:, None] * c.mT
+    omega = (omega - eta[:, None] * omega.conj().mT * eta) / 2.0
+    j = STRUCTURE[sign]
+    return np.abs(omega @ j - j @ omega).max(axis=(-2, -1)) / 2.0

@@ -6,7 +6,7 @@ import pytest
 from hopftwistor import StiefelPoint
 from hopftwistor.fibration import FD_STEP
 from hopftwistor.hypersurface import _patch_from_lift, grid_key, pick_extra_eigenvalue
-from hopftwistor.linalg import _PADE_COEFFS, _PADE_THETA
+from hopftwistor.linalg import _PADE_COEFFS, _PADE_THETA, herm_form
 from hopftwistor.twistor import horizontality_residual
 
 
@@ -78,6 +78,37 @@ def lift_residual():
     """The per-point lift differentiation and residual, the reference for
     the horizontality gate's stacked stencil."""
     return _lift_residual
+
+
+def _sign_conditions(sign: str, here: np.ndarray, derivatives: np.ndarray) -> np.ndarray:
+    """The largest defect of the sign's horizontality conditions, written out
+    by hand, for each derivative (du_minus, du_plus) of a stack
+    (..., m, 2, n+1) at the pairs here (..., 2, n+1).  With the coefficients
+
+    du- = i alpha_minus u- + beta u+ + (rest orthogonal to u-, u+)
+    du+ = conj(beta) u- + i alpha_plus u+ + (rest orthogonal to u-, u+)
+
+    the conditions are
+    plus:  beta = 0
+    minus: alpha- = alpha+ and Im beta = 0
+    zero:  alpha- - alpha+ = 2 Re beta and Im beta = 0
+    """
+    c = herm_form(derivatives[..., :, None, :], here[..., None, None, :, :])
+    c_mm, c_mp, c_pp = c[..., 0, 0], c[..., 0, 1], c[..., 1, 1]
+    if sign == "plus":
+        return np.abs(c_mp)
+    # alpha- - alpha+ = -Im c_mm - Im c_pp
+    alpha_gap = -c_mm.imag - c_pp.imag
+    if sign == "zero":
+        alpha_gap = alpha_gap - 2.0 * c_mp.real
+    return np.maximum(np.abs(alpha_gap), np.abs(c_mp.imag))
+
+
+@pytest.fixture
+def sign_conditions():
+    """The hand-written horizontality conditions of each sign, the reference
+    for the commutator residual."""
+    return _sign_conditions
 
 
 def _build_patch(sign: str, r: float, lift, base_dim: int):

@@ -13,12 +13,13 @@ import importlib.util
 import json
 import math
 import pathlib
+from unittest import mock
 
 import mpmath  # noqa: F401  (the oracle needs it; a missing mpmath fails here)
 import numpy as np
 import pytest
 
-from hopftwistor import generator, hypersurface, linalg
+from hopftwistor import cli, generator, hypersurface, linalg
 from hopftwistor.fibration import FD_STEP
 from hopftwistor.generator import parse_constants
 
@@ -134,11 +135,9 @@ def test_two_path_witness_is_judged_against_its_oracle_value():
 
 
 def test_perturbed_runs_move_orbit_chart_values_by_rounding():
-    # The perturbed runs multiply every matrix_exp output by 1 + u eps, so
-    # an orbit chart value moves by a few u of its largest entry (measured up
-    # to 4.1 u on the golden orbit forms).  An exactly representable group
-    # element, such as the identity, may round back to itself under one
-    # seed, so each value need only move under one of four.
+    # The perturbed runs move every entry of every matrix_exp output one
+    # ulp, so an orbit chart value moves by a few u of its largest entry.
+    # Each value need only move under one of four seeds.
     form = parse_constants(GOLDEN["cko-run-flat-form-n6"]["constants"])
     patch = generator.orbit_patch_from_form(form)
     lo, hi = np.array(patch.ranges).T
@@ -154,3 +153,26 @@ def test_perturbed_runs_move_orbit_chart_values_by_rounding():
             moved |= change.max(axis=-1) > 0
         assert moved.all()
     assert generator.matrix_exp is linalg.matrix_exp
+
+
+def test_perturbed_runs_move_every_entry_of_the_exponentials(tmp_path):
+    # Each non-zero real and imaginary part of a perturbed matrix_exp output
+    # sits one ulp from the plain one, so exactly representable entries (the
+    # identity's 1.0) move too; a zero stays zero.
+    outputs = []
+    for seed in range(4):
+        with oracle.perturb_outputs(hypersurface, generator, seed):
+            perturbed = generator.matrix_exp
+
+            def spy(*args, **kwargs):
+                g = perturbed(*args, **kwargs)
+                outputs.append((linalg.matrix_exp(*args, **kwargs).matrix, g.matrix))
+                return g
+
+            with mock.patch.object(generator, "matrix_exp", spy):
+                oracle._run_case(cli, GOLDEN["cko-run-n2-block-form"], str(tmp_path))
+    assert outputs
+    for plain, moved in outputs:
+        for a, b in ((plain.real, moved.real), (plain.imag, moved.imag)):
+            assert np.array_equal(a == b, a == 0)
+            assert np.array_equal(np.nextafter(a, b), b)

@@ -17,9 +17,11 @@ from hopftwistor import (
     unit_tangent_lift,
 )
 from hopftwistor.cli import DEFAULT_RADII, PARALLEL_SHIFTS
+from hopftwistor.linalg import herm_form
 from hopftwistor.twistor import (
     HORIZONTAL_TOL,
     SIGNS,
+    STRUCTURE,
     _tangent_coefficients,
     curve_coefficients,
     horizontality_residual,
@@ -97,6 +99,36 @@ def test_para_apply_rejects_bad_index(rng):
         para_apply(0, v)
 
 
+def test_structures_square_to_minus_one_plus_one_and_zero():
+    squares = {sign: STRUCTURE[sign] @ STRUCTURE[sign] for sign in SIGNS}
+    assert np.array_equal(squares["plus"], -np.eye(2))
+    assert np.array_equal(squares["minus"], np.eye(2))
+    assert np.array_equal(squares["zero"], np.zeros((2, 2)))
+
+
+def _structure_exp(sign: str, t: float) -> np.ndarray:
+    """exp(t J) of the sign's structure in closed form, from J^2 = -1, +1, 0."""
+    j = STRUCTURE[sign]
+    if sign == "plus":
+        return math.cos(t) * np.eye(2) + math.sin(t) * j
+    if sign == "minus":
+        return math.cosh(t) * np.eye(2) + math.sinh(t) * j
+    return np.eye(2) + t * j
+
+
+def test_model_curves_are_orbits_of_their_structure():
+    """The coefficient column (c-, c+) of each model curve is exp(t J) of its
+    value at t = 0: the curves are circles of the structure in the complex
+    line of the pair."""
+    for sign in SIGNS:
+        for r in (-1.3, -0.2, 0.4, 2.0):
+            start = np.array([math.cosh(r), (1.0 if sign == "plus" else 1j) * math.sinh(r)])
+            for t in (-0.9, 0.0, 0.35, 1.1):
+                want = _structure_exp(sign, t) @ start
+                got = np.array(curve_coefficients(sign, r, t))
+                assert np.abs(got - want).max() <= 4 * 2.0**-53 * np.abs(want).max(), (sign, r, t)
+
+
 def test_model_curves_stay_on_quadric(canonical_pair):
     for sign in SIGNS:
         curve = model_curve(sign, 0.4, canonical_pair)
@@ -122,6 +154,39 @@ def test_horizontality_residual_separates_the_signs(canonical_pair, lift_residua
         for sign in SIGNS:
             residual = lift_residual(sign, lift, 0.0)
             assert (residual <= HORIZONTAL_TOL) == (sign == own), (own, sign, residual)
+
+
+def _connection_derivatives(rng, p: StiefelPoint, omega: np.ndarray) -> np.ndarray:
+    """Derivatives (du-, du+) = (u-, u+) omega + rest, one per connection of
+    a stack omega (m, 2, 2), with a random rest orthogonal to u- and u+."""
+    frame = np.array([p.u_minus, p.u_plus])
+    shape = omega.shape[:-1] + frame.shape[-1:]
+    rest = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rest = rest - (np.array([-1.0, 1.0]) * herm_form(rest[..., None, :], frame)) @ frame
+    return omega.mT @ frame + rest
+
+
+def test_horizontality_residual_keeps_the_zeros_of_the_sign_conditions(rng, sign_conditions):
+    """On random u(1,1) connections the commutator residual lies within a
+    factor 2 of the hand-written conditions; on the connections x iI + y J
+    of each structure J, which commute with J alone, both vanish for the
+    same signs."""
+    p = random_stiefel(rng, 3)
+    here = np.array([p.u_minus, p.u_plus])
+    a, d, x, y = rng.normal(size=(4, 200, 1, 1))
+    b = rng.normal(size=(200, 1, 1)) + 1j * rng.normal(size=(200, 1, 1))
+    generic = np.block([[1j * a, np.conj(b)], [b, 1j * d]])
+    for sign in SIGNS:
+        derivatives = _connection_derivatives(rng, p, generic)
+        new, old = horizontality_residual(sign, here, derivatives), sign_conditions(sign, here, derivatives)
+        assert np.all(old > 1e-12), sign
+        assert np.all((new >= 0.5 * old) & (new <= 2.0 * old)), sign
+        for own in SIGNS:
+            derivatives = _connection_derivatives(rng, p, 1j * x * np.eye(2) + y * STRUCTURE[own])
+            new = horizontality_residual(sign, here, derivatives)
+            old = sign_conditions(sign, here, derivatives)
+            assert np.array_equal(new <= 1e-12, old <= 1e-12), (sign, own)
+            assert np.array_equal(new <= 1e-12, np.full(200, sign == own)), (sign, own)
 
 
 def test_horizontality_residual_keeps_the_stack_shape(canonical_pair):
