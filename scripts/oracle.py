@@ -14,12 +14,16 @@ point it takes the shape operator as hypersurface.shape_operator does: the
 same central-difference stencil and step (the stencil points are
 exact, not rounded to floats), the same horizontal frame sweep, least-squares
 velocities (minimum norm), the normal stencil along them, and the same
-eigenvalue pairing selection.  Only float64 rounding then separates the
-package's values from the oracle's, to within the O(h^2) truncation that
-both share.
+eigenvalue pairing selection.  It also evaluates the model curves of
+verify-curves (the closed form of each sign on the command's pairs) and
+takes their curvature and circle residual with fibration.curve_curvature's
+two stencils, again on exact stencil points, and their parallel-shift
+residual.  Only float64 rounding then separates the package's values from
+the oracle's, to within the O(h^2) truncation that both share.
 
 `record` runs every case of tests/golden_reports.json through this
-checkout's hopftwistor.cli.main with hypersurface._point_report replaced by
+checkout's hopftwistor.cli.main with hypersurface._point_report and the
+CLI's model_curve, curve_curvature and parallel_shift_residual replaced by
 the oracle's, so the verifier and the CLI aggregate oracle values with their
 own rules; the per-point values are rounded to float64 first, which is far
 below the differences the rule measures.  Rows are then classed:
@@ -29,6 +33,8 @@ below the differences the rule measures.  Rows are then classed:
   defining-relation) are exactly 0 for these lifts;
 - two-path-witness rows take generator.two_path_residual evaluated with
   mpmath.expm of the form's basis values (ORACLE_WITNESS);
+- curve rows (curvature, circle-residual, parallel-residual) take the value
+  of that run;
 - every other row (flatness, immersion, constants echoes) has no oracle
   value (null).
 The file also keeps, per case, max|Psi| (the largest modulus of a point
@@ -43,14 +49,16 @@ no farther from it than the parent's distance plus max(u max|Psi| / h, 2 s)
 (u = 2^-53, h the finite-difference step).  u max|Psi| / h is the rounding
 of one central difference; carried through the least-squares solve and the
 eigenproblem it grows to about ten times that, which s measures.  The
-two-path witness takes no difference, so its bound is 2 s alone.  compare
-runs the parent 16 more times (seeds 0-15), each time moving every non-zero
-real and imaginary part of every lift output of the classical families (each
-StiefelPoint that hypersurface builds) and of every generator.matrix_exp
-output (the orbit chart's group elements and the two-path witness's
-exponentials) one ulp up or down at random; s is the largest move, over
-those runs, of any value of the case with the same check name (grid point
-and index dropped).  compare prints the worst distances,
+two-path witness takes no difference, and a verify-curves case records no
+max|Psi|, so their bound is 2 s alone.  compare runs the parent 16 more
+times (seeds 0-15), each time moving every non-zero real and imaginary part
+of every lift output of the classical families (each StiefelPoint that
+hypersurface builds), of every generator.matrix_exp output (the orbit
+chart's group elements and the two-path witness's exponentials) and of
+every model-curve output of twistor one ulp up or down at random; s is the
+largest move, over those runs, of any value of the case with the same check
+name (grid point and index dropped); for the curvature it covers the 1/h^2
+rounding of the two nested stencils.  compare prints the worst distances,
 spreads and excesses per check name, and a tally of the values, and exits 1
 on any violation.
 """
@@ -87,8 +95,10 @@ SHAPE_ROWS = (
     "eigenvalue-opposite", "multiplicity-opposite", "sample-eigenvalue",
     "rho", "rho-constancy",
 )
-# The one row outside the shape operators with an oracle value.
+# The one row outside the shape operators and the curves with an oracle value.
 ORACLE_WITNESS = "two-path-witness"
+# The rows of verify-curves, evaluated through the oracle's model curves.
+CURVE_ROWS = ("curvature", "circle-residual", "parallel-residual")
 # One grid point per family at n = 4 (the first of the CLI's grid), whose
 # per-point values the test suite recomputes.
 SPOT_CASES = ("verify-hopf-plus-n4", "verify-hopf-minus-n4", "verify-hopf-zero-n4")
@@ -142,8 +152,10 @@ def _mpf(x):
 
 
 def _curve(sign, r, t):
-    """(curve, tangent) coefficient pairs of twistor.curve_coefficients and
-    twistor._tangent_coefficients."""
+    """(curve, tangent) coefficient pairs on (u_minus, u_plus) of the model
+    curve and of its unit tangent, as twistor._curve_stack evaluates them
+    (there as the orbit of a start row under exp(tJ) of the sign's
+    structure; here the closed form of each sign)."""
     ch, sh = mp.cosh(r), mp.sinh(r)
     if sign == "plus":
         e, f = mp.expj(t), mp.expj(-t)
@@ -156,6 +168,17 @@ def _curve(sign, r, t):
         )
     er = mp.exp(r)
     return (ch + 1j * t * er, t * er + 1j * sh), (t * er - 1j * sh, ch - 1j * t * er)
+
+
+def curve_point(sign, r, pair, t, which):
+    """twistor._curve_stack in mp: the model curve (which = 0) or its unit
+    tangent (which = 1) at t on the pair (u_minus, u_plus) of mp vectors."""
+    cm, cp = _curve(sign, r, t)[which]
+    return axpy(cm, pair[0], scale(cp, pair[1]))
+
+
+def _mp_pair(p):
+    return [[mp.mpc(complex(x)) for x in u] for u in (p.u_minus, p.u_plus)]
 
 
 def _complexify(q):
@@ -280,6 +303,63 @@ def _lstsq(jac, target):
     v = mp.lu_solve(a.T * a, a.T * mp.matrix(target))
     misfit = a * v - mp.matrix(target)
     return [v[i] for i in range(v.rows)], mp.sqrt(mp.fsum(x * x for x in misfit))
+
+
+def curvature_values(curve, t, h):
+    """fibration.curve_curvature in mp at one t of the curve t -> curve(t):
+    the stencil of the curve gives c, the horizontal velocity Hc' and its
+    vertical rate a at t and t +- h, the stencil of the unit tangent Hc'/|Hc'|
+    gives D_T T; returns (kappa, circle residual)."""
+
+    def velocity(tau):
+        (dc,), c = _stencil(lambda x: curve(x[0]), [tau], [[1]], h)
+        ic = scale(1j, c)
+        a = real(dc, ic)
+        return c, axpy(a, ic, dc), a
+
+    def unit_tangent(tau):
+        hvel = velocity(tau)[1]
+        return scale(1 / space_norm(hvel), hvel)
+
+    c0, hvel0, a0 = velocity(t)
+    (dt,), t0 = _stencil(lambda x: unit_tangent(x[0]), [t], [[1]], h)
+    it0 = scale(1j, t0)
+    w = horizontal(tangent_project(scale(1 / space_norm(hvel0), axpy(a0, it0, dt)), c0), c0)
+    kappa = space_norm(w)
+    return kappa, min(space_norm(axpy(-kappa, it0, w)), space_norm(axpy(kappa, it0, w)))
+
+
+def parallel_value(sign, r, rp, pair, t):
+    """twistor.parallel_shift_residual in mp: |cosh r' c_r(t) + sinh r' i
+    T_r(t) - c_{r+r'}(t)|, with r + r' exact."""
+    base, tangent = (curve_point(sign, r, pair, t, which) for which in (0, 1))
+    shifted = curve_point(sign, r + rp, pair, t, 0)
+    diff = axpy(mp.cosh(rp), base, axpy(mp.sinh(rp), scale(1j, tangent), scale(-1, shifted)))
+    return mp.sqrt(_norm2(diff))
+
+
+def _curve_functions():
+    """Replacements of the CLI's model_curve, curve_curvature and
+    parallel_shift_residual that evaluate in mp and return floats."""
+    curvature = collections.namedtuple("Curvature", "kappa residual")
+
+    def model_curve(sign, r, p):
+        pair, r = _mp_pair(p), _mpf(r)
+        return lambda t: curve_point(sign, r, pair, t, 0)
+
+    def curve_curvature(curve, ts, step):
+        values = [curvature_values(curve, _mpf(t), _mpf(step)) for t in ts]
+        return curvature([float(k) for k, _ in values], [float(res) for _, res in values])
+
+    def parallel_shift_residual(sign, r, rp, p, ts):
+        pair = _mp_pair(p)
+        return [float(parallel_value(sign, _mpf(r), _mpf(rp), pair, _mpf(t))) for t in ts]
+
+    return {
+        "model_curve": model_curve,
+        "curve_curvature": curve_curvature,
+        "parallel_shift_residual": parallel_shift_residual,
+    }
 
 
 def _argmax(values):
@@ -411,7 +491,7 @@ def _oracle_report(cli, hypersurface, case, work):
         }
 
     with contextlib.ExitStack() as stack:
-        for name, fn in _models_for_cli(cli, models).items():
+        for name, fn in {**_models_for_cli(cli, models), **_curve_functions()}.items():
             stack.enter_context(mock.patch.object(cli, name, fn))
         stack.enter_context(mock.patch.object(hypersurface, "_point_report", point_report))
         stack.enter_context(mock.patch.object(cli, "two_path_residual", lambda f: float(two_path_value(f))))
@@ -442,7 +522,7 @@ def record(out_path):
                 base = _base(c["name"])
                 if base in CONSTRUCTION_ROWS:
                     value = 0.0
-                elif (base in SHAPE_ROWS and psi_max is not None) or base == ORACLE_WITNESS:
+                elif (base in SHAPE_ROWS and psi_max is not None) or base in (ORACLE_WITNESS,) + CURVE_ROWS:
                     value = c["value"]
                 else:
                     value = None
@@ -535,18 +615,20 @@ def _tree_reports(src, reference, perturb=None):
 
 
 @contextlib.contextmanager
-def perturb_outputs(hypersurface, generator, seed):
+def perturb_outputs(hypersurface, generator, twistor, seed):
     """Move every non-zero real and imaginary part of every lift output of
-    the classical families (each StiefelPoint that hypersurface builds) and
-    of every generator.matrix_exp output (the orbit chart's group elements
-    and the two-path witness's exponentials) one ulp, up or down at random
-    from a generator seeded with seed, so that exactly representable entries
-    such as 1.0 move too.  The perturbed exponentials are validated again as
+    the classical families (each StiefelPoint that hypersurface builds), of
+    every generator.matrix_exp output (the orbit chart's group elements and
+    the two-path witness's exponentials) and of every model-curve output of
+    twistor (the curves and unit tangents of model_curve, unit_tangent_lift
+    and parallel_shift_residual) one ulp, up or down at random from a
+    generator seeded with seed, so that exactly representable entries such
+    as 1.0 move too.  The perturbed exponentials are validated again as
     GroupElements."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    stiefel, exp = hypersurface.StiefelPoint, generator.matrix_exp
+    stiefel, exp, curve_stack = hypersurface.StiefelPoint, generator.matrix_exp, twistor._curve_stack
 
     def ulp(x):
         return np.where(x != 0, np.nextafter(x, rng.choice([-np.inf, np.inf], x.shape)), x)
@@ -562,15 +644,18 @@ def perturb_outputs(hypersurface, generator, seed):
         g = exp(*args, **kwargs)
         return type(g)(jitter(g.matrix), g.dim_n)
 
+    def perturbed_curve(*args):
+        return jitter(curve_stack(*args))
+
     with mock.patch.object(hypersurface, "StiefelPoint", perturbed_lift), mock.patch.object(
         generator, "matrix_exp", perturbed_exp
-    ):
+    ), mock.patch.object(twistor, "_curve_stack", perturbed_curve):
         yield
 
 
 def _reports(src, reference, perturb=None):
     sys.path.insert(0, os.path.abspath(src))
-    from hopftwistor import cli, generator, hypersurface
+    from hopftwistor import cli, generator, hypersurface, twistor
 
     with open(reference, encoding="utf-8") as fh:
         cases = json.load(fh)["cases"]
@@ -578,7 +663,7 @@ def _reports(src, reference, perturb=None):
     with contextlib.ExitStack() as stack:
         work = stack.enter_context(tempfile.TemporaryDirectory())
         if perturb is not None:
-            stack.enter_context(perturb_outputs(hypersurface, generator, perturb))
+            stack.enter_context(perturb_outputs(hypersurface, generator, twistor, perturb))
         for name, case in cases.items():
             rc, report, _ = _run_case(cli, case, work)
             out[name] = {"exit": rc, "report": report}

@@ -52,16 +52,13 @@ from .linalg import (
     group_residual,
     herm_form,
     matrix_exp,
-    pair_form,
     real_form,
     signature_matrix,
 )
 from .twistor import (
     StiefelPoint,
-    TangentPair,
     horizontality_residual,
     model_curve,
-    para_apply,
     parallel_shift_residual,
     unit_tangent_lift,
 )

@@ -471,9 +471,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
-        # Only math.cosh, sinh and exp of --r in the closed forms of the curves
-        # and classical examples raise it; cko-run and mc-check call none, and
-        # matrix_exp refuses a 1-norm whose squarings would overflow.
+        # Only math.cosh and sinh of r or 2r and exp of 2r in the closed
+        # forms raise it; cko-run and mc-check call none, and matrix_exp
+        # refuses a 1-norm whose squarings would overflow.
         print(f"config error: r = {_g(args.r)} overflows a closed form ({exc})", file=sys.stderr)
         return 2
     except (GeometryError, NonFiniteCheckError) as exc:

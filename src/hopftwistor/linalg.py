@@ -36,7 +36,6 @@ __all__ = [
     "signature_matrix",
     "herm_form",
     "real_form",
-    "pair_form",
     "group_residual",
     "algebra_residual",
     "GroupElement",
@@ -85,13 +84,6 @@ def real_form(z, w):
     """Real scalar product <z, w> = Re ((z, w)), with herm_form's broadcasting;
     two 1-d vectors give a Python float."""
     return herm_form(z, w).real
-
-
-def pair_form(x, y) -> float:
-    """Scalar product -<X_-, Y_-> + <X_+, Y_+> on pairs of vectors."""
-    xm, xp = x
-    ym, yp = y
-    return -real_form(xm, ym) + real_form(xp, yp)
 
 
 def group_residual(matrix):

@@ -1,6 +1,6 @@
 """Seeded random draws of the structured objects used by the property
-suites: Stiefel pairs, tangent pairs, algebra elements, and one-parameter
-generator constants (as n = 2 generator forms).
+suites: Stiefel pairs, algebra elements, and one-parameter generator
+constants (as n = 2 generator forms).
 
 Every function takes an explicit numpy Generator so sweeps are reproducible
 regardless of call order or scheduling.
@@ -20,11 +20,10 @@ from .generator import (
     extra_curvature,
 )
 from .linalg import AlgebraElement, herm_form, signature_matrix
-from .twistor import StiefelPoint, TangentPair
+from .twistor import StiefelPoint
 
 __all__ = [
     "random_stiefel",
-    "random_tangent_pair",
     "random_algebra",
     "random_one_param",
 ]
@@ -51,17 +50,6 @@ def random_stiefel(rng: np.random.Generator, n: int) -> StiefelPoint:
             continue
         return StiefelPoint(um, w / np.sqrt(norm))
     raise InputError("failed to draw an orthonormal pair")
-
-
-def random_tangent_pair(rng: np.random.Generator, p: StiefelPoint) -> TangentPair:
-    """Two random vectors projected orthogonal to both base vectors."""
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return v + herm_form(v, p.u_minus) * p.u_minus - herm_form(v, p.u_plus) * p.u_plus
-
-    xm = project(_complex_vec(rng, p.dim_n + 1))
-    xp = project(_complex_vec(rng, p.dim_n + 1))
-    return TangentPair(xm, xp, p)
 
 
 def random_algebra(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -33,10 +33,7 @@ __all__ = [
     "SIGNS",
     "HORIZONTAL_TOL",
     "StiefelPoint",
-    "TangentPair",
-    "para_apply",
     "model_curve",
-    "curve_coefficients",
     "unit_tangent_lift",
     "parallel_shift_residual",
     "horizontality_residual",
@@ -83,88 +80,34 @@ class StiefelPoint:
         return self.u_minus.shape[-1] - 1
 
 
-@dataclass(frozen=True, eq=False)
-class TangentPair:
-    """A pair (X_-, X_+), each complex-orthogonal to both base vectors (1e-8)."""
-
-    x_minus: np.ndarray
-    x_plus: np.ndarray
-    base: StiefelPoint
-
-    def __post_init__(self):
-        xm = np.asarray(self.x_minus, dtype=complex)
-        xp = np.asarray(self.x_plus, dtype=complex)
-        if xm.shape != xp.shape:
-            raise InputError("x_minus and x_plus must share a dimension")
-        object.__setattr__(self, "x_minus", xm)
-        object.__setattr__(self, "x_plus", xp)
-        base = np.array([self.base.u_minus, self.base.u_plus])
-        res = np.abs(herm_form(np.array([xm, xp])[:, None], base[None])).max()
-        _judge_rows(res, 1e-8, "pair not orthogonal to the base: residual {:.3e}")
-
-
-def para_apply(k: int, v: TangentPair) -> TangentPair:
-    """Apply the k-th generator of the para-quaternionic frame, k in {1,2,3}:
-    (X-, X+) -> (X-, X+) FRAME[k-1].
-
-    1: (X-, X+) -> (iX-, -iX+); 2: swap; 3: (X-, X+) -> (iX+, -iX-).
-    """
-    if k not in (1, 2, 3):
-        raise InputError(f"frame index must be 1, 2 or 3, got {k}")
-    x = np.stack([v.x_minus, v.x_plus], axis=-1) @ FRAME[k - 1]
-    return TangentPair(x[..., 0], x[..., 1], v.base)
-
-
-def curve_coefficients(sign: str, r: float, t: float) -> Tuple[complex, complex]:
-    """Coefficients (c_minus, c_plus) of the model curve on span{u-, u+}."""
-    _check_sign(sign)
-    if sign == "plus":
-        return (
-            np.exp(1j * t) * math.cosh(r),
-            np.exp(-1j * t) * math.sinh(r),
-        )
-    if sign == "minus":
-        return (
-            math.cosh(r) * math.cosh(t) + 1j * math.sinh(r) * math.sinh(t),
-            math.cosh(r) * math.sinh(t) + 1j * math.sinh(r) * math.cosh(t),
-        )
-    return (
-        math.cosh(r) + 1j * t * math.exp(r),
-        t * math.exp(r) + 1j * math.sinh(r),
-    )
-
-
-def _tangent_coefficients(sign: str, r: float, t: float) -> Tuple[complex, complex]:
-    if sign == "plus":
-        if abs(r) < 1e-14:
-            raise DegenerateCurveError(
-                "unit tangent undefined for sign 'plus' at r = 0"
-            )
-        return (
-            -1j * np.exp(1j * t) * math.sinh(r),
-            -1j * np.exp(-1j * t) * math.cosh(r),
-        )
-    if sign == "minus":
-        return (
-            math.cosh(r) * math.sinh(t) - 1j * math.sinh(r) * math.cosh(t),
-            math.cosh(r) * math.cosh(t) - 1j * math.sinh(r) * math.sinh(t),
-        )
-    return (
-        t * math.exp(r) - 1j * math.sinh(r),
-        math.cosh(r) - 1j * t * math.exp(r),
-    )
+# The even and odd parts (C, S) of exp(tJ) = C(t) + S(t) J for a structure
+# J with J^2 = -1, +1 or 0.
+_ORBIT_PARTS = {-1.0: (np.cos, np.sin), 1.0: (np.cosh, np.sinh), 0.0: (np.ones_like, np.positive)}
 
 
 def _curve_stack(sign: str, r: float, t: np.ndarray, p: StiefelPoint, tangent: bool) -> np.ndarray:
     """The model curve c_- u_- + c_+ u_+ of the sign and radius at an array t
     of any shape, or with tangent its closed-form unit horizontal tangent,
     against the pair p or a stack of pairs whose leading axes are t's; the
-    result is (t.shape..., n+1).  The coefficients stay scalar math, t by t
-    (numpy's array cosh and sinh differ from math's in the last bit), so each
-    row has the bits of a call on its t alone."""
-    coefficients = _tangent_coefficients if tangent else curve_coefficients
-    c = np.array([coefficients(sign, r, ti) for ti in t.ravel()], dtype=complex)
-    c = c.reshape(t.shape + (2,))
+    result is (t.shape..., n+1).
+
+    The coefficient row (c_-, c_+) is the orbit of its value at t = 0 under
+    exp(tJ) of the sign's structure J: the start row is (cosh r, phi sinh r),
+    phi = 1 for plus and i otherwise, or for the tangent -i d/dr of it, since
+    i T_r = dc/dr.  cosh r and sinh r are scalar math, so an overflowing r
+    raises OverflowError; C and S act elementwise on t, so each row has the
+    bits of a call on its t alone."""
+    j = STRUCTURE[sign]
+    phase = 1.0 if sign == "plus" else 1j
+    ch, sh = math.cosh(r), math.sinh(r)
+    if not tangent:
+        start = np.array([ch, phase * sh])
+    elif sign == "plus" and abs(r) < 1e-14:
+        raise DegenerateCurveError("unit tangent undefined for sign 'plus' at r = 0")
+    else:
+        start = -1j * np.array([sh, phase * ch])
+    even, odd = _ORBIT_PARTS[(j @ j)[0, 0].real]
+    c = even(t)[..., None] * start + odd(t)[..., None] * (start @ j)
     return c[..., :1] * p.u_minus + c[..., 1:] * p.u_plus
 
 

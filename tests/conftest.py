@@ -6,7 +6,7 @@ import pytest
 from hopftwistor import StiefelPoint
 from hopftwistor.fibration import FD_STEP
 from hopftwistor.hypersurface import _patch_from_lift, grid_key, pick_extra_eigenvalue
-from hopftwistor.linalg import _PADE_COEFFS, _PADE_THETA, herm_form
+from hopftwistor.linalg import _PADE_COEFFS, _PADE_THETA, herm_form, real_form
 from hopftwistor.twistor import horizontality_residual
 
 
@@ -109,6 +109,45 @@ def sign_conditions():
     """The hand-written horizontality conditions of each sign, the reference
     for the commutator residual."""
     return _sign_conditions
+
+
+def _closed_form_coefficients(sign: str, r: float, t: float, tangent: bool) -> np.ndarray:
+    """The coefficients (c_minus, c_plus) of the model curve of the sign and
+    radius on (u_minus, u_plus) at one float t, or with tangent those of its
+    unit horizontal tangent, written out by hand per sign in scalar math."""
+    ch, sh, er = math.cosh(r), math.sinh(r), math.exp(r)
+    if sign == "plus":
+        e, f = np.exp(1j * t), np.exp(-1j * t)
+        if tangent:
+            return np.array([-1j * e * sh, -1j * f * ch])
+        return np.array([e * ch, f * sh])
+    if sign == "minus":
+        ct, st = math.cosh(t), math.sinh(t)
+        if tangent:
+            return np.array([ch * st - 1j * sh * ct, ch * ct - 1j * sh * st])
+        return np.array([ch * ct + 1j * sh * st, ch * st + 1j * sh * ct])
+    if tangent:
+        return np.array([t * er - 1j * sh, ch - 1j * t * er])
+    return np.array([ch + 1j * t * er, t * er + 1j * sh])
+
+
+@pytest.fixture
+def closed_form_coefficients():
+    """The per-sign closed forms of the model curves and their unit
+    tangents, the reference for their evaluation as orbits of STRUCTURE."""
+    return _closed_form_coefficients
+
+
+def _pair_form(x: np.ndarray, y: np.ndarray) -> float:
+    """The scalar product -<X_-, Y_-> + <X_+, Y_+> of two pairs, each a
+    (2, n+1) array of rows (X_-, X_+)."""
+    return -real_form(x[0], y[0]) + real_form(x[1], y[1])
+
+
+@pytest.fixture
+def pair_form():
+    """The scalar product of pairs under which the frame is skew-adjoint."""
+    return _pair_form
 
 
 def _build_patch(sign: str, r: float, lift, base_dim: int):

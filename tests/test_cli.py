@@ -547,7 +547,7 @@ def test_large_radius_stderr_is_pinned(capsys, args, err):
         (command, family, r, "inf" if r == "356" else "nan")
         for command in ("verify-hopf", "build-example")
         for family in ("minus", "zero")
-        for r in ("356", "500", "700")
+        for r in ("356", "500", "700", "710")
     ],
 )
 def test_overflowing_lift_is_a_verification_error(capsys, command, family, r, value):
@@ -564,10 +564,15 @@ def _block_form_with(x_scale):
 
 
 # A curve past the float range has a NaN tangency defect, which fails the
-# horizontal projection's tangency test.
+# horizontal projection's tangency test; up to r = 710.47, where cosh r
+# overflows, no closed form of a curve raises.
 @pytest.mark.parametrize(
     "family, r",
-    [(family, r) for family in ("plus", "minus", "zero") for r in ("150", "200", "300", "356", "500", "700")],
+    [
+        (family, r)
+        for family in ("plus", "minus", "zero")
+        for r in ("150", "200", "300", "356", "500", "700", "710")
+    ],
 )
 def test_overflowing_curve_is_a_verification_error(capsys, family, r):
     assert main(["verify-curves", "--n", "2", "--s", family, "--r", r]) == 1
@@ -601,6 +606,25 @@ def test_a_form_too_large_to_exponentiate_is_a_verification_error(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.err == "verification error: t X has 1-norm 1.000e+308, too large to scale and square\n"
     assert captured.out == ""
+
+
+# The radii README states at n = 2: the ends of each interval that
+# verify-curves certifies with the first radius beyond each end, and the
+# interval that verify-hopf certifies in every family.
+README_CURVE_RADII = {
+    "plus": ((-11.25, -0.01, 0.01, 11.25), (-11.5, 11.5)),
+    "minus": ((-10.75, 10.5, 11.0), (-11.0, 10.75, 11.25)),
+    "zero": ((-1.75, 10.5, 11.0), (-2.0, 10.75, 11.25)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
+def test_readme_radii_certify_where_stated(family):
+    certified, failing = README_CURVE_RADII[family]
+    for r in certified + failing:
+        assert main(["verify-curves", "--n", "2", "--s", family, f"--r={r}"]) == (1 if r in failing else 0), r
+    for r in (-3.25, -0.05, 0.05, 3.25):
+        assert main(["verify-hopf", "--n", "2", *FAMILY_ARGS[family], f"--r={r}"]) == 0, r
 
 
 def test_overflow_errors_print_one_line_and_no_traceback():

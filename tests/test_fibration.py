@@ -18,7 +18,7 @@ from hopftwistor import (
 from hopftwistor.cli import DEFAULT_RADII
 from hopftwistor.fibration import FD_STEP
 from hopftwistor.sampling import random_stiefel
-from hopftwistor.twistor import SIGNS, curve_coefficients
+from hopftwistor.twistor import SIGNS
 
 
 def coth(x: float) -> float:
@@ -97,16 +97,6 @@ def _point_space_norm(x):
     return math.sqrt(max(real_form(x, x), 0.0))
 
 
-def _point_curve(sign, r, p):
-    """Reference: the model curve at one float t."""
-
-    def func(t):
-        cm, cp = curve_coefficients(sign, r, t)
-        return cm * p.u_minus + cp * p.u_plus
-
-    return func
-
-
 def _point_curve_curvature(curve, t, step=FD_STEP):
     """Reference: curve_curvature as it was before it took stacks of t, at
     one float t with nested difference quotients."""
@@ -141,7 +131,7 @@ def test_stacked_curvature_equals_the_point_path(canonical_pair, rng):
         for sign in SIGNS:
             for r in DEFAULT_RADII + (1e-9,):
                 got = curve_curvature(model_curve(sign, r, base), ts)
-                want = np.array([_point_curve_curvature(_point_curve(sign, r, base), float(t)) for t in ts])
+                want = np.array([_point_curve_curvature(model_curve(sign, r, base), float(t)) for t in ts])
                 assert np.array_equal(got.kappa, want[:, 0]), (sign, r)
                 assert np.array_equal(got.residual, want[:, 1]), (sign, r)
                 one = curve_curvature(model_curve(sign, r, base), float(ts[1]))

@@ -34,7 +34,7 @@ from hopftwistor.generator import GeneratorForm, orbit_patch_from_form
 from hopftwistor.hypersurface import _point_report, _realify
 from hopftwistor.linalg import GroupElement
 from hopftwistor.sampling import random_one_param
-from hopftwistor.twistor import SIGNS, curve_coefficients, unit_tangent_lift
+from hopftwistor.twistor import SIGNS, model_curve, unit_tangent_lift
 
 
 def coth(x: float) -> float:
@@ -517,9 +517,9 @@ def test_stacked_chart_maps_equal_the_per_point_lifts(sign, rng):
             want, want_normal = [], []
             for at in points:
                 um, up = point_lift(n, at[2:])
-                cm, cp = curve_coefficients(sign, r, at[1])
-                want.append(np.exp(1j * at[0]) * (cm * um + cp * up))
-                tangent = unit_tangent_lift(sign, r, StiefelPoint(um, up), at[1])
+                pair = StiefelPoint(um, up)
+                want.append(np.exp(1j * at[0]) * model_curve(sign, r, pair)(at[1]))
+                tangent = unit_tangent_lift(sign, r, pair, at[1])
                 want_normal.append(np.exp(1j * at[0]) * (1j * tangent))
             assert np.array_equal(patch.eval_func(points), np.array(want))
             assert np.array_equal(patch.normal_func(points), np.array(want_normal))

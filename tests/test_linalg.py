@@ -288,12 +288,11 @@ def test_nan_residual_fails_and_is_named():
 def _gate_cases():
     """(trigger, error class, message template, residual) per residual gate
     of the package; residual None when only the message is pinned."""
-    from hopftwistor import AdSPoint, GeneratorForm, TangentPair, horizontal_part
+    from hopftwistor import AdSPoint, GeneratorForm, horizontal_part
     from hopftwistor import generator, hypersurface, orbit_patch_from_form, tube_real
     from hopftwistor.twistor import horizontality_residual
 
     e = np.eye(3, dtype=complex)
-    base = StiefelPoint(e[0], e[1])
     z2, z3 = np.zeros((2, 2)), np.zeros((2, 2, 2))
 
     def form(**kw):
@@ -319,12 +318,6 @@ def _gate_cases():
             ValidationError,
             "not on the hyperquadric: |((w,w))+1| = {:.3e}",
             3.0,
-        ),
-        "TangentPair": (
-            lambda mp: TangentPair(2.0 * e[0], 0.0 * e[0], base),
-            ValidationError,
-            "pair not orthogonal to the base: residual {:.3e}",
-            2.0,
         ),
         "alternating": (
             lambda mp: form(w1=slices),

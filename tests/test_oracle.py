@@ -5,7 +5,8 @@ golden commands (written by `python3 scripts/oracle.py record`).  Here one
 grid point per family at n = 4 is recomputed at 50 digits and must give the
 recorded values; the package's float64 values at that point must lie within
 32 u max|Psi| / h of them (u = 2^-53, h the step; measured up to about 5).
-The n = 6 form's two-path witness is recomputed the same way, and compare's
+The n = 6 form's two-path witness and one curvature, circle and parallel
+row of verify-curves are recomputed the same way, and compare's
 perturbation of the parent's outputs is checked on one orbit patch.
 """
 
@@ -19,7 +20,16 @@ import mpmath  # noqa: F401  (the oracle needs it; a missing mpmath fails here)
 import numpy as np
 import pytest
 
-from hopftwistor import cli, generator, hypersurface, linalg
+from hopftwistor import (
+    StiefelPoint,
+    cli,
+    curve_curvature,
+    generator,
+    hypersurface,
+    linalg,
+    model_curve,
+    twistor,
+)
 from hopftwistor.fibration import FD_STEP
 from hopftwistor.generator import parse_constants
 
@@ -68,6 +78,28 @@ def test_reference_covers_the_golden_checks():
         assert case["exit"] == GOLDEN[name]["exit"]
         assert case["certified"] == report["certified"]
         assert [row for row, _ in case["checks"]] == [c["name"] for c in report["checks"]]
+
+
+def test_oracle_recomputes_a_curve_row():
+    # The curvature and circle rows of the verify-curves case at one t on the
+    # canonical pair, and one parallel row, recomputed at 50 digits; the
+    # package's values lie within 4 u / h^2 of them (0.42 u / h^2 measured
+    # at r = 0.5 and t in {-0.5, 0.5, 1} in each family).
+    case = REFERENCE["cases"]["verify-curves-n3-seed5"]
+    rows = dict(case["checks"])
+    pair = StiefelPoint(*np.eye(4, dtype=complex)[:2])
+    mp_pair = oracle._mp_pair(pair)
+    r, t, h = oracle._mpf(0.5), oracle._mpf(-0.5), oracle._mpf(FD_STEP)
+    kappa, residual = oracle.curvature_values(lambda tau: oracle.curve_point("minus", r, mp_pair, tau, 0), t, h)
+    assert _close(float(kappa), rows["curvature@s=minus,r=0.5,t=-0.5,b0"])
+    assert _close(float(residual), rows["circle-residual@s=minus,r=0.5,t=-0.5,b0"])
+    parallel = oracle.parallel_value("minus", r, oracle._mpf(0.4), mp_pair, t)
+    assert _close(float(parallel), rows["parallel-residual@s=minus,r=0.5,rp=0.4,t=-0.5"])
+
+    package = curve_curvature(model_curve("minus", 0.5, pair), -0.5)
+    bound = 4 * 2.0**-53 / FD_STEP**2
+    assert abs(package.kappa - float(kappa)) <= bound
+    assert abs(package.residual - float(residual)) <= bound
 
 
 # The acceptance rule on synthetic check values: a value may move away from
@@ -147,7 +179,7 @@ def test_perturbed_runs_move_orbit_chart_values_by_rounding():
         plain = func(points)
         moved = np.zeros(len(points), dtype=bool)
         for seed in range(4):
-            with oracle.perturb_outputs(hypersurface, generator, seed):
+            with oracle.perturb_outputs(hypersurface, generator, twistor, seed):
                 change = np.abs(func(points) - plain)
             assert np.all(change <= 8 * 2.0**-53 * np.abs(plain).max(axis=-1, keepdims=True))
             moved |= change.max(axis=-1) > 0
@@ -161,7 +193,7 @@ def test_perturbed_runs_move_every_entry_of_the_exponentials(tmp_path):
     # identity's 1.0) move too; a zero stays zero.
     outputs = []
     for seed in range(4):
-        with oracle.perturb_outputs(hypersurface, generator, seed):
+        with oracle.perturb_outputs(hypersurface, generator, twistor, seed):
             perturbed = generator.matrix_exp
 
             def spy(*args, **kwargs):

@@ -6,7 +6,6 @@ from hopftwistor.sampling import (
     random_algebra,
     random_one_param,
     random_stiefel,
-    random_tangent_pair,
 )
 
 
@@ -16,14 +15,6 @@ def test_random_stiefel_constraints(rng):
         assert abs(herm_form(p.u_minus, p.u_minus) + 1.0) <= 1e-10
         assert abs(herm_form(p.u_plus, p.u_plus) - 1.0) <= 1e-10
         assert abs(herm_form(p.u_minus, p.u_plus)) <= 1e-10
-
-
-def test_random_tangent_pair_orthogonal(rng):
-    p = random_stiefel(rng, 3)
-    v = random_tangent_pair(rng, p)
-    for x in (v.x_minus, v.x_plus):
-        assert abs(herm_form(x, p.u_minus)) <= 1e-8
-        assert abs(herm_form(x, p.u_plus)) <= 1e-8
 
 
 def test_random_algebra_scale(rng):
