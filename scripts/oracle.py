@@ -39,7 +39,11 @@ below the differences the rule measures.  Rows are then classed:
   value (null).
 The file also keeps, per case, max|Psi| (the largest modulus of a point
 coordinate over the grid) and, for one grid point per family at n = 4, the
-oracle's per-point values, which the test suite recomputes.
+oracle's per-point values, which the test suite recomputes.  The seam is
+checked: a verify_hopf call that returns without passing each of its grid
+points through hypersurface._point_report raises RuntimeError, in record
+and in every run of compare (there the seam passes the package's own
+values through).
 
 `compare` runs the same cases on two source trees (each in a child process
 importing hopftwistor from that tree) and applies the rule: exit codes,
@@ -475,7 +479,7 @@ def _oracle_report(cli, hypersurface, case, work):
     models = {}
     psi = []
 
-    def point_report(patch, at, step, rank_tol):
+    def point_report(patch, at, step, sr):
         _, model = models[id(patch)]
         v = point_values(model, patch.t_index, at, step)
         psi.append(float(v["psi_max"]))
@@ -493,10 +497,39 @@ def _oracle_report(cli, hypersurface, case, work):
     with contextlib.ExitStack() as stack:
         for name, fn in {**_models_for_cli(cli, models), **_curve_functions()}.items():
             stack.enter_context(mock.patch.object(cli, name, fn))
-        stack.enter_context(mock.patch.object(hypersurface, "_point_report", point_report))
+        stack.enter_context(_seam(cli, hypersurface, point_report))
         stack.enter_context(mock.patch.object(cli, "two_path_residual", lambda f: float(two_path_value(f))))
         rc, report, err = _run_case(cli, case, work)
     return rc, report, err, (max(psi) if psi else None)
+
+
+@contextlib.contextmanager
+def _seam(cli, hypersurface, point_report):
+    """Replace hypersurface._point_report with point_report, and raise
+    RuntimeError when a verify_hopf call of the CLI returns without having
+    passed every one of its grid points through it.  A verify_hopf that no
+    longer reaches the seam would let record write the package's float64
+    values as the oracle's without any other error."""
+    verify_hopf, reached = cli.verify_hopf, []
+
+    def counted(*args):
+        reached.append(None)
+        return point_report(*args)
+
+    def checked(*args, **kwargs):
+        before = len(reached)
+        report = verify_hopf(*args, **kwargs)
+        if len(reached) - before != len(report.samples):
+            raise RuntimeError(
+                f"verify_hopf passed {len(reached) - before} of its {len(report.samples)} grid"
+                " points through hypersurface._point_report, the oracle's seam"
+            )
+        return report
+
+    with mock.patch.object(hypersurface, "_point_report", counted), mock.patch.object(
+        cli, "verify_hopf", checked
+    ):
+        yield
 
 
 def _base(name):
@@ -662,6 +695,7 @@ def _reports(src, reference, perturb=None):
     out = {}
     with contextlib.ExitStack() as stack:
         work = stack.enter_context(tempfile.TemporaryDirectory())
+        stack.enter_context(_seam(cli, hypersurface, hypersurface._point_report))
         if perturb is not None:
             stack.enter_context(perturb_outputs(hypersurface, generator, twistor, perturb))
         for name, case in cases.items():

@@ -28,7 +28,7 @@ moved and the largest absolute and relative change of `value`, over the
 JSON and CSV reports on stdout and in --out files; then the stderr lines
 that differ only in numbers.
 
-The command set (473 commands):
+The command set (475 commands):
 - the first 4 cycles of each benchmark workload (perfbench/inputs.py,
   seed 1) and the 24 commands of its full-range probe (seed 1);
 - the README commands;
@@ -36,7 +36,8 @@ The command set (473 commands):
   random_one_param(default_rng(0), horosphere=True);
 - cko-run on two one-parameter forms that are not immersions, one refused
   by its constants and one by the rank gate, which print only a failing
-  immersion row;
+  immersion row; the second again with --tol rank=0, in JSON and CSV,
+  where the frame collapses instead;
 - verify-hopf and build-example for n = 2..5, each family (--k n-1 for
   plus), r in {0.02, 0.1, 0.5, 1.5, 4};
 - cko-run --n 2 --seed 0..39;
@@ -132,7 +133,12 @@ def commands(work: str) -> list:
         ["mc-check", "--constants", form],
         ["cko-run", "--constants", doc_file("horosphere.json", HOROSPHERE_CONSTANTS)],
         ["cko-run", "--constants", doc_file("flat-y.json", FLAT_Y_CONSTANTS)],
-        ["cko-run", "--constants", doc_file("rank-deficient.json", RANK_DEFICIENT_CONSTANTS)],
+    ]
+    rank_deficient = doc_file("rank-deficient.json", RANK_DEFICIENT_CONSTANTS)
+    out += [
+        ["cko-run", "--constants", rank_deficient],
+        ["cko-run", "--constants", rank_deficient, "--tol", "rank=0"],
+        ["cko-run", "--constants", rank_deficient, "--tol", "rank=0", "--format", "csv"],
     ]
     for n in (2, 3, 4, 5):
         for s in FAMILIES:

@@ -23,7 +23,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ExceptionalPairError, ImmersionError, InputError
+from .errors import ExceptionalPairError, GeometryError, ImmersionError, InputError
 from .fibration import (
     FD_STEP,
     AdSPoint,
@@ -308,80 +308,111 @@ def shape_operator(
     step: float = FD_STEP,
     rank_tol: float = RANK_TOL,
 ) -> ShapeResult:
-    """Finite-difference shape operator in an orthonormal horizontal frame.
+    """Finite-difference shape operator at one chart point, in an
+    orthonormal horizontal frame: the structure direction (column t_index),
+    then the other non-fiber columns in chart order by modified Gram-Schmidt,
+    a column below norm 1e-8 skipped.  It runs _shape_operators, the path of
+    every grid point of verify_hopf, on the one-point grid [at], so its
+    values equal theirs bit for bit.  Raises ImmersionError for a smallest
+    singular value of the projected columns below rank_tol or a frame of
+    fewer than 2n-1 vectors."""
+    return next(_shape_operators(patch, [np.asarray(at, dtype=float)], step, rank_tol))
 
-    Steps, each on the whole stack of directions:
-    - chart Jacobian: one central difference per chart coordinate; the
-      stencil also carries the point itself, which is validated first as an
-      AdSPoint (the same check and text as patch.point);
-    - rank gate: the projected non-fiber columns need a smallest singular
-      value >= rank_tol;
-    - frame: the structure direction (column t_index), then one row-wise
-      modified Gram-Schmidt sweep over the other columns in chart order.  Each
-      accepted vector leaves all later columns at once; a column below norm
-      1e-8 is skipped and removes nothing.  Every column thus gets the updates
-      of the column-by-column loop, in its order, with the same bits;
-    - velocities: one least-squares solve with every frame vector as a
-      right-hand side; their misfits |jac v - e| in one stacked product;
-    - normal derivative: one central difference along each velocity; that
-      stencil also carries the point, whose normal the result returns;
-    - matrix: A[i,j] = <-D_{E_j} N, E_i>, one Gram call.  Pairing against
-      horizontal frame vectors annihilates any vertical contamination.
-    The point, frame, rank gate and normal equal, bit for bit, the ones
-    computed point by point.  The velocities of the one solve differ from
-    per-vector solves by rounding (a few u * cond(jac) * |v|), and the normal
-    derivative and the matrix with them.
+
+def _shape_operators(patch, grid, step, rank_tol):
+    """Yield the ShapeResult of every point of grid (float arrays), in order.
+
+    Three stages:
+    - per point, in grid order: the chart Jacobian, one central difference
+      per chart coordinate, whose stencil also carries the point itself,
+      validated first as an AdSPoint (the same check and text as
+      patch.point); the projection of the non-fiber columns; and the rank
+      gate, a smallest singular value >= rank_tol;
+    - once for the whole grid: the frame, a modified Gram-Schmidt sweep over
+      the projected columns of all points, a stack (points, d - 1, n+1).
+      The structure direction (column t_index) comes first, then the other
+      columns in chart order; each step takes one stacked norm and one
+      stacked update of the later columns.  A column below norm 1e-8 is
+      skipped at its point and removes nothing there;
+    - per point, in grid order: a point with fewer than 2n-1 frame vectors
+      raises "frame collapsed"; the velocities, one least-squares solve with
+      every frame vector as a right-hand side, and their misfits |jac v - e|
+      in one stacked product; the normal derivative, one central difference
+      along each velocity, whose stencil also carries the point's normal;
+      and the matrix A[i,j] = <-D_{E_j} N, E_i>, one Gram call.  Pairing
+      against horizontal frame vectors annihilates any vertical
+      contamination.
+    A refusal of the first stage is raised after the later stages of the
+    points before it, so every error is the one the point-by-point order
+    meets first.  Every value equals, bit for bit, the one computed for its
+    point alone.
     """
-    at = np.asarray(at, dtype=float)
-    columns, center = _central_differences(patch.eval_func, at, np.eye(len(at)), step)
-    psi0 = AdSPoint(center).vec
+    gated, refusal = [], None
+    for at in grid:
+        try:
+            columns, center = _central_differences(patch.eval_func, at, np.eye(len(at)), step)
+            psi0 = AdSPoint(center).vec
+            # Non-fiber columns, projected: row k - 1 belongs to chart coordinate k.
+            projected = horizontal_part(tangent_project_ads(columns[1:], psi0), psi0, tol=1e-5)
+            min_singular = float(np.linalg.svd(_realify(projected), compute_uv=False)[-1])
+            if min_singular < rank_tol:
+                raise ImmersionError(
+                    f"rank deficiency at {grid_key(at)}: smallest singular value "
+                    f"{min_singular:.3e} < {rank_tol:.1e}"
+                )
+        except GeometryError as exc:
+            if not gated:
+                raise
+            refusal = exc
+            break
+        gated.append((at, columns, psi0, projected, min_singular))
+
+    stack = np.array([g[3] for g in gated])
+    frames = np.zeros_like(stack)
+    seed = stack[:, patch.t_index - 1]
+    frames[:, 0] = seed / space_norm(seed)[:, None]
+    kept = np.ones(stack.shape[:2], dtype=bool)
+    rest = np.delete(stack, patch.t_index - 1, axis=1)
+    rest -= real_form(rest, frames[:, :1])[..., None] * frames[:, :1]
+    # Column i updates the later columns only at the points that keep it; a
+    # skipped column leaves every bit of them as the point-by-point loop does.
+    for i in range(rest.shape[1]):
+        norm = space_norm(rest[:, i])
+        keep = kept[:, i + 1] = ~(norm < 1e-8)
+        e = rest[keep, i] / norm[keep, None]
+        frames[keep, i + 1] = e
+        later, e = rest[keep, i + 1 :], e[:, None]
+        rest[keep, i + 1 :] = later - real_form(later, e)[..., None] * e
+
     dim = 2 * patch.dim_n - 1
-
-    # Non-fiber columns, projected: row k - 1 belongs to chart coordinate k.
-    projected = horizontal_part(tangent_project_ads(columns[1:], psi0), psi0, tol=1e-5)
-    singulars = np.linalg.svd(_realify(projected), compute_uv=False)
-    min_singular = float(singulars[-1])
-    if min_singular < rank_tol:
-        raise ImmersionError(
-            f"rank deficiency at {grid_key(at)}: smallest singular value "
-            f"{min_singular:.3e} < {rank_tol:.1e}"
-        )
-
-    seed = projected[patch.t_index - 1]
-    frame = [seed / space_norm(seed)]
-    rest = np.delete(projected, patch.t_index - 1, axis=0)
-    rest -= real_form(rest, frame[0])[:, None] * frame[0]
-    for i, vec in enumerate(rest):
-        norm = space_norm(vec)
-        if norm < 1e-8:
-            continue
-        e = vec / norm
-        frame.append(e)
-        rest[i + 1 :] -= real_form(rest[i + 1 :], e)[:, None] * e
-    if len(frame) != dim:
-        raise ImmersionError(
-            f"frame collapsed at {grid_key(at)}: {len(frame)} of {dim} directions"
-        )
-    frame = np.array(frame)
-
-    jac = _realify(columns)
-    targets = np.concatenate([frame.real, frame.imag], axis=-1)
-    # One solve for every frame vector; the velocities are kept row-major, as
-    # the per-vector solves gave them (the layout reaches the BLAS order of
-    # the normal stencil).
-    velocities = np.ascontiguousarray(np.linalg.lstsq(jac, targets.T, rcond=None)[0].T)
-    # Row-times-column norms of the stacked misfits equal np.linalg.norm's.
-    misfits = (jac @ velocities[..., None])[..., 0] - targets
-    lsq_residual = float(np.sqrt(misfits[:, None, :] @ misfits[:, :, None]).max())
-    derivatives, normal = _central_differences(patch.normal_func, at, velocities, step)
-    w = -horizontal_part(tangent_project_ads(derivatives, psi0), psi0, tol=1e-3)
-    # matrix[i, j] = <w_j, e_i>
-    matrix = real_form(w[None], frame[:, None])
-    return ShapeResult(matrix, frame, lsq_residual, min_singular, normal)
+    for (at, columns, psi0, _, min_singular), frame, keep in zip(gated, frames, kept):
+        frame = frame[keep]
+        if len(frame) != dim:
+            raise ImmersionError(
+                f"frame collapsed at {grid_key(at)}: {len(frame)} of {dim} directions"
+            )
+        jac = _realify(columns)
+        targets = np.concatenate([frame.real, frame.imag], axis=-1)
+        # One solve for every frame vector; the velocities are kept row-major,
+        # as the per-vector solves gave them (the layout reaches the BLAS
+        # order of the normal stencil).
+        velocities = np.ascontiguousarray(np.linalg.lstsq(jac, targets.T, rcond=None)[0].T)
+        # Row-times-column norms of the stacked misfits equal np.linalg.norm's.
+        misfits = (jac @ velocities[..., None])[..., 0] - targets
+        lsq_residual = float(np.sqrt(misfits[:, None, :] @ misfits[:, :, None]).max())
+        derivatives, normal = _central_differences(patch.normal_func, at, velocities, step)
+        w = -horizontal_part(tangent_project_ads(derivatives, psi0), psi0, tol=1e-3)
+        # matrix[i, j] = <w_j, e_i>
+        matrix = real_form(w[None], frame[:, None])
+        yield ShapeResult(matrix, frame, lsq_residual, min_singular, normal)
+    if refusal is not None:
+        raise refusal
 
 
-def _point_report(patch, at, step, rank_tol):
-    sr = shape_operator(patch, at, step=step, rank_tol=rank_tol)
+def _point_report(patch, at, step, sr):
+    """The values verify_hopf aggregates at one grid point, from its shape
+    operator sr; scripts/oracle.py replaces this function and recomputes
+    them at 50 digits from the patch, the point and the step."""
     a = sr.matrix
     sym = float(np.abs(a - a.T).max())
     sym_a = (a + a.T) / 2.0
@@ -436,17 +467,24 @@ def verify_hopf(
     unit eigenvalue with multiplicity >= n-1.  Each condition is one
     make_check record in the report's checks.  Besides them the report
     keeps the median mu, the mean cluster table, the count of exceptional
-    pairs and the spectrum at each grid point.  Shape operators use the
-    "rank" tolerance as their rank gate.
+    pairs and the spectrum at each grid point.
+
+    The shape operators come from _shape_operators with the "rank"
+    tolerance as their rank gate: the stencil, the hyperquadric check, the
+    projection and the rank gate point by point in grid order, the
+    horizontal frames of all grid points in one Gram-Schmidt sweep, then the
+    rest point by point.  Each equals shape_operator at its point bit for
+    bit, and a refusal is the one the first refused grid point gives.
     """
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tols.update(tolerances)
     if grid is None:
         grid = patch.grid()
+    grid = [np.asarray(g, dtype=float) for g in grid]
     points = [
-        _point_report(patch, np.asarray(g, dtype=float), step, tols["rank"])
-        for g in grid
+        _point_report(patch, at, step, sr)
+        for at, sr in zip(grid, _shape_operators(patch, grid, step, tols["rank"]))
     ]
 
     mus = [p["mu"] for p in points]

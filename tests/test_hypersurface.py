@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from hopftwistor.fibration import (
     tangent_project_ads,
 )
 from hopftwistor.generator import GeneratorForm, orbit_patch_from_form
-from hopftwistor.hypersurface import _point_report, _realify
+from hopftwistor.hypersurface import _point_report, _realify, grid_key
 from hopftwistor.linalg import GroupElement
 from hopftwistor.sampling import random_one_param
 from hopftwistor.twistor import SIGNS, model_curve, unit_tangent_lift
@@ -247,7 +248,7 @@ def _loop_pairings(patch, at):
 @pytest.mark.parametrize("patch", [tube_complex(3, 1, 0.4), tube_real(3, 0.7)])
 def test_pairings_match_the_per_eigenvector_loop(patch):
     for at in patch.grid(2, cap=6):
-        got = _point_report(patch, at, FD_STEP, 1e-6)["pairings"]
+        got = _point_report(patch, at, FD_STEP, shape_operator(patch, at))["pairings"]
         assert len(got) == 4
         assert got == _loop_pairings(patch, at)
 
@@ -423,6 +424,84 @@ def test_single_coordinate_lift_collapses_the_frame(build_patch):
     )
     with pytest.raises(ImmersionError, match="frame collapsed"):
         shape_operator(one, one.center, rank_tol=0)
+
+
+def _report_bits(rep):
+    """Every value of a ShapeReport, as text that tells every float bit."""
+    return repr((rep.mu, rep.eigenvalues, rep.exceptional_pairs, rep.checks, rep.samples))
+
+
+def _point_by_point(patch, grid, monkeypatch, **kwargs):
+    """Reference: verify_hopf with every grid point's shape operator taken
+    on the one-point grid of shape_operator."""
+    stacked = hypersurface._shape_operators
+    with monkeypatch.context() as m:
+        m.setattr(
+            hypersurface,
+            "_shape_operators",
+            lambda p, g, step, rank_tol: (next(stacked(p, [at], step, rank_tol)) for at in g),
+        )
+        return verify_hopf(patch, grid, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda n: tube_complex(n, n // 2, 0.7), lambda n: tube_real(n, 0.7), lambda n: horosphere(n, 0.7)],
+    ids=["plus", "minus", "zero"],
+)
+def test_the_stacked_frame_sweep_equals_the_point_by_point_reports(build, monkeypatch):
+    for n in range(2, 7):
+        patch = build(n)
+        grid = patch.grid()
+        for points in (grid, grid[:1], grid[-2:]):
+            want = _point_by_point(patch, points, monkeypatch)
+            assert _report_bits(verify_hopf(patch, points)) == _report_bits(want)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [lambda q: q[[0, 2]], lambda q: np.array([q[0] + q[1] if abs(q[0]) > 0.1 else q[1], q[2]])],
+    ids=["q1-ignored", "q0-or-q1"],
+)
+def test_a_redundant_column_is_skipped_point_by_point_in_a_stack(base, build_patch, monkeypatch):
+    # Every point of the stack has one column to skip: q1 everywhere, or,
+    # for the second lift, q0 (an exact zero) where q0 = 0 and q1 (parallel
+    # to q0 up to rounding) elsewhere, both kinds in the one stack.
+    redundant = build_patch("zero", 0.5, lambda q: _horosphere_lift(base(q)), base_dim=3)
+    grid = redundant.grid()
+    assert {abs(at[2]) > 0.1 for at in grid} == {True, False}
+    rank = {"rank": 0.0}
+    want = _point_by_point(redundant, grid, monkeypatch, tolerances=rank)
+    assert _report_bits(verify_hopf(redundant, grid, tolerances=rank)) == _report_bits(want)
+    assert all(len(eigs) == 3 for _, eigs in want.samples)
+
+
+def test_the_first_refusal_in_grid_order_is_raised(build_patch):
+    # q0 enters squared, so its column vanishes exactly where q0 = 0: the
+    # rank gate refuses those points, and with rank 0 the frame collapses
+    # there.  The lift refuses q1 > 0.25 in the stencil's first stage; a
+    # collapse before such a point in grid order is still raised first.
+    def lift(q):
+        if q[1] > 0.25:
+            raise InputError("q1 out of range")
+        return _horosphere_lift(np.array([q[0] ** 2, q[1]]))
+
+    patch = build_patch("zero", 0.5, lift, base_dim=2)
+    grid = [at for at in patch.grid() if at[3] < 0.25]
+    rank = {"rank": 0.0}
+    for points in (grid, grid[::-1]):
+        first = next(at for at in points if at[2] == 0.0)
+        assert grid_key(first) != grid_key(points[0])
+        with pytest.raises(ImmersionError, match=re.escape(f"rank deficiency at {grid_key(first)}:")):
+            verify_hopf(patch, points)
+        with pytest.raises(ImmersionError) as collapse:
+            verify_hopf(patch, points, tolerances=rank)
+        assert str(collapse.value) == f"frame collapsed at {grid_key(first)}: 2 of 3 directions"
+    good, collapsed, refused = grid[0], first, patch.grid()[-1]
+    with pytest.raises(ImmersionError, match="frame collapsed"):
+        verify_hopf(patch, [good, collapsed, refused], tolerances=rank)
+    with pytest.raises(InputError, match="q1 out of range"):
+        verify_hopf(patch, [good, refused, collapsed], tolerances=rank)
 
 
 def test_verify_hopf_flags_wrong_closed_form(canonical_pair, build_patch):

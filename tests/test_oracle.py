@@ -14,6 +14,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import types
 from unittest import mock
 
 import mpmath  # noqa: F401  (the oracle needs it; a missing mpmath fails here)
@@ -61,7 +62,7 @@ def test_oracle_recomputes_its_reference_point(case):
         assert all(_close(a, b) for a, b in zip(mine, values)), key
 
     # The package at the same point: float64 rounding away from the oracle.
-    package = hypersurface._point_report(patch, at, FD_STEP, hypersurface.RANK_TOL)
+    package = hypersurface._point_report(patch, at, FD_STEP, hypersurface.shape_operator(patch, at))
     bound = ROUNDING_MULTIPLE * 2.0**-53 * got["psi_max"] / FD_STEP
     for key in ("mu", "hopf", "symmetry", "lsq"):
         assert abs(package[key] - got[key]) <= bound, key
@@ -208,3 +209,29 @@ def test_perturbed_runs_move_every_entry_of_the_exponentials(tmp_path):
         for a, b in ((plain.real, moved.real), (plain.imag, moved.imag)):
             assert np.array_equal(a == b, a == 0)
             assert np.array_equal(np.nextafter(a, b), b)
+
+
+def _seam_run(run, case, work):
+    """(exit code, report) of a golden case under the seam of record (the
+    oracle's per-point values) or of compare (the package's, passed through)."""
+    if run == "record":
+        return oracle._oracle_report(cli, hypersurface, case, work)[:2]
+    with oracle._seam(cli, hypersurface, hypersurface._point_report):
+        return oracle._run_case(cli, case, work)[:2]
+
+
+@pytest.mark.parametrize("run", ["record", "compare"])
+def test_a_verify_hopf_that_bypasses_the_seam_is_refused(run, monkeypatch, tmp_path):
+    # A verify_hopf bound to the package's own per-point stage, as a seam
+    # left stale by a change of the verifier would leave it: record would
+    # aggregate float64 values in place of the oracle's.
+    case = GOLDEN["verify-hopf-zero"]
+    rc, report = _seam_run(run, case, str(tmp_path))
+    assert rc == 0 and report["certified"]
+    verify_hopf = hypersurface.verify_hopf
+    stale = types.FunctionType(
+        verify_hopf.__code__, dict(vars(hypersurface)), None, verify_hopf.__defaults__
+    )
+    monkeypatch.setattr(cli, "verify_hopf", stale)
+    with pytest.raises(RuntimeError, match="passed 0 of its 81 grid points"):
+        _seam_run(run, case, str(tmp_path))
