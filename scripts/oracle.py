@@ -15,11 +15,13 @@ same central-difference stencil and step (the stencil points are
 exact, not rounded to floats), the same horizontal frame sweep, least-squares
 velocities (minimum norm), the normal stencil along them, and the same
 eigenvalue pairing selection.  It also evaluates the model curves of
-verify-curves (the closed form of each sign on the command's pairs) and
-takes their curvature and circle residual with fibration.curve_curvature's
-two stencils, again on exact stencil points, and their parallel-shift
-residual.  Only float64 rounding then separates the package's values from
-the oracle's, to within the O(h^2) truncation that both share.
+verify-curves (the closed form of each sign on the command's pairs, with
+its first two t-derivatives written out by hand) and takes their curvature
+and circle residual with fibration.curve_curvature's formula from those
+exact derivatives, and their parallel-shift residual.  Only float64
+rounding then separates the package's values from the oracle's, to within
+the O(h^2) truncation that both share for the shape operator; the curve
+rows take no difference.
 
 `record` runs every case of tests/golden_reports.json through this
 checkout's hopftwistor.cli.main with hypersurface._point_report and the
@@ -61,10 +63,10 @@ hypersurface builds), of every generator.matrix_exp output (the orbit
 chart's group elements and the two-path witness's exponentials) and of
 every model-curve output of twistor one ulp up or down at random; s is the
 largest move, over those runs, of any value of the case with the same check
-name (grid point and index dropped); for the curvature it covers the 1/h^2
-rounding of the two nested stencils.  compare prints the worst distances,
-spreads and excesses per check name, and a tally of the values, and exits 1
-on any violation.
+name (grid point and index dropped); the model-curve outputs include the
+derivative rows that the curvature takes.  compare prints the worst
+distances, spreads and excesses per check name, and a tally of the values,
+and exits 1 on any violation.
 """
 
 from __future__ import annotations
@@ -156,27 +158,28 @@ def _mpf(x):
 
 
 def _curve(sign, r, t):
-    """(curve, tangent) coefficient pairs on (u_minus, u_plus) of the model
-    curve and of its unit tangent, as twistor._curve_stack evaluates them
-    (there as the orbit of a start row under exp(tJ) of the sign's
-    structure; here the closed form of each sign)."""
+    """(curve, tangent, velocity, acceleration) coefficient pairs on
+    (u_minus, u_plus) of the model curve, of its unit tangent and of the
+    curve's first two t-derivatives, as twistor._curve_stack evaluates them
+    (there as the orbits of start rows under exp(tJ) of the sign's
+    structure; here the closed form of each sign, differentiated by hand)."""
     ch, sh = mp.cosh(r), mp.sinh(r)
     if sign == "plus":
         e, f = mp.expj(t), mp.expj(-t)
-        return (e * ch, f * sh), (-1j * e * sh, -1j * f * ch)
+        return (e * ch, f * sh), (-1j * e * sh, -1j * f * ch), (1j * e * ch, -1j * f * sh), (-e * ch, -f * sh)
     if sign == "minus":
         ct, st = mp.cosh(t), mp.sinh(t)
-        return (ch * ct + 1j * sh * st, ch * st + 1j * sh * ct), (
-            ch * st - 1j * sh * ct,
-            ch * ct - 1j * sh * st,
-        )
+        curve = (ch * ct + 1j * sh * st, ch * st + 1j * sh * ct)
+        tangent = (ch * st - 1j * sh * ct, ch * ct - 1j * sh * st)
+        return curve, tangent, (ch * st + 1j * sh * ct, ch * ct + 1j * sh * st), curve
     er = mp.exp(r)
-    return (ch + 1j * t * er, t * er + 1j * sh), (t * er - 1j * sh, ch - 1j * t * er)
+    return (ch + 1j * t * er, t * er + 1j * sh), (t * er - 1j * sh, ch - 1j * t * er), (1j * er, er), (0, 0)
 
 
 def curve_point(sign, r, pair, t, which):
-    """twistor._curve_stack in mp: the model curve (which = 0) or its unit
-    tangent (which = 1) at t on the pair (u_minus, u_plus) of mp vectors."""
+    """twistor._curve_stack in mp: the model curve (which = 0), its unit
+    tangent (1), or the curve's first (2) or second (3) t-derivative at t on
+    the pair (u_minus, u_plus) of mp vectors."""
     cm, cp = _curve(sign, r, t)[which]
     return axpy(cm, pair[0], scale(cp, pair[1]))
 
@@ -309,26 +312,21 @@ def _lstsq(jac, target):
     return [v[i] for i in range(v.rows)], mp.sqrt(mp.fsum(x * x for x in misfit))
 
 
-def curvature_values(curve, t, h):
-    """fibration.curve_curvature in mp at one t of the curve t -> curve(t):
-    the stencil of the curve gives c, the horizontal velocity Hc' and its
-    vertical rate a at t and t +- h, the stencil of the unit tangent Hc'/|Hc'|
-    gives D_T T; returns (kappa, circle residual)."""
-
-    def velocity(tau):
-        (dc,), c = _stencil(lambda x: curve(x[0]), [tau], [[1]], h)
-        ic = scale(1j, c)
-        a = real(dc, ic)
-        return c, axpy(a, ic, dc), a
-
-    def unit_tangent(tau):
-        hvel = velocity(tau)[1]
-        return scale(1 / space_norm(hvel), hvel)
-
-    c0, hvel0, a0 = velocity(t)
-    (dt,), t0 = _stencil(lambda x: unit_tangent(x[0]), [t], [[1]], h)
+def curvature_values(c, dc, ddc):
+    """fibration.curve_curvature in mp at one t, from the curve c and its
+    exact derivatives dc and ddc there: a = <c', ic>, Hc' = c' + a ic, v =
+    |Hc'|, T = Hc'/v, (Hc')' = c'' + a' ic + a ic' with a' = <c'', ic> +
+    <c', ic'>, v' = <(Hc')', T> and D_T T = ((Hc')' - v'T)/v^2 + a iT/v;
+    returns (kappa, circle residual)."""
+    ic, idc = scale(1j, c), scale(1j, dc)
+    a = real(dc, ic)
+    hvel = axpy(a, ic, dc)
+    v = space_norm(hvel)
+    t0 = scale(1 / v, hvel)
+    dhvel = axpy(real(ddc, ic) + real(dc, idc), ic, axpy(a, idc, ddc))
     it0 = scale(1j, t0)
-    w = horizontal(tangent_project(scale(1 / space_norm(hvel0), axpy(a0, it0, dt)), c0), c0)
+    deriv = axpy(a / v, it0, scale(1 / v**2, axpy(-real(dhvel, t0), t0, dhvel)))
+    w = horizontal(tangent_project(deriv, c), c)
     kappa = space_norm(w)
     return kappa, min(space_norm(axpy(-kappa, it0, w)), space_norm(axpy(kappa, it0, w)))
 
@@ -347,12 +345,13 @@ def _curve_functions():
     parallel_shift_residual that evaluate in mp and return floats."""
     curvature = collections.namedtuple("Curvature", "kappa residual")
 
-    def model_curve(sign, r, p):
+    def model_curve(sign, r, p, ts):
+        # One (c, c', c'') per t, in mp.
         pair, r = _mp_pair(p), _mpf(r)
-        return lambda t: curve_point(sign, r, pair, t, 0)
+        return [[curve_point(sign, r, pair, _mpf(t), which) for which in (0, 2, 3)] for t in ts]
 
-    def curve_curvature(curve, ts, step):
-        values = [curvature_values(curve, _mpf(t), _mpf(step)) for t in ts]
+    def curve_curvature(jets, ts):
+        values = [curvature_values(*jet) for jet in jets]
         return curvature([float(k) for k, _ in values], [float(res) for _, res in values])
 
     def parallel_shift_residual(sign, r, rp, p, ts):
@@ -653,10 +652,10 @@ def perturb_outputs(hypersurface, generator, twistor, seed):
     the classical families (each StiefelPoint that hypersurface builds), of
     every generator.matrix_exp output (the orbit chart's group elements and
     the two-path witness's exponentials) and of every model-curve output of
-    twistor (the curves and unit tangents of model_curve, unit_tangent_lift
-    and parallel_shift_residual) one ulp, up or down at random from a
-    generator seeded with seed, so that exactly representable entries such
-    as 1.0 move too.  The perturbed exponentials are validated again as
+    twistor (the curves and their derivatives of model_curve, and the unit
+    tangents of unit_tangent_lift and parallel_shift_residual) one ulp, up
+    or down at random from a generator seeded with seed, so that exactly
+    representable entries such as 1.0 move too.  The perturbed exponentials are validated again as
     GroupElements."""
     import numpy as np
 

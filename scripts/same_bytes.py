@@ -28,7 +28,7 @@ moved and the largest absolute and relative change of `value`, over the
 JSON and CSV reports on stdout and in --out files; then the stderr lines
 that differ only in numbers.
 
-The command set (475 commands):
+The command set (477 commands):
 - the first 4 cycles of each benchmark workload (perfbench/inputs.py,
   seed 1) and the 24 commands of its full-range probe (seed 1);
 - the README commands;
@@ -50,7 +50,10 @@ The command set (475 commands):
   fail on the hyperquadric check;
 - verify-curves at n = 5 and 6, with --step 1e-3, at r = -0.5 in each
   family, and at the two radii of sign plus that stop the run: r = 1e-12
-  (vanishing horizontal speed) and r = 150 (a NaN tangency defect).
+  (vanishing horizontal speed) and r = 150 (a NaN tangency defect);
+- verify-curves --n 2 at r = -3 of sign zero, which certifies with exact
+  curve derivatives, and at r = -19 of sign plus, which stops on its
+  tangency gate with one error line on stderr.
 """
 
 from __future__ import annotations
@@ -198,6 +201,7 @@ def commands(work: str) -> list:
     out += [["verify-curves", "--n", "5"], ["verify-curves", "--n", "6"], curves + ["--step", "1e-3"]]
     out += [curves + ["--s", s, "--r=-0.5"] for s in FAMILIES]
     out += [curves + ["--s", "plus", "--r", "1e-12"], curves + ["--s", "plus", "--r", "150"]]
+    out += [curves + ["--s", "zero", "--r=-3"], curves + ["--s", "plus", "--r=-19"]]
     return out
 
 

@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_sign: bool = False):
+    def common(p: argparse.ArgumentParser, name: str, needs_sign: bool):
         # None until _validate: cko-run and mc-check tell a given --n apart
         # from the default 2.
         p.add_argument("--n", type=int, default=None, help="ambient complex dimension")
@@ -105,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=float, default=None, help="radius parameter")
         p.add_argument("--k", type=int, default=0, help="complex subspace dimension")
         p.add_argument("--grid", type=int, default=GRID_DENSITY, help="grid density per axis")
-        p.add_argument("--step", type=float, default=FD_STEP, help="finite-difference step")
+        step_help = "echoed; curves take exact derivatives" if name == "verify-curves" else "finite-difference step"
+        p.add_argument("--step", type=float, default=FD_STEP, help=step_help)
         p.add_argument(
             "--tol", action="append", metavar="NAME=VAL", help="override a tolerance"
         )
@@ -122,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("mc-check", "flatness checks for a constants file", False),
     ):
         p = sub.add_parser(name, help=help_text)
-        common(p, needs_sign)
+        common(p, name, needs_sign)
     return parser
 
 
@@ -223,7 +224,7 @@ def _cmd_verify_curves(args: argparse.Namespace) -> dict:
                 "zero": 2.0,
             }[s]
             for bname, base in bases:
-                res = curve_curvature(model_curve(s, r, base), ts, step=args.step)
+                res = curve_curvature(model_curve(s, r, base, ts), ts)
                 checks += rows("curvature", where, f",{bname}", res.kappa, expected, "curvature")
                 checks += rows("circle-residual", where, f",{bname}", res.residual, 0.0, "circle")
             for rp in PARALLEL_SHIFTS:

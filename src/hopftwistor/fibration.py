@@ -1,6 +1,7 @@
 """The circle fibration of the anti-de Sitter hyperquadric over complex
 hyperbolic space: projections, the package's one central-difference stencil
-and finite-difference curve geometry.
+and the geodesic curvature of a projected curve from exact derivatives of its
+lift.
 
 A point of the base is an S^1-orbit {e^{i theta} w}; we always compute on an
 explicit representative w with ((w,w)) = -1.  "Horizontal" means orthogonal
@@ -11,7 +12,7 @@ curvature is measured against the circle equation D_T T = kappa * (+-i) T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,56 +99,46 @@ def _central_differences(func, at: np.ndarray, directions, step: float):
     return (values[:m] - values[m : 2 * m]) / (2 * step), values[-1]
 
 
-def curve_curvature(
-    curve: Callable[[np.ndarray], np.ndarray], t, step: float = FD_STEP
-) -> CurvatureResult:
-    """Geodesic curvature at t of the projected curve t -> curve(t).
+def curve_curvature(jet, t) -> CurvatureResult:
+    """Geodesic curvature at t of the projected curve whose lift c has the
+    exact derivatives c' and c'' there: jet is the stack (c, c', c'') of
+    twistor.model_curve, (3, n+1) for a float t or (3, k, n+1) for a 1-d
+    stack of k parameters.
 
     Works on the lift: with a = <c', ic> the vertical rate, the horizontal
-    velocity is Hc' = c' + a ic with speed v.  The unit tangent field
-    T = Hc'/v is carried along the lift, so the covariant derivative of the
-    projected tangent needs the equivariance correction a*iT before the 1/v
-    arclength rescaling:
+    velocity is Hc' = c' + a ic with speed v and unit tangent T = Hc'/v.  Its
+    derivative is (Hc')' = c'' + a' ic + a ic' with a' = <c'', ic> + <c', ic'>,
+    and v' = <(Hc')', T>.  The unit tangent field is carried along the lift,
+    so the covariant derivative of the projected tangent needs the
+    equivariance correction a*iT before the 1/v arclength rescaling:
 
-        D_T T = (dT/dt + a iT) / v,
+        D_T T = (dT/dt + a iT) / v = ((Hc')' - v' T) / v^2 + a iT / v,
 
     then tangent + horizontal projection.  Returns kappa = ||D_T T|| and the
     circle-equation residual || D_T T - kappa sigma iT || of the better sign
-    sigma = +-1.
-
-    t is a float or a 1-d stack of k parameters, which is one point of R^k
-    moved along (1, ..., 1): curve takes an array of t and returns one
-    vector per t, and both derivatives are _central_differences stencils of
-    it.  kappa and the residual have t's shape; each equals the value for
-    its t alone.
+    sigma = +-1, each with t's shape.
     """
-
-    def velocity(tau: np.ndarray):
-        # c and Hc' at each parameter of a 1-d stack tau, and a.
-        dc, c = _central_differences(curve, tau, np.ones((1, tau.size)), step)
-        a = real_form(dc[0], 1j * c)
-        return c, dc[0] + a[:, None] * (1j * c), a
-
-    def unit_tangent(tau: np.ndarray) -> np.ndarray:
-        _, hvel, _ = velocity(tau.ravel())
-        return (hvel / space_norm(hvel)[:, None]).reshape(tau.shape + hvel.shape[-1:])
-
     at = np.asarray(t, dtype=float).reshape(-1)
-    c0, hvel0, a0 = velocity(at)
-    v = space_norm(hvel0)
+    jet = np.asarray(jet, dtype=complex)
+    c, dc, ddc = jet.reshape(3, at.size, jet.shape[-1])
+    ic, idc = 1j * c, 1j * dc
+    a = real_form(dc, ic)
+    hvel = dc + a[:, None] * ic
+    v = space_norm(hvel)
     slow = v <= 1e-10
     if slow.any():
         i = int(np.argmax(slow))
         raise DegenerateCurveError(
             f"vanishing horizontal speed at t = {at[i]}: ||Hc'|| = {v[i]:.3e}"
         )
-
-    # The stencil's center row is the unit tangent hvel0 / v.
-    dt_vec, t0 = _central_differences(unit_tangent, at, np.ones((1, at.size)), step)
-    deriv = (dt_vec[0] + a0[:, None] * (1j * t0)) / v[:, None]
-    w = horizontal_part(tangent_project_ads(deriv, c0), c0, tol=1e-5)
-    kappa = space_norm(w)
+    t0 = hvel / v[:, None]
+    da = real_form(ddc, ic) + real_form(dc, idc)
+    dhvel = ddc + da[:, None] * ic + a[:, None] * idc
+    dv = real_form(dhvel, t0)
     it0 = 1j * t0
+    deriv = (dhvel - dv[:, None] * t0) / (v * v)[:, None] + (a / v)[:, None] * it0
+    w = horizontal_part(tangent_project_ads(deriv, c), c, tol=1e-5)
+    kappa = space_norm(w)
     res_plus = space_norm(w - kappa[:, None] * it0)
     res_minus = space_norm(w + kappa[:, None] * it0)
     residual = np.where(res_plus <= res_minus, res_plus, res_minus)

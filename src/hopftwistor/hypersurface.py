@@ -34,7 +34,7 @@ from .fibration import (
 )
 from .linalg import _judge_rows, real_form
 from .report import make_check
-from .twistor import HORIZONTAL_TOL, StiefelPoint, _curve_stack, horizontality_residual
+from .twistor import HORIZONTAL_TOL, StiefelPoint, _curve_stack, _start, _tangent_start, horizontality_residual
 
 GRID_DENSITY = 3
 GRID_CAP = 81
@@ -276,11 +276,11 @@ def _patch_from_lift(
     # e^{i theta} times the model curve of the lifted pairs, or i times its
     # unit tangent; the lift and the curve take the whole stack.
     def eval_func(at: np.ndarray) -> np.ndarray:
-        curve = _curve_stack(sign, r, at[..., 1], lift(at[..., 2:]), False)
+        curve = _curve_stack(sign, _start(sign, r), at[..., 1], lift(at[..., 2:]))
         return np.exp(1j * at[..., 0])[..., None] * curve
 
     def normal_func(at: np.ndarray) -> np.ndarray:
-        tangent = _curve_stack(sign, r, at[..., 1], lift(at[..., 2:]), True)
+        tangent = _curve_stack(sign, _tangent_start(sign, r), at[..., 1], lift(at[..., 2:]))
         return np.exp(1j * at[..., 0])[..., None] * (1j * tangent)
 
     return HypersurfacePatch(

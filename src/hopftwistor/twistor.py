@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -85,51 +84,57 @@ class StiefelPoint:
 _ORBIT_PARTS = {-1.0: (np.cos, np.sin), 1.0: (np.cosh, np.sinh), 0.0: (np.ones_like, np.positive)}
 
 
-def _curve_stack(sign: str, r: float, t: np.ndarray, p: StiefelPoint, tangent: bool) -> np.ndarray:
-    """The model curve c_- u_- + c_+ u_+ of the sign and radius at an array t
-    of any shape, or with tangent its closed-form unit horizontal tangent,
-    against the pair p or a stack of pairs whose leading axes are t's; the
-    result is (t.shape..., n+1).
+def _start(sign: str, r: float) -> np.ndarray:
+    """The coefficient row of the model curve at t = 0, (cosh r, phi sinh r)
+    with phi = 1 for plus and i otherwise.  cosh r and sinh r are scalar
+    math, so an overflowing r raises OverflowError."""
+    return np.array([math.cosh(r), (1.0 if sign == "plus" else 1j) * math.sinh(r)])
 
-    The coefficient row (c_-, c_+) is the orbit of its value at t = 0 under
-    exp(tJ) of the sign's structure J: the start row is (cosh r, phi sinh r),
-    phi = 1 for plus and i otherwise, or for the tangent -i d/dr of it, since
-    i T_r = dc/dr.  cosh r and sinh r are scalar math, so an overflowing r
-    raises OverflowError; C and S act elementwise on t, so each row has the
-    bits of a call on its t alone."""
-    j = STRUCTURE[sign]
-    phase = 1.0 if sign == "plus" else 1j
-    ch, sh = math.cosh(r), math.sinh(r)
-    if not tangent:
-        start = np.array([ch, phase * sh])
-    elif sign == "plus" and abs(r) < 1e-14:
+
+def _tangent_start(sign: str, r: float) -> np.ndarray:
+    """The start row of the unit horizontal tangent, -i d/dr of _start,
+    since i T_r = dc/dr."""
+    if sign == "plus" and abs(r) < 1e-14:
         raise DegenerateCurveError("unit tangent undefined for sign 'plus' at r = 0")
-    else:
-        start = -1j * np.array([sh, phase * ch])
+    return -1j * np.array([math.sinh(r), (1.0 if sign == "plus" else 1j) * math.cosh(r)])
+
+
+def _curve_stack(sign: str, starts: np.ndarray, t: np.ndarray, p: StiefelPoint) -> np.ndarray:
+    """The orbits s exp(tJ) (u_-, u_+) of the sign's structure J, for each
+    start row s of starts (..., 2), at an array t of any shape, against the
+    pair p or a stack of pairs whose leading axes are t's; the result is
+    (starts.shape[:-1]..., t.shape..., n+1).
+
+    s exp(tJ) = C(t) s + S(t) s J: C and S act elementwise on t, so each row
+    has the bits of a call on its t alone.  The start row sJ^k gives the
+    k-th t-derivative of the orbit of s exactly, since J commutes with
+    exp(tJ)."""
+    j = STRUCTURE[sign]
+    s = np.asarray(starts)
+    shape = s.shape[:-1] + (1,) * np.ndim(t) + (2,)
     even, odd = _ORBIT_PARTS[(j @ j)[0, 0].real]
-    c = even(t)[..., None] * start + odd(t)[..., None] * (start @ j)
+    c = even(t)[..., None] * s.reshape(shape) + odd(t)[..., None] * (s @ j).reshape(shape)
     return c[..., :1] * p.u_minus + c[..., 1:] * p.u_plus
 
 
-def model_curve(sign: str, r: float, p: StiefelPoint) -> Callable[[float], np.ndarray]:
-    """The constant-curvature model curve t -> c(t) of the given sign and radius.
+def model_curve(sign: str, r: float, p: StiefelPoint, t) -> np.ndarray:
+    """The constant-curvature model curve c of the given sign and radius and
+    its exact derivatives c' and c'' at a float t or an array of t, as the
+    rows of a stack (3, t.shape..., n+1).
 
-    t may be a float or an array of t, with values (t.shape..., n+1); they
-    stay on the hyperquadric inside the complex span of the pair.
+    The curve stays on the hyperquadric inside the complex span of the pair.
     """
     _check_sign(sign)
-
-    def func(t) -> np.ndarray:
-        return _curve_stack(sign, r, np.asarray(t, dtype=float), p, False)
-
-    return func
+    start = _start(sign, r)
+    j = STRUCTURE[sign]
+    return _curve_stack(sign, np.array([start, start @ j, start @ j @ j]), np.asarray(t, dtype=float), p)
 
 
 def unit_tangent_lift(sign: str, r: float, p: StiefelPoint, t) -> np.ndarray:
     """Closed-form unit horizontal tangent along the model curve, at a float
     t or at each t of an array."""
     _check_sign(sign)
-    return _curve_stack(sign, r, np.asarray(t, dtype=float), p, True)
+    return _curve_stack(sign, _tangent_start(sign, r), np.asarray(t, dtype=float), p)
 
 
 def parallel_shift_residual(sign: str, r: float, r_prime: float, p: StiefelPoint, t):
@@ -140,9 +145,9 @@ def parallel_shift_residual(sign: str, r: float, r_prime: float, p: StiefelPoint
     """
     _check_sign(sign)
     t = np.asarray(t, dtype=float)
-    base = _curve_stack(sign, r, t, p, False)
-    tangent = _curve_stack(sign, r, t, p, True)
-    shifted = _curve_stack(sign, r + r_prime, t, p, False)
+    base = _curve_stack(sign, _start(sign, r), t, p)
+    tangent = _curve_stack(sign, _tangent_start(sign, r), t, p)
+    shifted = _curve_stack(sign, _start(sign, r + r_prime), t, p)
     diff = math.cosh(r_prime) * base + math.sinh(r_prime) * (1j * tangent) - shifted
     # Row-times-column sums of the real and imaginary parts, as np.linalg.norm
     # takes them for one vector.

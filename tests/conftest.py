@@ -111,30 +111,29 @@ def sign_conditions():
     return _sign_conditions
 
 
-def _closed_form_coefficients(sign: str, r: float, t: float, tangent: bool) -> np.ndarray:
-    """The coefficients (c_minus, c_plus) of the model curve of the sign and
-    radius on (u_minus, u_plus) at one float t, or with tangent those of its
-    unit horizontal tangent, written out by hand per sign in scalar math."""
+def _closed_form_coefficients(sign: str, r: float, t: float, row: int) -> np.ndarray:
+    """The coefficients (c_minus, c_plus) on (u_minus, u_plus) at one float t
+    of the model curve of the sign and radius (row 0), of its first and
+    second t-derivatives (rows 1 and 2) or of its unit horizontal tangent
+    (row 3), written out by hand per sign in scalar math."""
     ch, sh, er = math.cosh(r), math.sinh(r), math.exp(r)
     if sign == "plus":
         e, f = np.exp(1j * t), np.exp(-1j * t)
-        if tangent:
-            return np.array([-1j * e * sh, -1j * f * ch])
-        return np.array([e * ch, f * sh])
-    if sign == "minus":
+        rows = [[e * ch, f * sh], [1j * e * ch, -1j * f * sh], [-e * ch, -f * sh], [-1j * e * sh, -1j * f * ch]]
+    elif sign == "minus":
         ct, st = math.cosh(t), math.sinh(t)
-        if tangent:
-            return np.array([ch * st - 1j * sh * ct, ch * ct - 1j * sh * st])
-        return np.array([ch * ct + 1j * sh * st, ch * st + 1j * sh * ct])
-    if tangent:
-        return np.array([t * er - 1j * sh, ch - 1j * t * er])
-    return np.array([ch + 1j * t * er, t * er + 1j * sh])
+        curve = [ch * ct + 1j * sh * st, ch * st + 1j * sh * ct]
+        rows = [curve, [ch * st + 1j * sh * ct, ch * ct + 1j * sh * st], curve, [ch * st - 1j * sh * ct, ch * ct - 1j * sh * st]]
+    else:
+        rows = [[ch + 1j * t * er, t * er + 1j * sh], [1j * er, er], [0.0, 0.0], [t * er - 1j * sh, ch - 1j * t * er]]
+    return np.array(rows[row], dtype=complex)
 
 
 @pytest.fixture
 def closed_form_coefficients():
-    """The per-sign closed forms of the model curves and their unit
-    tangents, the reference for their evaluation as orbits of STRUCTURE."""
+    """The per-sign closed forms of the model curves, their first two
+    derivatives and their unit tangents, the reference for their evaluation
+    as orbits of STRUCTURE."""
     return _closed_form_coefficients
 
 

@@ -94,9 +94,8 @@ def test_criterion_01_curve_curvatures(canonical_pair, rng):
         for r in RADII:
             want = closed_form_curvature(sign, r)
             for base in bases:
-                curve = model_curve(sign, r, base)
                 for t in TS:
-                    res = curve_curvature(curve, t)
+                    res = curve_curvature(model_curve(sign, r, base, t), t)
                     worst_kappa = max(worst_kappa, abs(res.kappa - want))
                     worst_circle = max(worst_circle, res.residual)
     elapsed = time.perf_counter() - start

@@ -21,7 +21,7 @@ from hopftwistor import (
     tube_complex,
     tube_real,
 )
-from hopftwistor import cli
+from hopftwistor import cli, fibration
 from hopftwistor.cli import main
 from hopftwistor.generator import orbit_patch_from_form, parse_constants
 from hopftwistor.hypersurface import DEFAULT_TOLERANCES, shape_operator, verify_hopf
@@ -614,7 +614,7 @@ def test_a_form_too_large_to_exponentiate_is_a_verification_error(tmp_path, caps
 README_CURVE_RADII = {
     "plus": ((-11.25, -0.01, 0.01, 11.25), (-11.5, 11.5)),
     "minus": ((-10.75, 10.5, 11.0), (-11.0, 10.75, 11.25)),
-    "zero": ((-1.75, 10.5, 11.0), (-2.0, 10.75, 11.25)),
+    "zero": ((-11.5, -3.0, 10.5, 11.0), (-11.75, 10.75, 11.25)),
 }
 
 
@@ -631,6 +631,7 @@ def test_overflow_errors_print_one_line_and_no_traceback():
     for args in (
         ["verify-hopf", "--n", "2", "--s", "minus", "--r", "500"],
         ["verify-curves", "--n", "2", "--s", "minus", "--r", "150"],
+        ["verify-curves", "--n", "2", "--s", "plus", "--r=-19"],
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "hopftwistor.cli", *args],
@@ -643,6 +644,17 @@ def test_overflow_errors_print_one_line_and_no_traceback():
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("verification error: "), proc.stderr
+
+
+def test_verify_curves_takes_no_stencil(monkeypatch):
+    """verify-curves measures from exact curve derivatives: it certifies
+    with the package's central-difference stencil disabled."""
+
+    def refuse(*args):
+        raise AssertionError("verify-curves took a central difference")
+
+    monkeypatch.setattr(fibration, "_central_differences", refuse)
+    assert main(["verify-curves", "--n", "2"]) == 0
 
 
 # A grid of more than 2^63 - 1 points has no int64 index: one config-error

@@ -16,7 +16,6 @@ from hopftwistor import (
     tangent_project_ads,
 )
 from hopftwistor.cli import DEFAULT_RADII
-from hopftwistor.fibration import FD_STEP
 from hopftwistor.sampling import random_stiefel
 from hopftwistor.twistor import SIGNS
 
@@ -70,17 +69,35 @@ def test_curvature_matches_closed_forms(canonical_pair):
         ("zero", 0.5, 2.0),
     ]
     for sign, r, want in cases:
-        curve = model_curve(sign, r, canonical_pair)
         for t in (-0.4, 0.0, 0.7):
-            res = curve_curvature(curve, t)
+            res = curve_curvature(model_curve(sign, r, canonical_pair, t), t)
             assert res.kappa == pytest.approx(want, abs=1e-5)
             assert res.residual <= 1e-5
 
 
+@pytest.mark.parametrize("sign", SIGNS)
+def test_exact_curvature_error_grows_like_u_e_2r(sign, rng):
+    """From exact derivatives, kappa and the circle residual are off the
+    closed form by rounding alone: pairing vectors of size e^|r| loses
+    about u e^{2|r|}, at most 20 times that measured over these radii, so
+    100 u e^{2|r|} bounds them.  This pins the zero family at negative r
+    (r = -3 read kappa = 1.965 with the nested stencils)."""
+    ts = np.linspace(-1.0, 1.0, 5)
+    bases = [random_stiefel(rng, 2) for _ in range(3)]
+    for r in (-10.0, -5.0, -3.0, -2.0, 0.7, 2.5, 5.0, 10.0):
+        want = {"plus": abs(2.0 / math.tanh(2.0 * r)), "minus": abs(2.0 * math.tanh(2.0 * r)), "zero": 2.0}[sign]
+        bound = 100 * 2.0**-53 * math.exp(2.0 * abs(r))
+        for base in bases:
+            res = curve_curvature(model_curve(sign, r, base, ts), ts)
+            assert np.abs(res.kappa - want).max() <= bound, (sign, r)
+            assert res.residual.max() <= bound, (sign, r)
+
+
 def test_curvature_fiber_curve_degenerate(canonical_pair):
-    # the fiber itself projects to a point; a curve takes an array of t
+    # the fiber e^{it} u_- itself projects to a point: c, c' = ic, c'' = -c at t = 0
+    c = canonical_pair.u_minus
     with pytest.raises(DegenerateCurveError, match=r"at t = 0\.0: "):
-        curve_curvature(lambda t: np.exp(1j * t)[..., None] * canonical_pair.u_minus, 0.0)
+        curve_curvature(np.array([c, 1j * c, -c]), 0.0)
 
 
 def test_space_norm_on_horizontal(rng):
@@ -93,46 +110,13 @@ def test_space_norm_on_horizontal(rng):
     assert np.array_equal(space_norm(stack), [space_norm(x) for x in stack])
 
 
-def _point_space_norm(x):
-    return math.sqrt(max(real_form(x, x), 0.0))
-
-
-def _point_curve_curvature(curve, t, step=FD_STEP):
-    """Reference: curve_curvature as it was before it took stacks of t, at
-    one float t with nested difference quotients."""
-
-    def tangent_data(tau):
-        c = curve(tau)
-        dc = (curve(tau + step) - curve(tau - step)) / (2.0 * step)
-        a = real_form(dc, 1j * c)
-        return c, dc + a * (1j * c), a
-
-    c0, hvel0, a0 = tangent_data(t)
-    v = _point_space_norm(hvel0)
-    assert v > 1e-10
-
-    def unit_tangent(tau):
-        _, hvel, _ = tangent_data(tau)
-        return hvel / _point_space_norm(hvel)
-
-    t0 = hvel0 / v
-    dt_vec = (unit_tangent(t + step) - unit_tangent(t - step)) / (2.0 * step)
-    deriv = (dt_vec + a0 * (1j * t0)) / v
-    w = horizontal_part(tangent_project_ads(deriv, c0), c0, tol=1e-5)
-    kappa = _point_space_norm(w)
-    res_plus = _point_space_norm(w - kappa * (1j * t0))
-    res_minus = _point_space_norm(w + kappa * (1j * t0))
-    return kappa, res_plus if res_plus <= res_minus else res_minus
-
-
 def test_stacked_curvature_equals_the_point_path(canonical_pair, rng):
+    # Each value of a stack of t has the bits of the call on its t alone.
     ts = np.linspace(-1.0, 1.0, 5)
     for base in (canonical_pair, random_stiefel(rng, 2)):
         for sign in SIGNS:
             for r in DEFAULT_RADII + (1e-9,):
-                got = curve_curvature(model_curve(sign, r, base), ts)
-                want = np.array([_point_curve_curvature(model_curve(sign, r, base), float(t)) for t in ts])
+                got = curve_curvature(model_curve(sign, r, base, ts), ts)
+                want = np.array([curve_curvature(model_curve(sign, r, base, float(t)), float(t)) for t in ts])
                 assert np.array_equal(got.kappa, want[:, 0]), (sign, r)
                 assert np.array_equal(got.residual, want[:, 1]), (sign, r)
-                one = curve_curvature(model_curve(sign, r, base), float(ts[1]))
-                assert (one.kappa, one.residual) == tuple(want[1]), (sign, r)

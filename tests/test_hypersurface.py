@@ -597,7 +597,7 @@ def test_stacked_chart_maps_equal_the_per_point_lifts(sign, rng):
             for at in points:
                 um, up = point_lift(n, at[2:])
                 pair = StiefelPoint(um, up)
-                want.append(np.exp(1j * at[0]) * model_curve(sign, r, pair)(at[1]))
+                want.append(np.exp(1j * at[0]) * model_curve(sign, r, pair, at[1])[0])
                 tangent = unit_tangent_lift(sign, r, pair, at[1])
                 want_normal.append(np.exp(1j * at[0]) * (1j * tangent))
             assert np.array_equal(patch.eval_func(points), np.array(want))

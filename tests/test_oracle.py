@@ -83,22 +83,23 @@ def test_reference_covers_the_golden_checks():
 
 def test_oracle_recomputes_a_curve_row():
     # The curvature and circle rows of the verify-curves case at one t on the
-    # canonical pair, and one parallel row, recomputed at 50 digits; the
-    # package's values lie within 4 u / h^2 of them (0.42 u / h^2 measured
-    # at r = 0.5 and t in {-0.5, 0.5, 1} in each family).
+    # canonical pair, and one parallel row, recomputed at 50 digits from the
+    # exact curve derivatives; the package's values lie within the rounding
+    # bound 100 u e^{2|r|} of test_fibration (12 u measured at r = 0.5 and t
+    # in {-0.5, 0.5, 1} in each family).
     case = REFERENCE["cases"]["verify-curves-n3-seed5"]
     rows = dict(case["checks"])
     pair = StiefelPoint(*np.eye(4, dtype=complex)[:2])
     mp_pair = oracle._mp_pair(pair)
-    r, t, h = oracle._mpf(0.5), oracle._mpf(-0.5), oracle._mpf(FD_STEP)
-    kappa, residual = oracle.curvature_values(lambda tau: oracle.curve_point("minus", r, mp_pair, tau, 0), t, h)
+    r, t = oracle._mpf(0.5), oracle._mpf(-0.5)
+    kappa, residual = oracle.curvature_values(*(oracle.curve_point("minus", r, mp_pair, t, which) for which in (0, 2, 3)))
     assert _close(float(kappa), rows["curvature@s=minus,r=0.5,t=-0.5,b0"])
     assert _close(float(residual), rows["circle-residual@s=minus,r=0.5,t=-0.5,b0"])
     parallel = oracle.parallel_value("minus", r, oracle._mpf(0.4), mp_pair, t)
     assert _close(float(parallel), rows["parallel-residual@s=minus,r=0.5,rp=0.4,t=-0.5"])
 
-    package = curve_curvature(model_curve("minus", 0.5, pair), -0.5)
-    bound = 4 * 2.0**-53 / FD_STEP**2
+    package = curve_curvature(model_curve("minus", 0.5, pair, -0.5), -0.5)
+    bound = 100 * 2.0**-53 * math.exp(1.0)
     assert abs(package.kappa - float(kappa)) <= bound
     assert abs(package.residual - float(residual)) <= bound
 

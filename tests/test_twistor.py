@@ -77,43 +77,47 @@ def test_structures_square_to_minus_one_plus_one_and_zero():
 
 
 def test_model_curves_are_orbits_of_their_structure(canonical_pair, closed_form_coefficients):
-    """The model curves and their unit tangents, evaluated as orbits of
-    their start rows under exp(t J) of the sign's structure, are the per-sign
-    closed forms to within 4u relative (3.0u measured): the curves are
-    circles of the structure in the complex line of the pair.  Against the
-    pair (e0, e1) the curve's first two coordinates are its coefficients."""
+    """The model curves, their first two derivatives and their unit
+    tangents, evaluated as orbits of their start rows under exp(t J) of the
+    sign's structure, are the per-sign closed forms to within 4u (3.0u
+    measured) relative to the larger of the value and cosh r, the size of the
+    start row: the curves are circles of the structure in the complex line of
+    the pair.  cosh r bounds every curve and tangent row from below; it is
+    larger than the zero curve's derivative row, e^r (i, 1), whose start row
+    is the rounded sum cosh r + sinh r.  Against the pair (e0, e1) the curve's
+    first two coordinates are its coefficients."""
     for sign in SIGNS:
         for r in np.linspace(-5.0, 5.0, 41):
             for t in np.linspace(-1.2, 1.2, 25):
-                got = {False: model_curve(sign, r, canonical_pair)(t)}
+                got = dict(enumerate(model_curve(sign, r, canonical_pair, t)))
                 if sign != "plus" or r != 0.0:
-                    got[True] = unit_tangent_lift(sign, r, canonical_pair, t)
-                for tangent, vec in got.items():
-                    want = closed_form_coefficients(sign, r, t, tangent)
-                    bound = 4 * 2.0**-53 * np.abs(want).max()
-                    assert np.abs(vec[:2] - want).max() <= bound, (sign, r, t, tangent)
+                    got[3] = unit_tangent_lift(sign, r, canonical_pair, t)
+                for row, vec in got.items():
+                    want = closed_form_coefficients(sign, r, t, row)
+                    bound = 4 * 2.0**-53 * max(np.abs(want).max(), math.cosh(r))
+                    assert np.abs(vec[:2] - want).max() <= bound, (sign, r, t, row)
 
 
 @pytest.mark.parametrize("sign", SIGNS)
 def test_a_stack_of_t_has_the_bits_of_each_t_alone(sign, rng):
-    """Each row of a stacked model curve or unit tangent is bitwise the call
-    on its t alone, at every stack length 1-33 and for a strided t (a column
-    of chart points, as the classical charts pass it)."""
+    """Each row of a stacked model curve (with its derivatives) or unit
+    tangent is bitwise the call on its t alone, at every stack length 1-33
+    and for a strided t (a column of chart points, as the classical charts
+    pass it)."""
     p = random_stiefel(rng, 2)
-    curve = model_curve(sign, 0.7, p)
     columns = rng.uniform(-1.2, 1.2, size=(33, 3))
     stacks = [columns[:m, 0].copy() for m in range(1, 34)] + [columns[:, 1], columns[::2, 2]]
     for ts in stacks:
-        assert np.array_equal(curve(ts), [curve(float(t)) for t in ts]), len(ts)
+        want = np.stack([model_curve(sign, 0.7, p, float(t)) for t in ts], axis=1)
+        assert np.array_equal(model_curve(sign, 0.7, p, ts), want), len(ts)
         tangents = unit_tangent_lift(sign, 0.7, p, ts)
         assert np.array_equal(tangents, [unit_tangent_lift(sign, 0.7, p, float(t)) for t in ts]), len(ts)
 
 
 def test_model_curves_stay_on_quadric(canonical_pair):
     for sign in SIGNS:
-        curve = model_curve(sign, 0.4, canonical_pair)
         for t in (-1.0, 0.0, 0.6):
-            AdSPoint(curve(t))  # membership check inside
+            AdSPoint(model_curve(sign, 0.4, canonical_pair, t)[0])  # membership check inside
 
 
 def test_horizontality_residual_separates_the_signs(canonical_pair, lift_residual):
@@ -186,7 +190,7 @@ def test_horizontality_residual_keeps_the_stack_shape(canonical_pair):
 def test_unit_tangent_lift_is_unit(canonical_pair):
     for sign in SIGNS:
         for t in (-0.5, 0.3):
-            c = model_curve(sign, 0.7, canonical_pair)(t)
+            c = model_curve(sign, 0.7, canonical_pair, t)[0]
             tv = unit_tangent_lift(sign, 0.7, canonical_pair, t)
             from hopftwistor import real_form
             assert real_form(tv, tv) == pytest.approx(1.0, abs=1e-12)
@@ -212,7 +216,7 @@ def test_parallel_shift_identity(canonical_pair):
 def _point_parallel_shift_residual(sign, r, r_prime, p, t):
     """Reference: parallel_shift_residual as it was before it took stacks of
     t, at one float t."""
-    base, shifted = model_curve(sign, r, p)(t), model_curve(sign, r + r_prime, p)(t)
+    base, shifted = model_curve(sign, r, p, t)[0], model_curve(sign, r + r_prime, p, t)[0]
     tangent = unit_tangent_lift(sign, r, p, t)
     diff = math.cosh(r_prime) * base + math.sinh(r_prime) * (1j * tangent) - shifted
     return float(np.linalg.norm(diff))
