@@ -11,10 +11,11 @@ patches (an ordered product of mpmath.expm of the form's basis values; the
 package takes one exponential of their sum, so the oracle keeps the product
 as an independent route, equal to it for a flat form).  At each grid
 point it takes the shape operator as hypersurface.shape_operator does: the
-same central-difference stencil and step (the stencil points are
-exact, not rounded to floats), the same horizontal frame sweep, least-squares
-velocities (minimum norm), the normal stencil along them, and the same
-eigenvalue pairing selection.  It also evaluates the model curves of
+same central-difference stencil of the point and of the normal along the
+chart axes, with the same step (the stencil points are exact, not rounded
+to floats), the same horizontal frame sweep, least-squares velocities
+(minimum norm), the normal's derivative along them by the chain rule, and
+the same eigenvalue pairing selection.  It also evaluates the model curves of
 verify-curves (the closed form of each sign on the command's pairs, with
 its first two t-derivatives written out by hand) and takes their curvature
 and circle residual with fibration.curve_curvature's formula from those
@@ -378,6 +379,7 @@ def point_values(model, t_index, at, step):
     d = len(at)
     eye = [[mp.mpf(int(i == j)) for j in range(d)] for i in range(d)]
     columns, psi0 = _stencil(model.point, at, eye, h)
+    normal_columns, normal = _stencil(model.normal, at, eye, h)
     projected = [horizontal(tangent_project(c, psi0), psi0) for c in columns[1:]]
 
     seed = projected[t_index - 1]
@@ -396,7 +398,11 @@ def point_values(model, t_index, at, step):
     solved = [_lstsq(jac, realify(e)) for e in frame]
     velocities = [v for v, _ in solved]
     lsq = max(m for _, m in solved)
-    derivatives, normal = _stencil(model.normal, at, velocities, h)
+    # The normal's derivative along each velocity, by the chain rule.
+    derivatives = [
+        [mp.fsum(vk * col[i] for vk, col in zip(v, normal_columns)) for i in range(len(psi0))]
+        for v in velocities
+    ]
     w = [scale(-1, horizontal(tangent_project(x, psi0), psi0)) for x in derivatives]
     dim = len(frame)
     a = [[real(w[j], frame[i]) for j in range(dim)] for i in range(dim)]

@@ -28,7 +28,7 @@ moved and the largest absolute and relative change of `value`, over the
 JSON and CSV reports on stdout and in --out files; then the stderr lines
 that differ only in numbers.
 
-The command set (477 commands):
+The command set (482 commands):
 - the first 4 cycles of each benchmark workload (perfbench/inputs.py,
   seed 1) and the 24 commands of its full-range probe (seed 1);
 - the README commands;
@@ -53,7 +53,10 @@ The command set (477 commands):
   (vanishing horizontal speed) and r = 150 (a NaN tangency defect);
 - verify-curves --n 2 at r = -3 of sign zero, which certifies with exact
   curve derivatives, and at r = -19 of sign plus, which stops on its
-  tangency gate with one error line on stderr.
+  tangency gate with one error line on stderr;
+- cko-run --n 2 --seed 1206163822, a draw whose symmetry-residual sat at
+  its tolerance, and verify-hopf --n 2 and 3 at r = 0.01 for plus (--k 1)
+  and minus, the smallest radius of ROADMAP item 1's sweep.
 """
 
 from __future__ import annotations
@@ -202,6 +205,10 @@ def commands(work: str) -> list:
     out += [curves + ["--s", s, "--r=-0.5"] for s in FAMILIES]
     out += [curves + ["--s", "plus", "--r", "1e-12"], curves + ["--s", "plus", "--r", "150"]]
     out += [curves + ["--s", "zero", "--r=-3"], curves + ["--s", "plus", "--r=-19"]]
+    out += [["cko-run", "--n", "2", "--seed", "1206163822"]]
+    for n in (2, 3):
+        hopf = ["verify-hopf", "--n", str(n), "--r", "0.01"]
+        out += [hopf + ["--s", "plus", "--k", "1"], hopf + ["--s", "minus"]]
     return out
 
 

@@ -304,8 +304,7 @@ def _construction_checks(
     checks: List[dict] = []
     stride = max(1, len(grid) // 5)
     picked = grid[::stride][:5]
-    # One stack per chart map; each point is judged as patch.point judges it,
-    # in grid order.
+    # One stack per chart map; each point is judged as an AdSPoint, in grid order.
     stack = np.array(picked, dtype=float)
     points = [AdSPoint(v).vec for v in np.asarray(patch.eval_func(stack), dtype=complex)]
     normals = np.asarray(patch.normal_func(stack), dtype=complex)

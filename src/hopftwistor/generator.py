@@ -27,8 +27,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, ImmersionError, InputError, ValidationError
-from .fibration import FD_STEP, _central_differences
-from .hypersurface import HypersurfacePatch
+from .fibration import FD_STEP
+from .hypersurface import HypersurfacePatch, _chart_stencil
 from .linalg import AlgebraElement, GroupElement, _judge_rows, matrix_exp, real_form
 
 FORM_TOL = 1e-12
@@ -406,10 +406,9 @@ def orbit_patch_from_form(f: GeneratorForm) -> HypersurfacePatch:
         t_index=1 + nx,
         expected_mu=2.0,
     )
-    center = patch.center
-    columns, _ = _central_differences(eval_func, center, np.eye(len(ranges)), FD_STEP)
+    jets, (_, normal) = _chart_stencil(patch, patch.center, FD_STEP)
     _judge_rows(
-        np.abs(real_form(columns[1:], patch.normal(center))).max(),
+        np.abs(real_form(jets[1:, 0], normal)).max(),
         1e-6,
         "normal is not orthogonal to the chart directions (residual {:.3e}); "
         "the generator violates the tangency identity",

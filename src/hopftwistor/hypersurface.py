@@ -94,8 +94,7 @@ class HypersurfacePatch:
     angle) to vectors (..., n+1) on the hyperquadric; normal_func gives the
     horizontal unit-normal lifts at the same chart points.  A 1-d chart point
     gives one (n+1,) vector; a stack is evaluated in one call, each row with
-    the arithmetic of a call on it alone.  point and normal take one chart
-    point.
+    the arithmetic of a call on it alone.
     """
 
     sign: str
@@ -113,13 +112,6 @@ class HypersurfacePatch:
         """The midpoint 0.5 (lo + hi) of every chart range: 0 on the
         symmetric ranges, 1.0 for the orbit height lam."""
         return np.array([0.5 * (lo + hi) for lo, hi in self.ranges])
-
-    def point(self, at) -> np.ndarray:
-        vec = np.asarray(self.eval_func(np.asarray(at, dtype=float)), dtype=complex)
-        return AdSPoint(vec).vec
-
-    def normal(self, at) -> np.ndarray:
-        return np.asarray(self.normal_func(np.asarray(at, dtype=float)), dtype=complex)
 
     def grid(self, density: int = GRID_DENSITY, cap: int = GRID_CAP) -> List[np.ndarray]:
         """Lexicographic product grid over the chart ranges, subsampled to cap;
@@ -149,7 +141,7 @@ class ShapeResult(NamedTuple):
     frame: np.ndarray  # (dim, n+1): the horizontal frame, one vector per row
     lsq_residual: float
     min_singular: float
-    normal: np.ndarray  # (n+1,): patch.normal at the point
+    normal: np.ndarray  # (n+1,): the normal lift at the point
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,15 +311,23 @@ def shape_operator(
     return next(_shape_operators(patch, [np.asarray(at, dtype=float)], step, rank_tol))
 
 
+def _chart_stencil(patch, at, step):
+    """The chart Jacobians of the point and the normal at a chart point, a
+    stack (d, 2, n+1) of central differences along the chart axes, and the
+    pair (point, normal) there, from one stencil: eval_func and normal_func
+    each take its whole stack of 2d+1 points once."""
+    pair = lambda points: np.stack([patch.eval_func(points), patch.normal_func(points)], axis=-2)
+    return _central_differences(pair, at, np.eye(len(at)), step)
+
+
 def _shape_operators(patch, grid, step, rank_tol):
     """Yield the ShapeResult of every point of grid (float arrays), in order.
 
     Three stages:
-    - per point, in grid order: the chart Jacobian, one central difference
-      per chart coordinate, whose stencil also carries the point itself,
-      validated first as an AdSPoint (the same check and text as
-      patch.point); the projection of the non-fiber columns; and the rank
-      gate, a smallest singular value >= rank_tol;
+    - per point, in grid order: the point's one stencil (_chart_stencil),
+      whose point is validated first as an AdSPoint; the projection of the
+      non-fiber columns of the point's Jacobian; and the rank gate, a
+      smallest singular value >= rank_tol;
     - once for the whole grid: the frame, a modified Gram-Schmidt sweep over
       the projected columns of all points, a stack (points, d - 1, n+1).
       The structure direction (column t_index) comes first, then the other
@@ -337,11 +337,10 @@ def _shape_operators(patch, grid, step, rank_tol):
     - per point, in grid order: a point with fewer than 2n-1 frame vectors
       raises "frame collapsed"; the velocities, one least-squares solve with
       every frame vector as a right-hand side, and their misfits |jac v - e|
-      in one stacked product; the normal derivative, one central difference
-      along each velocity, whose stencil also carries the point's normal;
-      and the matrix A[i,j] = <-D_{E_j} N, E_i>, one Gram call.  Pairing
-      against horizontal frame vectors annihilates any vertical
-      contamination.
+      in one stacked product; the normal derivative along each velocity v
+      by the chain rule, v times the normal's chart Jacobian; and the
+      matrix A[i,j] = <-D_{E_j} N, E_i>, one Gram call.  Pairing against
+      horizontal frame vectors annihilates any vertical contamination.
     A refusal of the first stage is raised after the later stages of the
     points before it, so every error is the one the point-by-point order
     meets first.  Every value equals, bit for bit, the one computed for its
@@ -350,10 +349,10 @@ def _shape_operators(patch, grid, step, rank_tol):
     gated, refusal = [], None
     for at in grid:
         try:
-            columns, center = _central_differences(patch.eval_func, at, np.eye(len(at)), step)
+            jets, (center, normal) = _chart_stencil(patch, at, step)
             psi0 = AdSPoint(center).vec
             # Non-fiber columns, projected: row k - 1 belongs to chart coordinate k.
-            projected = horizontal_part(tangent_project_ads(columns[1:], psi0), psi0, tol=1e-5)
+            projected = horizontal_part(tangent_project_ads(jets[1:, 0], psi0), psi0, tol=1e-5)
             min_singular = float(np.linalg.svd(_realify(projected), compute_uv=False)[-1])
             if min_singular < rank_tol:
                 raise ImmersionError(
@@ -365,9 +364,9 @@ def _shape_operators(patch, grid, step, rank_tol):
                 raise
             refusal = exc
             break
-        gated.append((at, columns, psi0, projected, min_singular))
+        gated.append((at, jets, psi0, normal, projected, min_singular))
 
-    stack = np.array([g[3] for g in gated])
+    stack = np.array([g[4] for g in gated])
     frames = np.zeros_like(stack)
     seed = stack[:, patch.t_index - 1]
     frames[:, 0] = seed / space_norm(seed)[:, None]
@@ -385,23 +384,20 @@ def _shape_operators(patch, grid, step, rank_tol):
         rest[keep, i + 1 :] = later - real_form(later, e)[..., None] * e
 
     dim = 2 * patch.dim_n - 1
-    for (at, columns, psi0, _, min_singular), frame, keep in zip(gated, frames, kept):
+    for (at, jets, psi0, normal, _, min_singular), frame, keep in zip(gated, frames, kept):
         frame = frame[keep]
         if len(frame) != dim:
             raise ImmersionError(
                 f"frame collapsed at {grid_key(at)}: {len(frame)} of {dim} directions"
             )
-        jac = _realify(columns)
+        jac = _realify(jets[:, 0])
         targets = np.concatenate([frame.real, frame.imag], axis=-1)
-        # One solve for every frame vector; the velocities are kept row-major,
-        # as the per-vector solves gave them (the layout reaches the BLAS
-        # order of the normal stencil).
-        velocities = np.ascontiguousarray(np.linalg.lstsq(jac, targets.T, rcond=None)[0].T)
+        # One solve for every frame vector; velocities[j] belongs to frame[j].
+        velocities = np.linalg.lstsq(jac, targets.T, rcond=None)[0].T
         # Row-times-column norms of the stacked misfits equal np.linalg.norm's.
         misfits = (jac @ velocities[..., None])[..., 0] - targets
         lsq_residual = float(np.sqrt(misfits[:, None, :] @ misfits[:, :, None]).max())
-        derivatives, normal = _central_differences(patch.normal_func, at, velocities, step)
-        w = -horizontal_part(tangent_project_ads(derivatives, psi0), psi0, tol=1e-3)
+        w = -horizontal_part(tangent_project_ads(velocities @ jets[:, 1], psi0), psi0, tol=1e-3)
         # matrix[i, j] = <w_j, e_i>
         matrix = real_form(w[None], frame[:, None])
         yield ShapeResult(matrix, frame, lsq_residual, min_singular, normal)

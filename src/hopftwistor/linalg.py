@@ -86,18 +86,24 @@ def real_form(z, w):
     return herm_form(z, w).real
 
 
+def _signed(a: np.ndarray) -> np.ndarray:
+    """S a for S = diag(-1, 1, ..., 1): a copy of a with row 0 negated."""
+    out = np.array(a, dtype=complex)
+    out[..., 0, :] *= -1.0
+    return out
+
+
 def group_residual(matrix):
     """max |A* S A - S|; for a stack (..., n+1, n+1), one value per matrix."""
     a = np.asarray(matrix, dtype=complex)
-    s = signature_matrix(a.shape[-1] - 1)
-    return np.abs(np.swapaxes(a.conj(), -1, -2) @ s @ a - s).max(axis=(-2, -1))
+    s = _signed(np.eye(a.shape[-1]))
+    return np.abs(np.swapaxes(a.conj(), -1, -2) @ _signed(a) - s).max(axis=(-2, -1))
 
 
 def algebra_residual(matrix):
-    """max |X* S + S X|; for a stack (..., n+1, n+1), one value per matrix."""
-    x = np.asarray(matrix, dtype=complex)
-    s = signature_matrix(x.shape[-1] - 1)
-    return np.abs(np.swapaxes(x.conj(), -1, -2) @ s + s @ x).max(axis=(-2, -1))
+    """max |X* S + S X| = max |(S X)* + S X|; one value per matrix of a stack."""
+    sx = _signed(matrix)
+    return np.abs(np.swapaxes(sx.conj(), -1, -2) + sx).max(axis=(-2, -1))
 
 
 def _judge_rows(residuals, tol: float, message: str, error=ValidationError) -> None:

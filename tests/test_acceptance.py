@@ -221,7 +221,7 @@ def test_criterion_06_horosphere():
         grid = patch.grid()
         for at in grid:
             worst_def = max(
-                worst_def, horosphere_defining_residual(patch.point(at), 0.3)
+                worst_def, horosphere_defining_residual(patch.eval_func(at), 0.3)
             )
         rep = verify_hopf(patch, grid)
         ok = ok and rep.certified

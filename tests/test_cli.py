@@ -23,6 +23,7 @@ from hopftwistor import (
 )
 from hopftwistor import cli, fibration
 from hopftwistor.cli import main
+from hopftwistor.fibration import AdSPoint
 from hopftwistor.generator import orbit_patch_from_form, parse_constants
 from hopftwistor.hypersurface import DEFAULT_TOLERANCES, shape_operator, verify_hopf
 from hopftwistor.sampling import random_one_param
@@ -168,6 +169,25 @@ def test_cko_run_seeded(tmp_path):
     assert doc["config"]["constants"]["kind"] == "one-param"
     names = base_names(doc)
     assert {"immersion", "unit-multiplicity", "rho", "rho-constancy"} <= names
+
+
+def test_cko_run_certifies_the_draw_near_the_symmetry_tolerance(tmp_path):
+    # This draw read symmetry-residual 1.48e-5 against its tolerance 1e-5
+    # while the normal's derivative took a stencil along each solved velocity.
+    code, out = run_to_file(tmp_path, ["cko-run", "--n", "2", "--seed", "1206163822"])
+    assert code == 0
+    assert json.loads(out.read_text())["certified"] is True
+
+
+def test_cko_run_mu_row_is_two_to_rounding(tmp_path):
+    # The paper's closed form mu = 2, on the one-parameter draws of seeds
+    # 0-19: the farthest grid point is within 1.2e-11 of it (5.0e-9 with a
+    # stencil along each solved velocity).
+    for seed in range(20):
+        code, out = run_to_file(tmp_path, ["cko-run", "--n", "2", "--seed", str(seed)])
+        assert code == 0, seed
+        (row,) = [c for c in json.loads(out.read_text())["checks"] if c["name"] == "mu"]
+        assert abs(row["value"] - 2.0) <= 1e-9, seed
 
 
 def test_cko_run_horosphere_constants(tmp_path):
@@ -610,12 +630,14 @@ def test_a_form_too_large_to_exponentiate_is_a_verification_error(tmp_path, caps
 
 # The radii README states at n = 2: the ends of each interval that
 # verify-curves certifies with the first radius beyond each end, and the
-# interval that verify-hopf certifies in every family.
+# end of the interval 0.01 <= |r| <= end that verify-hopf certifies in each
+# family, with the first radius beyond it for plus (--k 1).
 README_CURVE_RADII = {
     "plus": ((-11.25, -0.01, 0.01, 11.25), (-11.5, 11.5)),
     "minus": ((-10.75, 10.5, 11.0), (-11.0, 10.75, 11.25)),
     "zero": ((-11.5, -3.0, 10.5, 11.0), (-11.75, 10.75, 11.25)),
 }
+README_HOPF_RADII = {"plus": (5.5, (-5.75, 5.75)), "minus": (3.25, ()), "zero": (3.25, ())}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
@@ -623,8 +645,9 @@ def test_readme_radii_certify_where_stated(family):
     certified, failing = README_CURVE_RADII[family]
     for r in certified + failing:
         assert main(["verify-curves", "--n", "2", "--s", family, f"--r={r}"]) == (1 if r in failing else 0), r
-    for r in (-3.25, -0.05, 0.05, 3.25):
-        assert main(["verify-hopf", "--n", "2", *FAMILY_ARGS[family], f"--r={r}"]) == 0, r
+    end, failing = README_HOPF_RADII[family]
+    for r in (-end, -0.01, 0.01, end) + failing:
+        assert main(["verify-hopf", "--n", "2", *FAMILY_ARGS[family], f"--r={r}"]) == (1 if r in failing else 0), r
 
 
 def test_overflow_errors_print_one_line_and_no_traceback():
@@ -703,11 +726,11 @@ def test_orbit_grid_past_the_int64_range_is_config_error(tmp_path, capsys, monke
 
 
 def _point_construction_checks(patch, grid):
-    """Reference: the construction checks one grid point at a time, with
-    patch.point and patch.normal."""
+    """Reference: the construction checks one grid point at a time, each
+    point judged as an AdSPoint."""
     rows = []
     for at in grid[:: max(1, len(grid) // 5)][:5]:
-        pair = np.array([patch.point(at), patch.normal(at)])
+        pair = np.array([AdSPoint(patch.eval_func(at)).vec, patch.normal_func(at)])
         gram = herm_form(pair[:, None], pair[None])
         rows += [abs(gram[0, 0] + 1.0), abs(gram[1, 1] - 1.0), abs(gram[1, 0])]
         if patch.sign == "zero":
@@ -728,7 +751,7 @@ def test_construction_checks_equal_the_point_by_point_rows(patch):
 
 def test_construction_checks_raise_for_the_first_point_off_the_quadric():
     # Chart points with t > 0 are pushed off the hyperquadric; the stacked
-    # checks must raise what patch.point raises for the first of them.
+    # checks must raise what AdSPoint raises for the first of them.
     base = horosphere(2, 0.5)
     bent = dataclasses.replace(
         base, eval_func=lambda at: base.eval_func(at) * (1.0 + 1e-6 * (at[..., 1:2] > 0))

@@ -26,6 +26,7 @@ from hopftwistor import (
 from hopftwistor import hypersurface
 from hopftwistor.fibration import (
     FD_STEP,
+    AdSPoint,
     _central_differences,
     horizontal_part,
     space_norm,
@@ -90,7 +91,7 @@ def test_tube_real_r_zero_degenerate():
 def test_horosphere_defining_relation():
     patch = horosphere(2, 0.4)
     for at in patch.grid(2):
-        assert horosphere_defining_residual(patch.point(at), 0.4) <= 1e-12
+        assert horosphere_defining_residual(patch.eval_func(at), 0.4) <= 1e-12
 
 
 def test_horosphere_spectrum_orientation():
@@ -126,7 +127,7 @@ def test_frame_seed_is_the_structure_vector():
     patch = tube_complex(2, 0, 0.5)
     at = patch.center
     sr = shape_operator(patch, at)
-    xi = -1j * patch.normal(at)
+    xi = -1j * patch.normal_func(at)
     # the frame seed follows the curve direction: it is the structure vector
     assert abs(abs(real_form(sr.frame[0], xi)) - 1.0) <= 1e-6
 
@@ -230,7 +231,7 @@ def _loop_pairings(patch, at):
     sr = shape_operator(patch, at)
     eigvals, eigvecs = np.linalg.eigh((sr.matrix + sr.matrix.T) / 2.0)
     mu = float(sr.matrix[0, 0])
-    normal = patch.normal(at)
+    normal = patch.normal_func(at)
     xi_slot = int(np.argmax(np.abs(eigvecs[0, :])))
     out = []
     for idx in range(eigvals.size):
@@ -256,7 +257,7 @@ def test_pairings_match_the_per_eigenvector_loop(patch):
 def _loop_frame(patch, at, step=FD_STEP):
     """Reference: the column-by-column modified Gram-Schmidt loop, every
     column projected onto each accepted frame vector in turn."""
-    psi0 = patch.point(at)
+    psi0 = AdSPoint(patch.eval_func(at)).vec
     columns = np.array(
         [
             (patch.eval_func(at + d) - patch.eval_func(at - d)) / (2 * step)
@@ -305,7 +306,12 @@ def _horosphere_lift(q: np.ndarray) -> StiefelPoint:
 
 def test_redundant_coordinate_is_skipped_by_the_frame(build_patch):
     # q1 is ignored: its column vanishes, the sweep skips it, and the other
-    # columns give horosphere(2, 0.5)'s frame and matrix bit for bit.
+    # columns give horosphere(2, 0.5)'s frame bit for bit.  The matrix takes
+    # the velocities of a solve with the zero column, each within rounding
+    # of the solve without it: |dv| <= 32 u cond(jac) |v| (as for the
+    # multi-right-hand-side solve below), carried into the normal's
+    # derivative by the normal Jacobian J_N.  Measured up to 1.4e-15, below
+    # 9 u cond(jac) |v| ||J_N|| over 200 random chart points.
     horo = horosphere(2, 0.5)
     redundant = build_patch(
         "zero", 0.5, lambda q: _horosphere_lift(q[[0, 2]]), base_dim=3
@@ -314,8 +320,13 @@ def test_redundant_coordinate_is_skipped_by_the_frame(build_patch):
         want = shape_operator(horo, np.array(at))
         got = shape_operator(redundant, np.array(at[:3] + [0.7] + at[3:]), rank_tol=0)
         assert got.frame.shape == (3, 3)
-        assert np.array_equal(got.matrix, want.matrix)
         assert np.array_equal(got.frame, want.frame)
+        jets, _ = hypersurface._chart_stencil(horo, np.array(at), FD_STEP)
+        jac = _realify(jets[:, 0])
+        targets = np.concatenate([want.frame.real, want.frame.imag], axis=-1)
+        speed = np.linalg.norm(np.linalg.lstsq(jac, targets.T, rcond=None)[0], axis=0).max()
+        bound = 32 * U * np.linalg.cond(jac) * speed * np.linalg.norm(_realify(jets[:, 1]), 2)
+        assert np.abs(got.matrix - want.matrix).max() <= bound
 
 
 def _stencil(func, at, directions, step):
@@ -326,12 +337,14 @@ def _stencil(func, at, directions, step):
 
 
 def _point_shape_operator(patch, at, step=FD_STEP, rank_tol=1e-6):
-    """Reference: shape_operator as it was before the stencils carried their
-    center: patch.point for the point, one least-squares misfit norm per
-    frame vector, and patch.normal for the normal; the velocities come from
-    one solve with every frame vector as a right-hand side."""
+    """Reference: shape_operator with each chart map on its own: a stencil
+    of eval_func and one of normal_func, neither carrying its center, the
+    point and the normal each from its own call, and one least-squares misfit
+    norm per frame vector; the velocities come from one solve with every
+    frame vector as a right-hand side, and the normal's derivative along
+    them from the chain rule."""
     at = np.asarray(at, dtype=float)
-    psi0 = patch.point(at)
+    psi0 = AdSPoint(patch.eval_func(at)).vec
     columns = _stencil(patch.eval_func, at, np.eye(len(at)), step)
     projected = horizontal_part(tangent_project_ads(columns[1:], psi0), psi0, tol=1e-5)
     min_singular = float(np.linalg.svd(_realify(projected), compute_uv=False)[-1])
@@ -354,10 +367,10 @@ def _point_shape_operator(patch, at, step=FD_STEP, rank_tol=1e-6):
     lsq_residual = max(
         float(np.linalg.norm(jac @ v - t)) for v, t in zip(velocities, targets)
     )
-    derivatives = _stencil(patch.normal, at, velocities, step)
+    derivatives = np.array(velocities) @ _stencil(patch.normal_func, at, np.eye(len(at)), step)
     w = -horizontal_part(tangent_project_ads(derivatives, psi0), psi0, tol=1e-3)
     matrix = real_form(w[None], frame[:, None])
-    return matrix, frame, lsq_residual, min_singular, patch.normal(at)
+    return matrix, frame, lsq_residual, min_singular, patch.normal_func(at)
 
 
 def _flat_orbit_patch(n, rng):
@@ -411,11 +424,44 @@ def test_shape_operator_validates_the_center_as_patch_point():
     patch = horosphere(2, 8.0)
     at = patch.grid()[0]
     with pytest.raises(ValidationError) as point_error:
-        patch.point(at)
+        AdSPoint(patch.eval_func(at))
     with pytest.raises(ValidationError) as stencil_error:
         shape_operator(patch, at)
     assert str(stencil_error.value) == str(point_error.value)
     assert stencil_error.value.residual == point_error.value.residual
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("r", [0.01, 0.05])
+@pytest.mark.parametrize(
+    "build",
+    [lambda n, r: tube_complex(n, 1, r), tube_real, horosphere],
+    ids=["plus", "minus", "zero"],
+)
+def test_small_radii_certify(build, r, n):
+    # ROADMAP item 1's sweep at its two smallest radii, k = 1 for plus.
+    patch = build(n, r)
+    rep = verify_hopf(patch, grid=patch.grid(2))
+    assert rep.certified, rep.failures
+
+
+def test_verify_hopf_takes_one_stencil_per_grid_point(rng, monkeypatch):
+    patches = [
+        tube_complex(3, 1, 0.7), tube_real(2, 0.7), horosphere(3, 0.7), _flat_orbit_patch(3, rng),
+    ]
+    centers = []
+    original = hypersurface._central_differences
+
+    def recording(func, at, directions, step):
+        centers.append(grid_key(at))
+        return original(func, at, directions, step)
+
+    monkeypatch.setattr(hypersurface, "_central_differences", recording)
+    for patch in patches:
+        centers.clear()
+        grid = patch.grid()
+        verify_hopf(patch, grid)
+        assert centers == [grid_key(at) for at in grid]
 
 
 def test_single_coordinate_lift_collapses_the_frame(build_patch):
@@ -603,7 +649,7 @@ def test_stacked_chart_maps_equal_the_per_point_lifts(sign, rng):
             assert np.array_equal(patch.eval_func(points), np.array(want))
             assert np.array_equal(patch.normal_func(points), np.array(want_normal))
             assert np.array_equal(patch.eval_func(points[0]), want[0])
-            assert np.array_equal(patch.normal(points[-1]), want_normal[-1])
+            assert np.array_equal(patch.normal_func(points[-1]), want_normal[-1])
 
 
 @pytest.mark.parametrize("sign", sorted(FAMILIES))
@@ -613,7 +659,7 @@ def test_central_differences_equal_the_per_direction_loop(sign, rng):
     step = FD_STEP
     for func, directions in (
         (patch.eval_func, np.eye(at.size)),
-        (patch.normal, rng.normal(size=(7, at.size))),
+        (patch.normal_func, rng.normal(size=(7, at.size))),
     ):
         want = np.array(
             [(func(at + step * d) - func(at - step * d)) / (2 * step) for d in directions],
@@ -751,20 +797,21 @@ U = 2.0**-53
 )
 def test_multi_rhs_velocities_equal_the_per_vector_solves(build, monkeypatch):
     seen = []
-    original = hypersurface._central_differences
+    original = np.linalg.lstsq
 
-    def recording(func, at, directions, step):
-        seen.append(np.array(directions, dtype=float))
-        return original(func, at, directions, step)
+    def recording(*args, **kwargs):
+        solution = original(*args, **kwargs)
+        seen.append(solution[0].T)
+        return solution
 
-    monkeypatch.setattr(hypersurface, "_central_differences", recording)
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
     for n in (2, 4, 6):
         patch = build(n, 0.7)
         for at in patch.grid(2, cap=3):
             seen.clear()
             sr = shape_operator(patch, at)
-            velocities = seen[1]
-            columns, _ = original(patch.eval_func, at, np.eye(len(at)), FD_STEP)
+            (velocities,) = seen
+            columns, _ = _central_differences(patch.eval_func, at, np.eye(len(at)), FD_STEP)
             jac = _realify(columns)
             cond = np.linalg.cond(jac)
             for v, e in zip(velocities, sr.frame):
